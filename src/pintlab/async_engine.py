@@ -237,8 +237,7 @@ class _ScheduleDriver:
 
 def simulate_async(mapping: AsyncMapping, init: BlockVector,
                    schedule: AsyncSchedule,
-                   stop: Callable[[EngineView], bool] | None = None,
-                   record_snapshots: bool = True) -> AsyncTrace:
+                   stop: Callable[[EngineView], bool] | None = None) -> AsyncTrace:
     """Run the event loop until a stop condition fires.
 
     Halts when the caller's stop predicate returns True, or at exact
@@ -336,8 +335,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
             digest=_value_digest(new_value),
             delta=delta,
         ))
-        if record_snapshots:
-            snapshots.append(state.copy())
+        snapshots.append(state.copy())
 
         zero_streak = zero_streak + 1 if delta == 0.0 else 0
         if zero_streak >= quiescent_streak:

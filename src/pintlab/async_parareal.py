@@ -60,8 +60,7 @@ def async_stop_check(worker_deltas, epsilon: float, drained: bool) -> bool:
 
 def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
                        p: int, schedule: AsyncSchedule,
-                       epsilon: float | None = None,
-                       record_snapshots: bool = True) -> AsyncTrace:
+                       epsilon: float | None = None) -> AsyncTrace:
     """Simulate the asynchronous iteration from the coarse initialization.
 
     With epsilon given, stops once all per-worker last-update changes are
@@ -79,6 +78,4 @@ def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
         def stop(view: EngineView) -> bool:
             return async_stop_check(view.last_deltas[1:], eps, view.drained)
 
-    return simulate_async(
-        mapping, init, schedule, stop=stop, record_snapshots=record_snapshots
-    )
+    return simulate_async(mapping, init, schedule, stop=stop)

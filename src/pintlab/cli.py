@@ -39,7 +39,6 @@ from .linalg import NormKind, max_block_norm
 from .model import (
     LinearIVP,
     PROPAGATOR_RULES,
-    TimeDecomposition,
     heat1d_system,
     scalar_decay_system,
 )
@@ -265,9 +264,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     coarse_rule = PROPAGATOR_RULES[config.coarse.rule]
     fine = fine_rule(ivp, span, config.fine.steps)
     coarse = coarse_rule(ivp, span, config.coarse.steps)
-    decomposition = TimeDecomposition(
-        p=p, coarse_dt=span, fine_dt=span / config.fine.steps
-    )
     log.info("problem %s: dim=%d p=%d span=%g", ivp.label, ivp.dim, p, span)
 
     fine_cost = config.fine_cost if config.fine_cost is not None else fine.cost_units
@@ -287,19 +283,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     rows: list[dict] = []
     runs: list[dict] = []
 
-    seq_params = CostParams(p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
-                            overhead=overhead)
-    rows.append({
-        "label": config.label, "p": p, "mode": "sequential", "policy": "",
-        "seed": "", "delay_bound": "", "iterations": "", "events": "",
-        "model_cost": repr(sequential_cost(seq_params)), "fitted_overhead": "",
-        "error_vs_oracle": repr(0.0),
-        "sync_factor": repr(report_con.sync_factor),
-        "async_factor": repr(report_con.async_factor),
-        "sync_margin": repr(sync_ok.margin),
-        "async_margin": repr(async_ok.margin),
-        "stop_reason": "",
-    })
+    seq_cost = sequential_cost(CostParams(
+        p=p, fine_cost=fine_cost, coarse_cost=coarse_cost, overhead=overhead))
+    # Columns every summary row repeats; the csv module writes floats with
+    # repr and leaves absent columns empty.
+    shared = {
+        "label": config.label, "p": p,
+        "sync_factor": report_con.sync_factor,
+        "async_factor": report_con.async_factor,
+        "sync_margin": sync_ok.margin, "async_margin": async_ok.margin,
+    }
+    rows.append({**shared, "mode": "sequential", "model_cost": seq_cost,
+                 "error_vs_oracle": 0.0})
 
     sync_trace = run_parareal(coarse, fine, ivp.u0, p,
                               epsilon=config.epsilon, k_max=config.k_max)
@@ -308,23 +303,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                              overhead=overhead, k=k)
     sync_model_cost = sync_cost(sync_params)
     try:
-        fitted = repr(fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost))
+        fitted = fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost)
     except UnfittableError:
-        fitted = ""
+        fitted = None
     sync_err = (sync_trace.iterates[-1] - oracle).max_abs()
     if sync_trace.stop_reason == STOP_KMAX:
         exit_code = 2
-    rows.append({
-        "label": config.label, "p": p, "mode": "sync", "policy": "", "seed": "",
-        "delay_bound": "", "iterations": k, "events": "",
-        "model_cost": repr(sync_model_cost), "fitted_overhead": fitted,
-        "error_vs_oracle": repr(sync_err),
-        "sync_factor": repr(report_con.sync_factor),
-        "async_factor": repr(report_con.async_factor),
-        "sync_margin": repr(sync_ok.margin),
-        "async_margin": repr(async_ok.margin),
-        "stop_reason": sync_trace.stop_reason,
-    })
+    rows.append({**shared, "mode": "sync", "iterations": k,
+                 "model_cost": sync_model_cost, "fitted_overhead": fitted,
+                 "error_vs_oracle": sync_err,
+                 "stop_reason": sync_trace.stop_reason})
     runs.append({
         "mode": "sync", "iterations": k, "stop_reason": sync_trace.stop_reason,
         "model_cost": sync_model_cost, "error_vs_oracle": sync_err,
@@ -387,32 +375,25 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             run_entry["speedup_bound"] = ratio.bound
             run_entry["speedup_achieved"] = ratio.achieved
         runs.append(run_entry)
-        rows.append({
-            "label": config.label, "p": p, "mode": "async",
-            "policy": sched.policy, "seed": sched.seed,
-            "delay_bound": sched.delay_bound, "iterations": kappa,
-            "events": len(trace.events),
-            "model_cost": repr(run_entry["model_cost"]), "fitted_overhead": "",
-            "error_vs_oracle": repr(err),
-            "sync_factor": repr(report_con.sync_factor),
-            "async_factor": repr(report_con.async_factor),
-            "sync_margin": repr(sync_ok.margin),
-            "async_margin": repr(async_ok.margin),
-            "stop_reason": stop_reason,
-        })
+        rows.append({**shared, "mode": "async", "policy": sched.policy,
+                     "seed": sched.seed, "delay_bound": sched.delay_bound,
+                     "iterations": kappa, "events": len(trace.events),
+                     "model_cost": run_entry["model_cost"],
+                     "error_vs_oracle": err, "stop_reason": stop_reason})
         if write_traces:
             name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
             (traces_dir / name).write_text(trace.to_jsonl(), encoding="utf-8")
 
     report = {
         "config": config.to_dict(),
-        "decomposition": decomposition.to_dict(),
+        "decomposition": {"p": p, "coarse_dt": span,
+                          "fine_dt": span / config.fine.steps},
         "costs": {"fine_cost": fine_cost, "coarse_cost": coarse_cost,
                   "overhead": overhead},
         "contraction": report_con.to_dict(),
         "sync_convergent": {"holds": sync_ok.holds, "margin": sync_ok.margin},
         "async_convergent": {"holds": async_ok.holds, "margin": async_ok.margin},
-        "sequential_cost": sequential_cost(seq_params),
+        "sequential_cost": seq_cost,
         "runs": runs,
         "exit_code": exit_code,
     }

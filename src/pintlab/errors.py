@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Errors that carry diagnostic payloads (an estimate, a pivot, a partial
-trace) are distinct classes so callers can recover the payload instead of
-parsing messages.
+Errors that carry diagnostic payloads (a pivot, a partial trace) are
+distinct classes so callers can recover the payload instead of parsing
+messages.
 """
 from __future__ import annotations
 
@@ -15,19 +15,11 @@ class InvalidWeightError(ValueError):
     """A weighted norm was given a nonpositive weight."""
 
 
-class ConvergenceFailure(RuntimeError):
-    """An iterative estimator ran out of iterations.
-
-    ``estimate`` holds the best magnitude estimate at abort time.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = float(estimate)
-
-
 class SingularMatrixError(RuntimeError):
-    """LU factorization met a pivot below the singularity threshold."""
+    """A matrix failed the singular-value rank test of ``lu_solve``.
+
+    ``pivot`` holds its smallest singular value sigma_min.
+    """
 
     def __init__(self, message: str, pivot: float):
         super().__init__(message)
@@ -35,7 +27,11 @@ class SingularMatrixError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """An implicit time step produced a singular linear system."""
+    """An implicit time step produced a singular linear system.
+
+    ``pivot`` holds the smallest singular value of the step's left-hand
+    side, as in SingularMatrixError.
+    """
 
     def __init__(self, message: str, dt: float, pivot: float):
         super().__init__(message)

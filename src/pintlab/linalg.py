@@ -1,30 +1,21 @@
 """Dense linear-algebra substrate: block vectors, norms, spectral radius.
 
 Everything here is sized for desk-scale experiments (matrices up to a few
-dozen rows), so the only eigen machinery is deterministic power iteration.
-Closed-form cross-checks for tiny matrices live in the test suite.
+dozen rows) and hands the numerics to numpy's LAPACK bindings: the spectral
+norm is the largest singular value, the spectral radius the largest
+eigenvalue magnitude, and solves are LU with partial pivoting. These are
+the backward-stable routines of Golub & Van Loan, *Matrix Computations*,
+ch. 7-8. Closed-form cross-checks for tiny matrices live in the test suite.
 """
 from __future__ import annotations
 
-import math
-import warnings
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg import lu_solve as _scipy_lu_solve
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionError,
-    InvalidWeightError,
-    SingularMatrixError,
-)
+from .errors import DimensionError, InvalidWeightError, SingularMatrixError
 
-POWER_TOL = 1e-10          # spectral radius estimate, relative
-SPECTRAL_NORM_TOL = 1e-12  # Gram-matrix power iteration, relative
-POWER_MAX_ITER = 10_000
-PIVOT_REL_TOL = 1e-14      # pivot below this times max |entry| means singular
+PIVOT_REL_TOL = 1e-14  # sigma_min below this times sigma_max means singular
 
 
 class NormKind(Enum):
@@ -155,95 +146,34 @@ def operator_norm(m, kind: NormKind = NormKind.SPECTRAL) -> float:
     """Induced operator norm of a square matrix.
 
     INFINITY is the exact max row sum. SPECTRAL is the largest singular
-    value, estimated by power iteration on the Gram matrix.
+    value, from LAPACK's SVD.
     """
     a = _square(m)
     if a.size == 0:
         return 0.0
     if kind is NormKind.INFINITY:
         return float(np.max(np.sum(np.abs(a), axis=1)))
-    gram = a.T @ a
-    est, converged = _dominant_magnitude(gram, SPECTRAL_NORM_TOL)
-    value = math.sqrt(max(est, 0.0))
-    if not converged:
-        raise ConvergenceFailure(
-            f"spectral norm power iteration did not settle within "
-            f"{POWER_MAX_ITER} iterations (estimate {value:.6e})",
-            estimate=value,
-        )
-    return value
+    return float(np.linalg.norm(a, 2))
 
 
 def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude, via deterministic power iteration.
+    """Largest eigenvalue magnitude, from LAPACK's nonsymmetric eigensolver.
 
-    The magnitude estimate is the two-step geometric mean of iterate growth,
-    which also settles for dominant complex-conjugate or opposite-sign pairs.
-    Genuinely stagnating cases abort with a ConvergenceFailure carrying the
-    last estimate. Known-nilpotent inputs are better served by a direct
-    matrix-power test; here they simply collapse the Krylov vector to zero.
+    Balancing isolates the eigenvalues of triangular inputs, so a strictly
+    triangular (nilpotent) matrix gets a radius of exactly zero.
     """
     a = _square(m)
     if a.size == 0:
         return 0.0
-    est, converged = _dominant_magnitude(a, POWER_TOL)
-    if not converged:
-        raise ConvergenceFailure(
-            f"spectral radius power iteration did not settle within "
-            f"{POWER_MAX_ITER} iterations (estimate {est:.6e})",
-            estimate=est,
-        )
-    return est
-
-
-def _dominant_magnitude(a: np.ndarray, tol: float) -> tuple[float, bool]:
-    """Run power iteration from two fixed start vectors, keep the best.
-
-    The all-ones start can be (near) orthogonal to the dominant eigenspace;
-    the alternating-sign restart covers that case deterministically.
-    """
-    n = a.shape[0]
-    starts = [np.ones(n)]
-    if n > 1:
-        starts.append(np.array([(-1.0) ** i for i in range(n)]))
-    best_ok = -1.0
-    best_any = -1.0
-    any_converged = False
-    for start in starts:
-        est, ok = _power_sequence(a, start, tol)
-        best_any = max(best_any, est)
-        if ok:
-            any_converged = True
-            best_ok = max(best_ok, est)
-    return (best_ok, True) if any_converged else (best_any, False)
-
-
-def _power_sequence(a: np.ndarray, start: np.ndarray, tol: float) -> tuple[float, bool]:
-    x = start / np.linalg.norm(start)
-    growth_prev = None
-    est_prev = None
-    for _ in range(POWER_MAX_ITER):
-        y = a @ x
-        growth = float(np.linalg.norm(y))
-        if growth == 0.0:
-            # Krylov vector annihilated: the reachable part is nilpotent.
-            return 0.0, True
-        if growth_prev is not None:
-            est = math.sqrt(growth * growth_prev)
-            if est_prev is not None and abs(est - est_prev) <= tol * max(est, 1e-30):
-                return est, True
-            est_prev = est
-        growth_prev = growth
-        x = y / growth
-    return (est_prev if est_prev is not None else growth_prev), False
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def lu_solve(a, b) -> np.ndarray:
     """Solve a X = b by dense LU with partial pivoting.
 
-    Singularity is detected from the factored pivots: any |U_ii| below
-    PIVOT_REL_TOL times the largest entry of ``a`` raises SingularMatrixError
-    carrying the offending pivot.
+    Singularity is the rank test on singular values: sigma_max = 0 or
+    sigma_min below PIVOT_REL_TOL times sigma_max raises SingularMatrixError
+    carrying sigma_min as its pivot.
     """
     mat = _square(a)
     rhs = np.asarray(b, dtype=float)
@@ -251,16 +181,17 @@ def lu_solve(a, b) -> np.ndarray:
         raise DimensionError(
             f"rhs has {rhs.shape[0]} rows, matrix has {mat.shape[0]}"
         )
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; the pivot check below governs.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        factors, piv = lu_factor(mat, check_finite=False)
-    pivots = np.abs(np.diag(factors))
-    smallest = float(np.min(pivots)) if pivots.size else 0.0
-    if scale == 0.0 or smallest < PIVOT_REL_TOL * scale:
+    sigma = np.linalg.svd(mat, compute_uv=False)
+    largest = float(sigma[0]) if sigma.size else 0.0
+    smallest = float(sigma[-1]) if sigma.size else 0.0
+    if largest == 0.0 or smallest < PIVOT_REL_TOL * largest:
         raise SingularMatrixError(
-            f"matrix numerically singular (pivot {smallest:.3e}, scale {scale:.3e})",
+            f"matrix numerically singular (sigma_min {smallest:.3e}, "
+            f"sigma_max {largest:.3e})",
             pivot=smallest,
         )
-    return _scipy_lu_solve((factors, piv), rhs, check_finite=False)
+    # Fortran order, as LAPACK's getrs writes it. Propagator matrices are
+    # sliced out of the solution, and a slice's layout picks the BLAS path
+    # of every later ``matrix @ state``: a C-ordered copy holds bitwise-equal
+    # values but rounds those products differently, so every trace moves.
+    return np.asfortranarray(np.linalg.solve(mat, rhs))

@@ -6,7 +6,7 @@ matvec. Costs are tracked in solve units: one implicit solve per step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,52 +60,6 @@ class LinearIVP:
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearIVP":
         return cls(doc["A"], doc["c"], doc["u0"], doc["T"], doc.get("label", "ivp"))
-
-
-@dataclass
-class TimeDecomposition:
-    """Uniform split of [0, T] into p subintervals of width coarse_dt.
-
-    fine_dt must divide coarse_dt exactly; the implied per-subinterval fine
-    step count is available as ``fine_steps``.
-    """
-
-    p: int
-    coarse_dt: float
-    fine_dt: float
-
-    def __post_init__(self):
-        self.p = int(self.p)
-        self.coarse_dt = float(self.coarse_dt)
-        self.fine_dt = float(self.fine_dt)
-        if self.p < 1:
-            raise ValueError(f"need at least one subinterval, got p={self.p}")
-        if not self.coarse_dt > 0.0 or not self.fine_dt > 0.0:
-            raise ValueError("step widths must be positive")
-        steps = self.coarse_dt / self.fine_dt
-        if abs(round(steps) - steps) > 1e-9 * max(steps, 1.0) or round(steps) < 1:
-            raise ValueError(
-                f"fine step {self.fine_dt} does not divide subinterval {self.coarse_dt}"
-            )
-
-    @property
-    def fine_steps(self) -> int:
-        return int(round(self.coarse_dt / self.fine_dt))
-
-    @property
-    def t_final(self) -> float:
-        return self.p * self.coarse_dt
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        return np.arange(self.p + 1) * self.coarse_dt
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "coarse_dt": self.coarse_dt, "fine_dt": self.fine_dt}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TimeDecomposition":
-        return cls(doc["p"], doc["coarse_dt"], doc["fine_dt"])
 
 
 @dataclass(frozen=True, eq=False)

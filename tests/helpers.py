@@ -1,8 +1,8 @@
 """Closed-form oracles used to cross-check the iterative numerics.
 
-Everything here is deliberately independent of the package's own power
-iteration: eigenvalue magnitudes come from the quadratic formula (2x2) and
-a trigonometric/Cardano cubic solve (3x3), singular values from the same
+Everything here is deliberately independent of the package's LAPACK
+calls: eigenvalue magnitudes come from the quadratic formula (2x2) and a
+trigonometric/Cardano cubic solve (3x3), singular values from the same
 formulas applied to M^T M. Desk scale only.
 """
 from __future__ import annotations

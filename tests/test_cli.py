@@ -2,7 +2,10 @@
 the condensed table."""
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +201,13 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
     rc = main(["table", "--in", str(alien), "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pintlab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

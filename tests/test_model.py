@@ -17,7 +17,6 @@ from pintlab.model import (
     AffinePropagator,
     LinearIVP,
     PROPAGATOR_RULES,
-    TimeDecomposition,
     backward_euler_propagator,
     compose,
     fine_from_onestep,
@@ -150,19 +149,6 @@ def test_ivp_validation_and_round_trip():
     assert np.array_equal(back.forcing, ivp.forcing)
     assert np.array_equal(back.u0, ivp.u0)
     assert back.t_final == ivp.t_final and back.label == ivp.label
-
-
-def test_time_decomposition():
-    td = TimeDecomposition(p=4, coarse_dt=0.2, fine_dt=0.05)
-    assert td.fine_steps == 4
-    assert td.t_final == pytest.approx(0.8)
-    assert np.allclose(td.boundaries, [0.0, 0.2, 0.4, 0.6, 0.8])
-    back = TimeDecomposition.from_dict(td.to_dict())
-    assert back == td
-    with pytest.raises(ValueError):
-        TimeDecomposition(p=4, coarse_dt=0.2, fine_dt=0.07)  # not a divisor
-    with pytest.raises(ValueError):
-        TimeDecomposition(p=0, coarse_dt=0.2, fine_dt=0.1)
 
 
 def test_heat_degenerate_and_apply_dim_check():
