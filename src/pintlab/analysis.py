@@ -208,12 +208,11 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     bounds = [bound_for(depths[0])]
     for ev in trace.events:
         comp = ev.component
-        if not ev.frozen:
-            shallowest = min(version_depth[src][v] for src, _slot, v in ev.reads)
-            new_depth = shallowest + 1.0
-            versions[comp] += 1
-            version_depth[comp][versions[comp]] = new_depth
-            current[comp] = new_depth
+        shallowest = min(version_depth[src][v] for src, _slot, v in ev.reads)
+        new_depth = shallowest + 1.0
+        versions[comp] += 1
+        version_depth[comp][versions[comp]] = new_depth
+        current[comp] = new_depth
         sigma = float(np.min(current[1:]))
         depths.append(sigma)
         bounds.append(bound_for(sigma))
@@ -230,10 +229,7 @@ def check_finite_termination(trace: SyncTrace | AsyncTrace,
     Returns None when the trace never reaches the reference, which at desk
     scale indicates an invalid schedule or a too-short horizon.
     """
-    if isinstance(trace, SyncTrace):
-        states = trace.iterates
-    else:
-        states = [trace.initial] + list(trace.snapshots)
+    states = trace.iterates if isinstance(trace, SyncTrace) else trace.states()
     for idx, state in enumerate(states):
         if np.allclose(state.data, reference.data, rtol=rtol, atol=0.0):
             return idx

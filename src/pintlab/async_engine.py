@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulator for asynchronous fixed-point maps.
 
 One event is one component update. The scheduled component recomputes its
-value from version-stamped snapshots of its inputs; how stale each reading
+value from version-stamped values of its inputs; how stale each reading
 may be is driven by a seeded schedule, so every run is exactly repeatable.
 Component 0 is pinned (it models a constant source such as the initial
-state) and is never scheduled.
+state) and is never scheduled. Every value produced goes into the trace's
+event log, and every read is served from that log.
 
 Read slots come in two flavors. A sampled slot draws a staleness in
 {0..delay_bound} from the schedule's generator and reads that many source
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,53 +129,74 @@ class UpdateRecord:
     reads: tuple[tuple[int, int, int], ...]  # (source, slot, version)
     digest: str                              # short hash of the produced value
     delta: float                             # max-abs change against prior value
-    frozen: bool = False                     # True means skipped: value carried over
 
 
 class EngineView(NamedTuple):
-    """Snapshot handed to stop predicates after each event."""
+    """What a stop predicate sees after each event."""
 
     k: int
-    state: BlockVector
     last_deltas: np.ndarray  # per component; +inf until the first update
     drained: bool            # every sampled edge has consumed the newest version
 
 
 @dataclass
 class AsyncTrace:
-    """Full record of one simulation, self-describing for offline checks."""
+    """Event log of one simulation, self-describing for offline checks.
+
+    events[k] records event k and values[k] is the value it wrote to its
+    component. Version v >= 1 of a component is the value of its v-th
+    event, version 0 its block of ``initial``; every state is derived from
+    the log and ``initial``.
+    """
 
     events: list[UpdateRecord]
-    snapshots: list[BlockVector]
+    values: list[np.ndarray]
     initial: BlockVector
-    per_component_counts: np.ndarray
-    stop_event: int
     stop_reason: str
     schedule: AsyncSchedule
     n_updatable: int
     persistent_slots: dict[int, int]
+    # component -> index of the event that produced each of its versions
+    _event_index: list[list[int]] = field(init=False, repr=False)
 
-    @property
-    def window(self) -> int:
-        return self.schedule.window(self.n_updatable)
+    def __post_init__(self):
+        self._event_index = [[] for _ in range(self.n_updatable + 1)]
+        for idx, ev in enumerate(self.events):
+            self._event_index[ev.component].append(idx)
+
+    def append(self, record: UpdateRecord, value: np.ndarray) -> None:
+        """Log one event and the value it produced."""
+        self._event_index[record.component].append(len(self.events))
+        self.events.append(record)
+        self.values.append(value)
+
+    def version_value(self, component: int, version: int) -> np.ndarray:
+        """The value a (component, version) stamp refers to."""
+        if version == 0:
+            return self.initial[component]
+        index = self._event_index[component]
+        if not 1 <= version <= len(index):
+            raise KeyError(f"component {component} never reached version {version}")
+        return self.values[index[version - 1]]
 
     def state_after(self, event_index: int) -> BlockVector:
         """State once ``event_index + 1`` events have run; -1 gives the start."""
-        if event_index < 0:
-            return self.initial
-        return self.snapshots[event_index]
+        if event_index >= len(self.events):
+            raise IndexError(f"trace has no event {event_index}")
+        data = self.initial.data.copy()
+        for comp, index in enumerate(self._event_index):
+            version = bisect_right(index, event_index)
+            if version:
+                data[comp] = self.values[index[version - 1]]
+        return BlockVector(data)
 
-    def version_value(self, component: int, version: int) -> np.ndarray:
-        """Reconstruct the value a (component, version) stamp referred to."""
-        if version == 0:
-            return self.initial[component]
-        seen = 0
-        for idx, ev in enumerate(self.events):
-            if ev.component == component:
-                seen += 1
-                if seen == version:
-                    return self.snapshots[idx][component]
-        raise KeyError(f"component {component} never reached version {version}")
+    def states(self) -> Iterator[BlockVector]:
+        """The start state, then the state after each event in order."""
+        data = self.initial.data.copy()
+        yield BlockVector(data.copy())
+        for ev, value in zip(self.events, self.values):
+            data[ev.component] = value
+            yield BlockVector(data.copy())
 
     def to_jsonl(self) -> str:
         lines = []
@@ -185,7 +207,6 @@ class AsyncTrace:
                 "reads": [list(r) for r in ev.reads],
                 "digest": ev.digest,
                 "delta": ev.delta,
-                "frozen": ev.frozen,
             }, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -242,28 +263,32 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
 
     Halts when the caller's stop predicate returns True, or at exact
     quiescence. Hitting max_events first raises HorizonExhausted carrying
-    the partial trace.
+    the partial trace. Every read is served from the trace being built, so
+    the returned log is exactly what each event consumed.
 
     Quiescence means no admissible pending read could change any component.
     A single fair window of bitwise-unchanged values is not enough to
-    certify that: retention buffers may still hold older values that a
-    maximally stale read could resurface. After delay_bound + 3 consecutive
-    unchanged windows every buffer has been flushed with the constant
-    values and every component's latest firing consumed only those, so any
-    pending evaluation replays a computation already seen to be a no-op.
+    certify that: a read may lag up to delay_bound versions behind the
+    newest, so a maximally stale read could still resurface an older value.
+    After delay_bound + 3 consecutive unchanged windows the newest
+    delay_bound + 1 versions of every component hold the constant values
+    and every component's latest firing consumed only those, so any pending
+    evaluation replays a computation already seen to be a no-op.
     """
     p = mapping.n_updatable
     if init.n_blocks != p + 1:
         raise DimensionError(f"init has {init.n_blocks} blocks, expected {p + 1}")
-    bound = schedule.delay_bound
     window = schedule.window(p)
     driver = _ScheduleDriver(schedule, p)
+    trace = AsyncTrace(
+        events=[], values=[], initial=init.copy(), stop_reason="",
+        schedule=schedule, n_updatable=p,
+        persistent_slots=dict(mapping.persistent_slots),
+    )
 
-    state = init.copy()
     versions = [0] * (p + 1)
-    buffers = [deque([(0, init[i].copy())], maxlen=bound + 1) for i in range(p + 1)]
-    # (component, base_slot) -> (version, value) consumed at its last event.
-    persisted_cache: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+    # (component, base_slot) -> version consumed at its last event.
+    persisted: dict[tuple[int, int], int] = {}
     # (component, source) -> version consumed via sampled slots at the
     # component's most recent event; drives the drained check.
     last_consumed: dict[tuple[int, int], int] = {}
@@ -276,12 +301,8 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
 
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
-    counts = np.zeros(p + 1, dtype=int)
-    events: list[UpdateRecord] = []
-    snapshots: list[BlockVector] = []
     zero_streak = 0
-    quiescent_streak = (bound + 3) * window
-    stop_reason = None
+    quiescent_streak = (schedule.delay_bound + 3) * window
 
     def drained() -> bool:
         return all(
@@ -293,84 +314,57 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         comp = driver.next_component(k)
         reads = []
         read_values: dict[tuple[int, int], np.ndarray] = {}
-        event_fresh: dict[int, tuple[int, np.ndarray]] = {}
+        event_fresh: dict[int, int] = {}
         event_consumed: dict[int, int] = {}
         for source, slot in mapping.read_set[comp]:
             if slot in mapping.persistent_slots:
-                base = mapping.persistent_slots[slot]
-                version, value = persisted_cache.get(
-                    (comp, base), (0, init[source])
-                )
+                version = persisted.get((comp, mapping.persistent_slots[slot]), 0)
             else:
                 staleness = driver.sample_staleness()
                 version = max(versions[source] - staleness, 0)
-                value = _buffer_lookup(buffers[source], version)
-                event_fresh[slot] = (version, value)
+                event_fresh[slot] = version
                 event_consumed[source] = max(event_consumed.get(source, 0), version)
             reads.append((source, slot, version))
-            read_values[(source, slot)] = value
+            read_values[(source, slot)] = trace.version_value(source, version)
         for source, version in event_consumed.items():
             last_consumed[(comp, source)] = version
 
-        new_value = np.asarray(mapping.eval_fn(comp, read_values), dtype=float)
-        if new_value.shape != state[comp].shape:
+        # A copy: eval_fn may reuse its output buffer, and the log keeps every value.
+        new_value = np.array(mapping.eval_fn(comp, read_values), dtype=float)
+        previous = trace.version_value(comp, versions[comp])
+        if new_value.shape != previous.shape:
             raise DimensionError(
                 f"component {comp} produced shape {new_value.shape}, "
-                f"expected {state[comp].shape}"
+                f"expected {previous.shape}"
             )
-        delta = float(np.max(np.abs(new_value - state[comp]))) if new_value.size else 0.0
-        state.data[comp] = new_value
+        if not np.all(np.isfinite(new_value)):
+            raise ValueError(f"component {comp} produced a non-finite value at event {k}")
+        delta = float(np.max(np.abs(new_value - previous))) if new_value.size else 0.0
         versions[comp] += 1
-        buffers[comp].append((versions[comp], new_value.copy()))
-        counts[comp] += 1
         last_deltas[comp] = delta
-        for base_slot, stamped in event_fresh.items():
+        for base_slot, version in event_fresh.items():
             if base_slot in mapping.persistent_slots.values():
-                persisted_cache[(comp, base_slot)] = stamped
+                persisted[(comp, base_slot)] = version
 
-        events.append(UpdateRecord(
+        trace.append(UpdateRecord(
             k_global=k,
             component=comp,
             reads=tuple(reads),
             digest=_value_digest(new_value),
             delta=delta,
-        ))
-        snapshots.append(state.copy())
+        ), new_value)
 
         zero_streak = zero_streak + 1 if delta == 0.0 else 0
         if zero_streak >= quiescent_streak:
-            stop_reason = STOP_QUIESCENCE
-            break
-        if stop is not None and stop(EngineView(k, state, last_deltas.copy(), drained())):
-            stop_reason = STOP_PREDICATE
-            break
+            trace.stop_reason = STOP_QUIESCENCE
+            return trace
+        if stop is not None and stop(EngineView(k, last_deltas.copy(), drained())):
+            trace.stop_reason = STOP_PREDICATE
+            return trace
 
-    trace = AsyncTrace(
-        events=events,
-        snapshots=snapshots,
-        initial=init.copy(),
-        per_component_counts=counts,
-        stop_event=len(events) - 1,
-        stop_reason=stop_reason or "",
-        schedule=schedule,
-        n_updatable=p,
-        persistent_slots=dict(mapping.persistent_slots),
+    raise HorizonExhausted(
+        f"no stop condition met within {schedule.max_events} events", trace
     )
-    if stop_reason is None:
-        raise HorizonExhausted(
-            f"no stop condition met within {schedule.max_events} events", trace
-        )
-    return trace
-
-
-def _buffer_lookup(buffer: deque, version: int) -> np.ndarray:
-    newest_version = buffer[-1][0]
-    idx = len(buffer) - 1 - (newest_version - version)
-    if idx < 0:
-        raise KeyError(f"version {version} already evicted from the retention buffer")
-    stamped_version, value = buffer[idx]
-    assert stamped_version == version
-    return value
 
 
 @dataclass
@@ -397,11 +391,10 @@ class ScheduleValidation:
         )
 
 
-def validate_schedule(trace: AsyncTrace, delay_bound: int | None = None,
-                      window: int | None = None) -> ScheduleValidation:
+def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     """Replay a trace and audit it against its declared (D, W)."""
-    bound = trace.schedule.delay_bound if delay_bound is None else delay_bound
-    win = trace.window if window is None else window
+    bound = trace.schedule.delay_bound
+    win = trace.schedule.window(trace.n_updatable)
     p = trace.n_updatable
     persistent = trace.persistent_slots
 
@@ -412,8 +405,6 @@ def validate_schedule(trace: AsyncTrace, delay_bound: int | None = None,
     versions = [0] * (p + 1)
     prev_base_read: dict[tuple[int, int], int] = {}
     for ev in trace.events:
-        if ev.frozen:
-            continue
         fresh_this_event: dict[int, int] = {}
         for source, slot, version in ev.reads:
             if slot in persistent:
@@ -463,7 +454,7 @@ def update_counts(trace: AsyncTrace) -> tuple[np.ndarray, int]:
     The maximum is the per-worker iteration count that the asynchronous cost
     model charges; an empty trace gives zero.
     """
-    counts = np.asarray(trace.per_component_counts, dtype=int)
+    counts = np.array([len(index) for index in trace._event_index], dtype=int)
     if counts[1:].size == 0:
         return counts, 0
     return counts, int(np.max(counts[1:]))

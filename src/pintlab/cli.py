@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analysis import (
@@ -32,7 +32,7 @@ from .analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from .async_engine import AsyncSchedule, AsyncTrace, update_counts, validate_schedule
+from .async_engine import AsyncSchedule, update_counts, validate_schedule
 from .async_parareal import run_async_parareal
 from .errors import ConfigError, HorizonExhausted, UnfittableError
 from .linalg import NormKind, max_block_norm
@@ -335,7 +335,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             horizon_hit = True
             exit_code = 2
             log.warning("schedule %s exhausted its event horizon", tag)
-        assert isinstance(trace, AsyncTrace)
         counts, kappa = update_counts(trace)
         final = trace.state_after(len(trace.events) - 1)
         err = (final - oracle).max_abs()
@@ -355,10 +354,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         }
         if async_ok.holds:
             sigmas, bounds = async_error_envelope(trace, report_con, oracle, initial)
-            measured = [
-                max_block_norm(trace.state_after(i - 1) - oracle, config.norm_kind)
-                for i in range(len(trace.events) + 1)
-            ]
+            measured = [max_block_norm(state - oracle, config.norm_kind)
+                        for state in trace.states()]
             slack = 1.0 + 1e-10
             run_entry["envelope_ok"] = bool(all(
                 m <= b * slack or (b == 0.0 and m == 0.0)
@@ -478,12 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             if args.seed_override is not None:
-                config.schedules = [
-                    AsyncSchedule(seed=args.seed_override + i,
-                                  delay_bound=s.delay_bound, policy=s.policy,
-                                  max_events=s.max_events)
-                    for i, s in enumerate(config.schedules)
-                ]
+                config.schedules = [replace(s, seed=args.seed_override + i)
+                                    for i, s in enumerate(config.schedules)]
             _report, code = run_experiment(config, args.out,
                                            write_traces=args.traces)
             if code != 0:

@@ -118,10 +118,8 @@ def _envelope_event(k, comp, fresh_version, remembered_version):
 
 def _envelope_trace(events, p):
     return AsyncTrace(
-        events=events, snapshots=[],
-        initial=BlockVector(np.zeros((p + 1, 1))),
-        per_component_counts=np.zeros(p + 1, dtype=int),
-        stop_event=len(events) - 1, stop_reason="quiescence",
+        events=events, values=[np.zeros(1) for _ in events],
+        initial=BlockVector(np.zeros((p + 1, 1))), stop_reason="quiescence",
         schedule=AsyncSchedule(seed=0, delay_bound=0),
         n_updatable=p, persistent_slots={2: 1},
     )
@@ -147,17 +145,6 @@ def test_envelope_depths_hand_trace():
     assert list(depths) == [0, 0, 0, 1, 1, 1, 2, 2, 2, math.inf]
     assert list(bounds) == [1.0, 1.0, 1.0, 0.5, 0.5, 0.5,
                             0.25, 0.25, 0.25, 0.0]
-
-
-def test_envelope_skips_frozen_events():
-    ev = _envelope_event(0, 1, 0, 0)
-    frozen = UpdateRecord(k_global=1, component=2, reads=(), digest="0" * 16,
-                          delta=0.0, frozen=True)
-    trace = _envelope_trace([ev, frozen], 3)
-    report = factors_from_norms(0.3, 0.2, p=3, kind=NormKind.INFINITY)
-    fixed = BlockVector(np.ones((4, 1)))
-    depths, _ = async_error_envelope(trace, report, fixed, trace.initial)
-    assert list(depths) == [0, 0, 0]
 
 
 def test_envelope_undefined_when_factor_too_large(heat_setups):
@@ -208,6 +195,10 @@ def test_finite_termination_async(heat_setups):
     idx = check_finite_termination(trace, reference)
     assert idx is not None
     assert 0 < idx <= len(trace.events)
+    # the index counts events, and it is the first state that matches
+    match = lambda state: np.allclose(state.data, reference.data, rtol=1e-12, atol=0.0)
+    assert match(trace.state_after(idx - 1))
+    assert not match(trace.state_after(idx - 2))
 
 
 def test_chazan_miranker_frozen():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pintlab.async_engine import (
     AsyncMapping,
@@ -76,8 +78,9 @@ def test_identical_schedules_reproduce_bitwise(heat_setups):
     assert len(t1.events) == len(t2.events)
     for e1, e2 in zip(t1.events, t2.events):
         assert e1 == e2  # frozen dataclass equality: reads, digest, delta
-    for s1, s2 in zip(t1.snapshots, t2.snapshots):
-        assert np.array_equal(s1.data, s2.data)
+    assert len(t1.values) == len(t2.values) == len(t1.events)
+    for v1, v2 in zip(t1.values, t2.values):
+        assert np.array_equal(v1, v2)
 
 
 def test_different_seeds_differ(heat_setups):
@@ -106,10 +109,8 @@ def test_generated_schedules_audit_clean(heat_setups, policy, delay_bound):
 def _handmade_trace(events, n_updatable, window_sched, persistent=None):
     return AsyncTrace(
         events=events,
-        snapshots=[],
+        values=[np.zeros(1) for _ in events],
         initial=BlockVector(np.zeros((n_updatable + 1, 1))),
-        per_component_counts=np.zeros(n_updatable + 1, dtype=int),
-        stop_event=len(events) - 1,
         stop_reason="stop-predicate",
         schedule=window_sched,
         n_updatable=n_updatable,
@@ -191,7 +192,7 @@ def test_quiescence_on_fixed_point_start():
 def test_quiescence_requires_buffers_to_flush():
     # stale reads can reproduce current values for a while even though a
     # fresher read would still change them; the streak rule must outlast the
-    # retention buffers rather than stop at the first quiet window
+    # delay bound rather than stop at the first quiet window
     mapping, init = jacobi_pieces()
     x_star = relaxation_solution(JACOBI_A, JACOBI_B)
     for seed, d in [(7, 3), (11, 2), (3, 1)]:
@@ -274,7 +275,7 @@ def test_update_counts_and_jsonl(heat_setups):
     lines = trace.to_jsonl().strip().split("\n")
     assert len(lines) == len(trace.events)
     doc = json.loads(lines[0])
-    assert set(doc) == {"k", "component", "reads", "digest", "delta", "frozen"}
+    assert set(doc) == {"k", "component", "reads", "digest", "delta"}
 
 
 def test_version_value_reconstruction(heat_setups):
@@ -285,7 +286,67 @@ def test_version_value_reconstruction(heat_setups):
     for idx, ev in enumerate(trace.events):
         versions[ev.component] += 1
         got = trace.version_value(ev.component, versions[ev.component])
-        assert np.array_equal(got, trace.snapshots[idx][ev.component])
+        assert got is trace.values[idx]
+        assert np.array_equal(got, trace.state_after(idx)[ev.component])
     assert np.array_equal(trace.version_value(1, 0), trace.initial[1])
     with pytest.raises(KeyError):
         trace.version_value(1, versions[1] + 100)
+    with pytest.raises(KeyError):
+        trace.version_value(1, -1)
+    with pytest.raises(IndexError):
+        trace.state_after(len(trace.events))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([POLICY_ROUND_ROBIN, POLICY_RANDOM_FAIR, POLICY_ADVERSARIAL]),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**16))
+def test_event_log_views_agree(heat_setups, policy, delay_bound, p, seed):
+    # states(), state_after(k), values[k] and version_value are four views of
+    # one log; they must agree at every event, and no version past the last
+    # one exists
+    ivp, coarse, fine = heat_setups[4]
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p, sched)
+    states = list(trace.states())
+    assert len(states) == len(trace.events) + 1
+    assert np.array_equal(states[0].data, trace.initial.data)
+    assert np.array_equal(trace.state_after(-1).data, trace.initial.data)
+    versions = [0] * (p + 1)
+    for k, ev in enumerate(trace.events):
+        after = trace.state_after(k)
+        assert np.array_equal(states[k + 1].data, after.data), k
+        assert np.array_equal(trace.values[k], after[ev.component]), k
+        versions[ev.component] += 1
+        assert trace.version_value(ev.component, versions[ev.component]) is trace.values[k]
+    assert update_counts(trace)[0].tolist() == versions
+    for comp in range(p + 1):
+        with pytest.raises(KeyError):
+            trace.version_value(comp, versions[comp] + 1)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_value_rejected(bad):
+    mapping = AsyncMapping(n_updatable=1, arity=1,
+                           eval_fn=lambda i, reads: np.array([bad]),
+                           read_set={1: ((0, 1),)})
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate_async(mapping, BlockVector(np.zeros((2, 1))),
+                       AsyncSchedule(seed=0, delay_bound=0))
+
+
+def test_log_keeps_a_copy_of_each_value():
+    # an eval_fn that reuses one output buffer must not rewrite logged values
+    out = np.zeros(1)
+
+    def count_up(i, reads):
+        out[0] = reads[(1, 1)][0] + 1.0
+        return out
+
+    mapping = AsyncMapping(n_updatable=1, arity=1, eval_fn=count_up,
+                           read_set={1: ((1, 1),)})
+    trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
+                           AsyncSchedule(seed=0, delay_bound=0),
+                           stop=lambda view: view.k >= 4)
+    assert [float(v[0]) for v in trace.values] == [1.0, 2.0, 3.0, 4.0, 5.0]

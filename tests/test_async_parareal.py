@@ -56,7 +56,8 @@ def test_event_replay_matches_kernel(heat_setups, seed, delay_bound):
         values = _read_values(trace, ev)
         want = parareal_update(coarse, fine, values[FRESH_SLOT],
                                values[REMEMBERED_SLOT])
-        assert np.array_equal(want, trace.snapshots[idx][ev.component]), idx
+        assert np.array_equal(want, trace.values[idx]), idx
+        assert np.array_equal(want, trace.state_after(idx)[ev.component]), idx
 
 
 def test_first_worker_exact_after_first_firing(heat_setups):
@@ -68,11 +69,13 @@ def test_first_worker_exact_after_first_firing(heat_setups):
         trace = run_async_parareal(coarse, fine, ivp.u0, 3,
                                    AsyncSchedule(seed=seed, delay_bound=3))
         fired = False
-        for idx, ev in enumerate(trace.events):
+        states = trace.states()
+        next(states)
+        for idx, (ev, state) in enumerate(zip(trace.events, states)):
             if ev.component == 1:
                 fired = True
             if fired:
-                assert np.array_equal(trace.snapshots[idx][1], fine_seq[1]), idx
+                assert np.array_equal(state[1], fine_seq[1]), idx
 
 
 def test_exactness_cascade_at_quiescence(heat_setups):

@@ -161,10 +161,19 @@ def test_kmax_capped_run_exits_two(tmp_path, caplog):
 
 
 def test_seed_override_renumbers_schedules(tmp_path):
-    rc, out = run_cli(tmp_path, base_config(), extra=["--seed-override", "40"])
+    cfg = base_config()
+    cfg["schedules"][1]["max_events"] = 5000
+    rc, out = run_cli(tmp_path, cfg, extra=["--seed-override", "40"])
     assert rc == 0
     rows = [r for r in read_summary(out) if r["mode"] == "async"]
     assert sorted(int(r["seed"]) for r in rows) == [40, 41]
+    # only the seed changes; every other schedule field is kept
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    got = [r["schedule"] for r in report["runs"] if r["mode"] == "async"]
+    assert got == [{"seed": 40, "delay_bound": 0, "policy": "round-robin",
+                    "max_events": 20_000},
+                   {"seed": 41, "delay_bound": 2, "policy": "random-fair",
+                    "max_events": 5000}]
 
 
 def test_load_config_round_trip(tmp_path):
