@@ -27,9 +27,8 @@ from .errors import (
     UnfittableError,
 )
 from .linalg import NormKind, abs_matrix, lu_solve, max_block_norm, operator_norm
-from .linalg import BlockVector, spectral_radius
+from .linalg import BlockVector, matches_reference, spectral_radius
 from .model import AffinePropagator
-from .parareal import SyncTrace
 
 
 @dataclass(frozen=True)
@@ -219,19 +218,18 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     return np.asarray(depths), np.asarray(bounds)
 
 
-def check_finite_termination(trace: SyncTrace | AsyncTrace,
-                             reference: BlockVector,
-                             rtol: float = 1e-12) -> int | None:
-    """Smallest iteration/event index whose state matches the reference.
+def check_finite_termination(trace: AsyncTrace,
+                             reference: BlockVector) -> int | None:
+    """Smallest event index whose state matches the reference.
 
-    For a synchronous trace the index counts sweeps (0 is the coarse
-    initialization); for an asynchronous trace it counts executed events.
-    Returns None when the trace never reaches the reference, which at desk
-    scale indicates an invalid schedule or a too-short horizon.
+    The index counts executed events (0 is the initial state) and the match
+    rule is ``matches_reference``; synchronous runs record the same index
+    while sweeping (``run_parareal(..., reference=...)``). Returns None when
+    the trace never reaches the reference, which at desk scale indicates an
+    invalid schedule or a too-short horizon.
     """
-    states = trace.iterates if isinstance(trace, SyncTrace) else trace.states()
-    for idx, state in enumerate(states):
-        if np.allclose(state.data, reference.data, rtol=rtol, atol=0.0):
+    for idx, state in enumerate(trace.states()):
+        if matches_reference(state, reference):
             return idx
     return None
 

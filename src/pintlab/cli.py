@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analysis import (
+    ContractionReport,
     CostParams,
     async_convergence_check,
     async_cost,
@@ -35,8 +36,9 @@ from .analysis import (
 from .async_engine import AsyncSchedule, update_counts, validate_schedule
 from .async_parareal import run_async_parareal
 from .errors import ConfigError, HorizonExhausted, UnfittableError
-from .linalg import NormKind, max_block_norm
+from .linalg import BlockVector, NormKind, max_block_norm
 from .model import (
+    AffinePropagator,
     LinearIVP,
     PROPAGATOR_RULES,
     heat1d_system,
@@ -170,9 +172,17 @@ def _parse_propagator(raw, where: str) -> PropagatorSpec:
 def _parse_schedule(raw, where: str) -> AsyncSchedule:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must be an object")
+    unknown = sorted(set(raw) - {"seed", "delay_bound", "policy", "max_events"})
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields: {', '.join(unknown)}")
+    for key in ("seed", "delay_bound", "max_events"):
+        value = _expect(raw, key, int, where, required=key != "max_events")
+        if isinstance(value, bool):
+            raise ConfigError(f"{where}.{key}: expected int, got bool")
+    _expect(raw, "policy", str, where, required=False)
     try:
         return AsyncSchedule.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -244,6 +254,71 @@ def _schedule_tag(sched: AsyncSchedule) -> str:
     return f"{sched.policy}/s{sched.seed}/D{sched.delay_bound}"
 
 
+def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
+                  coarse: AffinePropagator, fine: AffinePropagator,
+                  oracle: BlockVector, initial: BlockVector,
+                  report_con: ContractionReport, envelope: bool,
+                  costs: CostParams, k: int,
+                  traces_dir: Path | None) -> tuple[dict, dict]:
+    """Run one asynchronous schedule; return its report entry and summary row.
+
+    The row holds only the per-run columns. The JSONL trace goes to
+    traces_dir when one is given. The trace lives only in this frame, so it
+    is freed before the next schedule runs. A run that exhausts its event
+    horizon reports stop_reason "horizon".
+    """
+    tag = _schedule_tag(sched)
+    eps = config.epsilon if config.epsilon > 0.0 else None
+    try:
+        trace = run_async_parareal(coarse, fine, config.ivp.u0, config.p, sched,
+                                   epsilon=eps)
+        horizon_hit = False
+    except HorizonExhausted as exc:
+        trace = exc.trace
+        horizon_hit = True
+        log.warning("schedule %s exhausted its event horizon", tag)
+    counts, kappa = update_counts(trace)
+    final = trace.state_after(len(trace.events) - 1)
+    err = (final - oracle).max_abs()
+    validation = validate_schedule(trace)
+    stop_reason = "horizon" if horizon_hit else trace.stop_reason
+    run_entry = {
+        "mode": "async", "schedule": sched.to_dict(), "tag": tag,
+        "events": len(trace.events), "kappa": kappa,
+        "per_component_counts": counts.tolist(),
+        "stop_reason": stop_reason,
+        "model_cost": async_cost(replace(costs, kappa=kappa)),
+        "error_vs_oracle": err,
+        "schedule_valid": validation.ok,
+        "finite_termination_index": check_finite_termination(trace, oracle),
+    }
+    if envelope:
+        sigmas, bounds = async_error_envelope(trace, report_con, oracle, initial)
+        measured = [max_block_norm(state - oracle, config.norm_kind)
+                    for state in trace.states()]
+        slack = 1.0 + 1e-10
+        run_entry["envelope_ok"] = bool(all(
+            m <= b * slack or (b == 0.0 and m == 0.0)
+            for m, b in zip(measured, bounds)
+        ))
+        run_entry["sigma_final"] = (
+            None if sigmas[-1] == float("inf") else float(sigmas[-1])
+        )
+        run_entry["bound_final"] = float(bounds[-1])
+    if not horizon_hit and k <= kappa:
+        ratio = speedup_bound(replace(costs, k=k, kappa=kappa))
+        run_entry["speedup_bound"] = ratio.bound
+        run_entry["speedup_achieved"] = ratio.achieved
+    row = {"mode": "async", "policy": sched.policy, "seed": sched.seed,
+           "delay_bound": sched.delay_bound, "iterations": kappa,
+           "events": len(trace.events), "model_cost": run_entry["model_cost"],
+           "error_vs_oracle": err, "stop_reason": stop_reason}
+    if traces_dir is not None:
+        name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
+        (traces_dir / name).write_text(trace.to_jsonl(), encoding="utf-8")
+    return run_entry, row
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                    write_traces: bool = False) -> tuple[dict, int]:
     """Execute every run in the config and write report.json + summary.csv.
@@ -253,8 +328,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traces_dir = out / "traces"
-    if write_traces:
+    traces_dir = out / "traces" if write_traces else None
+    if traces_dir is not None:
         traces_dir.mkdir(exist_ok=True)
 
     ivp = config.ivp
@@ -271,6 +346,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         config.coarse_cost if config.coarse_cost is not None else coarse.cost_units
     )
     overhead = config.overhead if config.overhead is not None else coarse_cost
+    costs = CostParams(p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
+                       overhead=overhead)
 
     report_con = contraction_factors(coarse, fine, p, kind=config.norm_kind)
     sync_ok = sync_convergence_check(report_con)
@@ -283,8 +360,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     rows: list[dict] = []
     runs: list[dict] = []
 
-    seq_cost = sequential_cost(CostParams(
-        p=p, fine_cost=fine_cost, coarse_cost=coarse_cost, overhead=overhead))
+    seq_cost = sequential_cost(costs)
     # Columns every summary row repeats; the csv module writes floats with
     # repr and leaves absent columns empty.
     shared = {
@@ -296,17 +372,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     rows.append({**shared, "mode": "sequential", "model_cost": seq_cost,
                  "error_vs_oracle": 0.0})
 
-    sync_trace = run_parareal(coarse, fine, ivp.u0, p,
-                              epsilon=config.epsilon, k_max=config.k_max)
+    sync_trace = run_parareal(coarse, fine, ivp.u0, p, epsilon=config.epsilon,
+                              k_max=config.k_max, reference=oracle)
     k = sync_trace.k_final
-    sync_params = CostParams(p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
-                             overhead=overhead, k=k)
-    sync_model_cost = sync_cost(sync_params)
+    sync_model_cost = sync_cost(replace(costs, k=k))
     try:
         fitted = fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost)
     except UnfittableError:
         fitted = None
-    sync_err = (sync_trace.iterates[-1] - oracle).max_abs()
+    sync_err = (sync_trace.final - oracle).max_abs()
     if sync_trace.stop_reason == STOP_KMAX:
         exit_code = 2
     rows.append({**shared, "mode": "sync", "iterations": k,
@@ -317,69 +391,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "mode": "sync", "iterations": k, "stop_reason": sync_trace.stop_reason,
         "model_cost": sync_model_cost, "error_vs_oracle": sync_err,
         "deltas": list(sync_trace.deltas),
-        "finite_termination_index": check_finite_termination(sync_trace, oracle),
+        "finite_termination_index": sync_trace.finite_termination_index,
     })
-    if write_traces:
+    if traces_dir is not None:
         (traces_dir / f"{config.label}-sync.json").write_text(
             sync_trace.to_json(), encoding="utf-8"
         )
 
     for sched in config.schedules:
-        tag = _schedule_tag(sched)
-        eps = config.epsilon if config.epsilon > 0.0 else None
-        try:
-            trace = run_async_parareal(coarse, fine, ivp.u0, p, sched, epsilon=eps)
-            horizon_hit = False
-        except HorizonExhausted as exc:
-            trace = exc.trace
-            horizon_hit = True
+        run_entry, row = _run_schedule(
+            config, sched, coarse, fine, oracle, initial, report_con,
+            async_ok.holds, costs, k, traces_dir)
+        if run_entry["stop_reason"] == "horizon":
             exit_code = 2
-            log.warning("schedule %s exhausted its event horizon", tag)
-        counts, kappa = update_counts(trace)
-        final = trace.state_after(len(trace.events) - 1)
-        err = (final - oracle).max_abs()
-        validation = validate_schedule(trace)
-        stop_reason = "horizon" if horizon_hit else trace.stop_reason
-        run_entry = {
-            "mode": "async", "schedule": sched.to_dict(), "tag": tag,
-            "events": len(trace.events), "kappa": kappa,
-            "per_component_counts": counts.tolist(),
-            "stop_reason": stop_reason,
-            "model_cost": async_cost(CostParams(
-                p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
-                overhead=overhead, kappa=kappa)),
-            "error_vs_oracle": err,
-            "schedule_valid": validation.ok,
-            "finite_termination_index": check_finite_termination(trace, oracle),
-        }
-        if async_ok.holds:
-            sigmas, bounds = async_error_envelope(trace, report_con, oracle, initial)
-            measured = [max_block_norm(state - oracle, config.norm_kind)
-                        for state in trace.states()]
-            slack = 1.0 + 1e-10
-            run_entry["envelope_ok"] = bool(all(
-                m <= b * slack or (b == 0.0 and m == 0.0)
-                for m, b in zip(measured, bounds)
-            ))
-            run_entry["sigma_final"] = (
-                None if sigmas[-1] == float("inf") else float(sigmas[-1])
-            )
-            run_entry["bound_final"] = float(bounds[-1])
-        if not horizon_hit and k <= kappa:
-            ratio = speedup_bound(CostParams(
-                p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
-                overhead=overhead, k=k, kappa=kappa))
-            run_entry["speedup_bound"] = ratio.bound
-            run_entry["speedup_achieved"] = ratio.achieved
         runs.append(run_entry)
-        rows.append({**shared, "mode": "async", "policy": sched.policy,
-                     "seed": sched.seed, "delay_bound": sched.delay_bound,
-                     "iterations": kappa, "events": len(trace.events),
-                     "model_cost": run_entry["model_cost"],
-                     "error_vs_oracle": err, "stop_reason": stop_reason})
-        if write_traces:
-            name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
-            (traces_dir / name).write_text(trace.to_jsonl(), encoding="utf-8")
+        rows.append({**shared, **row})
 
     report = {
         "config": config.to_dict(),

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, InvalidWeightError, SingularMatrixError
 
 PIVOT_REL_TOL = 1e-14  # sigma_min below this times sigma_max means singular
+MATCH_RTOL = 1e-12     # finite termination: relative gap per entry, no absolute slack
 
 
 class NormKind(Enum):
@@ -109,6 +110,15 @@ class BlockVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BlockVector(n_blocks={self.n_blocks}, dim={self.block_dim})"
+
+
+def matches_reference(state: BlockVector, reference: BlockVector) -> bool:
+    """The finite-termination match rule, shared by the sync and async checks.
+
+    Every entry lies within MATCH_RTOL of the reference entry, relative to
+    the reference, with no absolute tolerance.
+    """
+    return np.allclose(state.data, reference.data, rtol=MATCH_RTOL, atol=0.0)
 
 
 def weighted_max_norm(x: BlockVector, weights) -> float:

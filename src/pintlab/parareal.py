@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import BlockVector
+from .linalg import BlockVector, matches_reference
 from .model import AffinePropagator
 
 STOP_THRESHOLD = "threshold"
@@ -78,26 +78,30 @@ def parareal_iterate(coarse: AffinePropagator, fine: AffinePropagator,
 
 @dataclass
 class SyncTrace:
-    """Record of a synchronous run: all iterates plus stop bookkeeping."""
+    """Record of a synchronous run: the last iterate plus stop bookkeeping.
 
-    iterates: list[BlockVector]
+    finite_termination_index is the first sweep (0 is the coarse
+    initialization) whose iterate matched the reference given to
+    run_parareal, or None when no reference was given or none matched.
+    """
+
+    final: BlockVector
     k_final: int
     stop_reason: str
     deltas: list[float]
+    finite_termination_index: int | None
 
-    def to_json(self, include_iterates: bool = False) -> str:
-        doc = {
+    def to_json(self) -> str:
+        return json.dumps({
             "k_final": self.k_final,
             "stop_reason": self.stop_reason,
             "deltas": list(self.deltas),
-        }
-        if include_iterates:
-            doc["iterates"] = [it.data.tolist() for it in self.iterates]
-        return json.dumps(doc, sort_keys=True)
+        }, sort_keys=True)
 
 
 def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
-                 epsilon: float, k_max: int | None = None) -> SyncTrace:
+                 epsilon: float, k_max: int | None = None, *,
+                 reference: BlockVector | None = None) -> SyncTrace:
     """Iterate from the coarse initialization until a stop condition fires.
 
     Stops when the sweep-to-sweep change drops strictly below epsilon
@@ -105,6 +109,12 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     sequential fine solution), or at an explicit smaller budget ("k_max").
     Component i is frozen once i < k: by then it carries its exact value, so
     recomputing it would only waste the corresponding processor.
+
+    Only the previous and the current iterate are held. When a reference is
+    given, each iterate is tested against it (``matches_reference``) until
+    the first match, whose sweep index becomes finite_termination_index.
+    epsilon and k_max only choose when to stop: the iterate after sweep j is
+    the same, bitwise, in every run that gets that far.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -112,30 +122,29 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     if cap < 1:
         raise ValueError(f"iteration budget must allow k >= 1, got k_max={k_max}")
     lam = coarse_init(coarse, u0, p)
-    iterates = [lam]
+    match = None
+    if reference is not None and matches_reference(lam, reference):
+        match = 0
     deltas: list[float] = []
     stop_reason = STOP_KMAX
-    k = 0
-    while k < cap:
-        prev = iterates[-1]
-        k += 1
-        new = prev.copy()
+    for k in range(1, cap + 1):
+        new = lam.copy()
         # Components below k are already exact; Algorithm-style freeze.
         for i in range(k, p + 1):
-            new.data[i] = parareal_update(coarse, fine, new.data[i - 1], prev.data[i - 1])
-        delta = (new - prev).max_abs()
-        iterates.append(new)
+            new.data[i] = parareal_update(coarse, fine, new.data[i - 1], lam.data[i - 1])
+        delta = (new - lam).max_abs()
         deltas.append(delta)
+        lam = new
+        if match is None and reference is not None and matches_reference(lam, reference):
+            match = k
         if delta < epsilon:
             stop_reason = STOP_THRESHOLD
             break
         if k == p:
             stop_reason = STOP_EXACT
             break
-        if k == cap:
-            stop_reason = STOP_KMAX
-            break
-    return SyncTrace(iterates=iterates, k_final=k, stop_reason=stop_reason, deltas=deltas)
+    return SyncTrace(final=lam, k_final=k, stop_reason=stop_reason, deltas=deltas,
+                     finite_termination_index=match)
 
 
 @dataclass(eq=False)

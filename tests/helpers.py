@@ -1,15 +1,30 @@
-"""Closed-form oracles used to cross-check the iterative numerics.
+"""Closed-form oracles used to cross-check the iterative numerics, and
+full-history views of the synchronous sweeps.
 
-Everything here is deliberately independent of the package's LAPACK
-calls: eigenvalue magnitudes come from the quadratic formula (2x2) and a
+The oracles are deliberately independent of the package's LAPACK calls:
+eigenvalue magnitudes come from the quadratic formula (2x2) and a
 trigonometric/Cardano cubic solve (3x3), singular values from the same
 formulas applied to M^T M. Desk scale only.
+
+``run_parareal`` keeps only its last iterate. ``nth_iterate`` gets any
+earlier one from the library itself, and ``replay_parareal`` keeps every
+iterate of a run and applies the stop rules and the finite-termination scan
+afterwards, as a reference for the streaming loop.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from pintlab.parareal import (
+    STOP_EXACT,
+    STOP_KMAX,
+    STOP_THRESHOLD,
+    coarse_init,
+    parareal_iterate,
+    run_parareal,
+)
 
 
 def rel_close(a: float, b: float, rtol: float) -> bool:
@@ -99,3 +114,44 @@ def spectral_norm_closed(m) -> float:
     if gram.shape == (3, 3):
         return math.sqrt(eig_magnitudes_3x3(gram)[-1])
     raise ValueError(f"no closed form for shape {m.shape}")
+
+
+def nth_iterate(coarse, fine, u0, p: int, j: int):
+    """Iterate j of the synchronous sweeps (0 is the coarse initialization).
+
+    epsilon and k_max only choose when run_parareal stops, so the final
+    iterate of an epsilon=0, k_max=j run is iterate j of every run, bitwise.
+    """
+    if j == 0:
+        return coarse_init(coarse, u0, p)
+    return run_parareal(coarse, fine, u0, p, epsilon=0.0, k_max=j).final
+
+
+def replay_parareal(coarse, fine, u0, p: int, epsilon: float,
+                    k_max: int | None = None, reference=None):
+    """Full-history reference for run_parareal.
+
+    Keeps every iterate, built by the library's unfrozen full sweep
+    ``parareal_iterate``, then applies the stop rules and scans the history
+    for the first iterate within rtol 1e-12 (atol 0) of the reference.
+    Returns (history, deltas, stop_reason, finite_termination_index).
+    """
+    cap = p if k_max is None else min(k_max, p)
+    history = [coarse_init(coarse, u0, p)]
+    deltas: list[float] = []
+    stop_reason = STOP_KMAX
+    for k in range(1, cap + 1):
+        history.append(parareal_iterate(coarse, fine, history[-1]))
+        deltas.append(float(np.max(np.abs(history[-1].data - history[-2].data))))
+        if deltas[-1] < epsilon:
+            stop_reason = STOP_THRESHOLD
+            break
+        if k == p:
+            stop_reason = STOP_EXACT
+            break
+    index = None
+    if reference is not None:
+        index = next((j for j, it in enumerate(history)
+                      if np.allclose(it.data, reference.data, rtol=1e-12, atol=0.0)),
+                     None)
+    return history, deltas, stop_reason, index

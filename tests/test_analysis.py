@@ -179,11 +179,13 @@ def test_envelope_dominates_measured_error(heat_setups, kind):
 def test_finite_termination_sync(heat_setups):
     ivp, coarse, fine = heat_setups[4]
     p = 4
-    trace = run_parareal(coarse, fine, ivp.u0, p, 0.0)
     reference = sequential_fine_solve(fine, ivp.u0, p)
-    assert check_finite_termination(trace, reference) == p
+    trace = run_parareal(coarse, fine, ivp.u0, p, 0.0, reference=reference)
+    assert trace.finite_termination_index == p
     unreachable = BlockVector(np.full_like(reference.data, 1e6))
-    assert check_finite_termination(trace, unreachable) is None
+    trace = run_parareal(coarse, fine, ivp.u0, p, 0.0, reference=unreachable)
+    assert trace.finite_termination_index is None
+    assert run_parareal(coarse, fine, ivp.u0, p, 0.0).finite_termination_index is None
 
 
 def test_finite_termination_async(heat_setups):

@@ -23,6 +23,8 @@ from pintlab.parareal import (
     sequential_fine_solve,
 )
 
+from helpers import nth_iterate
+
 
 def _read_values(trace, ev):
     """Map an event's recorded reads back to the values each slot consumed."""
@@ -139,7 +141,8 @@ def test_zero_delay_round_robin_reduces_to_sync_sweep():
 
     for cycle in range(sync.k_final):
         state = trace.state_after(cycle * p + p - 1)
-        assert np.array_equal(state.data, sync.iterates[cycle + 1].data), cycle
+        sweep = nth_iterate(coarse, fine, ivp.u0, p, cycle + 1)
+        assert np.array_equal(state.data, sweep.data), cycle
 
 
 def test_epsilon_none_means_quiescence_only(heat_setups):

@@ -68,6 +68,21 @@ def read_summary(out: Path):
                                      "policy": "eager"}),
     lambda c: c.update(costs={"fine_cost": -2.0}),
     lambda c: c.update(k_max=0),
+    lambda c: c["schedules"].append({"seed": 1.9, "delay_bound": 2}),
+    lambda c: c["schedules"].append({"seed": 1, "delay_bound": 2.7}),
+    lambda c: c["schedules"].append({"seed": "3", "delay_bound": 0}),
+    lambda c: c["schedules"].append({"seed": True, "delay_bound": 0}),
+    lambda c: c["schedules"].append({"seed": 3, "delay_bound": False}),
+    lambda c: c["schedules"].append({"seed": 3, "delay_bound": 0,
+                                     "max_events": 100.0}),
+    lambda c: c["schedules"].append({"seed": 3, "delay_bound": 0,
+                                     "max_events": True}),
+    lambda c: c["schedules"].append({"seed": 3, "delay_bound": 0,
+                                     "policy": 7}),
+    lambda c: c["schedules"].append({"seed": 3, "delay_bound": 0,
+                                     "polcy": "round-robin"}),
+    lambda c: c["schedules"].append({"delay_bound": 0}),
+    lambda c: c["schedules"].append([3, 0]),
 ])
 def test_invalid_configs_rejected(mutate):
     cfg = base_config()

@@ -1,9 +1,13 @@
 """Synchronous corrected iteration: worked scalar values, stop logic,
-finite termination, and equivalence with the block Richardson form."""
+finite termination, bounded memory, and equivalence with the block
+Richardson form."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pintlab.linalg import BlockVector
 from pintlab.model import (
@@ -24,6 +28,8 @@ from pintlab.parareal import (
     run_parareal,
     sequential_fine_solve,
 )
+
+from helpers import nth_iterate, replay_parareal
 
 
 def test_coarse_init_geometric_sequence(literal_scalar_pair):
@@ -66,7 +72,7 @@ def test_equal_propagators_stop_at_first_sweep():
     assert trace.k_final == 1
     assert trace.stop_reason == STOP_THRESHOLD
     assert trace.deltas == [0.0]
-    assert np.array_equal(trace.iterates[1].data, trace.iterates[0].data)
+    assert np.array_equal(trace.final.data, coarse_init(coarse, ivp.u0, 4).data)
 
 
 def test_epsilon_zero_disables_threshold_even_on_zero_delta():
@@ -85,17 +91,16 @@ def test_exact_termination_matches_sequential_bitwise(heat_setups):
             trace = run_parareal(coarse, fine, ivp.u0, p, epsilon=0.0)
             assert trace.stop_reason == STOP_EXACT
             oracle = sequential_fine_solve(fine, ivp.u0, p)
-            assert np.array_equal(trace.iterates[-1].data, oracle.data)
+            assert np.array_equal(trace.final.data, oracle.data)
 
 
 def test_prefix_is_frozen_and_exact_bitwise(heat_setups):
     ivp, coarse, fine = heat_setups[4]
     p = 6
-    trace = run_parareal(coarse, fine, ivp.u0, p, epsilon=0.0)
     oracle = sequential_fine_solve(fine, ivp.u0, p)
-    for k in range(1, len(trace.iterates)):
-        lam_k = trace.iterates[k]
-        lam_prev = trace.iterates[k - 1]
+    for k in range(1, p + 1):
+        lam_k = nth_iterate(coarse, fine, ivp.u0, p, k)
+        lam_prev = nth_iterate(coarse, fine, ivp.u0, p, k - 1)
         for i in range(0, k):
             # frozen copy of the previous sweep
             assert np.array_equal(lam_k.data[i], lam_prev.data[i])
@@ -111,11 +116,68 @@ def test_k_max_stop():
     trace = run_parareal(coarse, fine, ivp.u0, 6, epsilon=1e-14, k_max=2)
     assert trace.k_final == 2
     assert trace.stop_reason == STOP_KMAX
-    assert len(trace.iterates) == 3
+    assert len(trace.deltas) == 2
     with pytest.raises(ValueError):
         run_parareal(coarse, fine, ivp.u0, 6, epsilon=-1.0)
     with pytest.raises(ValueError):
         run_parareal(coarse, fine, ivp.u0, 6, epsilon=1e-9, k_max=0)
+
+
+def _heat_pair(n: int, p: int, fine_steps: int, span: float = 0.2):
+    ivp = heat1d_system(n_interior=n, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=span * p)
+    return (ivp, backward_euler_propagator(ivp, span, 1),
+            trapezoidal_propagator(ivp, span, fine_steps))
+
+
+P_AND_K_MAX = st.integers(1, 12).flatmap(
+    lambda p: st.tuples(st.just(p), st.one_of(st.none(), st.integers(1, p))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(p_k_max=P_AND_K_MAX, n=st.integers(2, 6),
+       epsilon=st.sampled_from([0.0, 1e-9, 1e-3]),
+       span=st.sampled_from([0.2, 2.0]))
+# span 2.0 settles the rod early: here sweep 8 already matches the oracle
+# (rtol 1e-12), four sweeps before the exact stop
+@example(p_k_max=(12, None), n=4, epsilon=0.0, span=2.0)
+def test_streaming_sweeps_equal_full_history_replay(p_k_max, n, epsilon, span):
+    p, k_max = p_k_max
+    ivp, coarse, fine = _heat_pair(n, p, 20, span)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    trace = run_parareal(coarse, fine, ivp.u0, p, epsilon, k_max, reference=oracle)
+    history, deltas, stop_reason, index = replay_parareal(
+        coarse, fine, ivp.u0, p, epsilon, k_max, reference=oracle)
+    assert np.array_equal(trace.final.data, history[-1].data)
+    assert trace.deltas == deltas
+    assert trace.k_final == len(history) - 1
+    assert trace.stop_reason == stop_reason
+    assert trace.finite_termination_index == index
+    if trace.stop_reason == STOP_EXACT:
+        assert index is not None
+    unreachable = BlockVector(np.full_like(oracle.data, 1e6))
+    assert run_parareal(coarse, fine, ivp.u0, p, epsilon, k_max,
+                        reference=unreachable).finite_termination_index is None
+    start = coarse_init(coarse, ivp.u0, p)
+    assert run_parareal(coarse, fine, ivp.u0, p, epsilon, k_max,
+                        reference=start).finite_termination_index == 0
+    assert run_parareal(coarse, fine, ivp.u0, p, epsilon,
+                        k_max).finite_termination_index is None
+
+
+def test_sweep_memory_does_not_grow_with_k():
+    # k+1 stored iterates would be 257 of them; the loop needs a handful.
+    p, n = 256, 16
+    ivp, coarse, fine = _heat_pair(n, p, 10)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    tracemalloc.start()
+    try:
+        trace = run_parareal(coarse, fine, ivp.u0, p, 0.0, reference=oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.k_final == p and trace.finite_termination_index is not None
+    assert peak < 16 * (p + 1) * n * 8
 
 
 def test_block_system_fixed_point_is_fine_trajectory(heat_setups):
@@ -171,9 +233,7 @@ def test_sync_trace_json():
     doc = json.loads(trace.to_json())
     assert doc["k_final"] == 3 and doc["stop_reason"] == STOP_EXACT
     assert len(doc["deltas"]) == 3
-    assert "iterates" not in doc
-    full = json.loads(trace.to_json(include_iterates=True))
-    assert len(full["iterates"]) == 4
+    assert set(doc) == {"k_final", "stop_reason", "deltas"}
 
 
 def test_coarse_init_shape_matches_p():
