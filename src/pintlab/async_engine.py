@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -52,6 +52,10 @@ class AsyncSchedule:
     max_events: int = 20_000
 
     def __post_init__(self):
+        for name in ("seed", "delay_bound", "max_events"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.delay_bound < 0:
             raise ValueError(f"delay bound must be >= 0, got {self.delay_bound}")
         if self.policy not in POLICIES:
@@ -63,21 +67,14 @@ class AsyncSchedule:
         return n_updatable * (self.delay_bound + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "delay_bound": self.delay_bound,
-            "policy": self.policy,
-            "max_events": self.max_events,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AsyncSchedule":
-        return cls(
-            seed=int(doc["seed"]),
-            delay_bound=int(doc["delay_bound"]),
-            policy=doc.get("policy", POLICY_RANDOM_FAIR),
-            max_events=int(doc.get("max_events", 20_000)),
-        )
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown schedule fields: {', '.join(unknown)}")
+        return cls(**doc)
 
 
 @dataclass
@@ -122,9 +119,11 @@ class AsyncMapping:
 
 @dataclass(frozen=True)
 class UpdateRecord:
-    """One event: which component fired, what it read, what came out."""
+    """One event: which component fired, what it read, what came out.
 
-    k_global: int
+    An event's number is its position in the trace's log.
+    """
+
     component: int
     reads: tuple[tuple[int, int, int], ...]  # (source, slot, version)
     digest: str                              # short hash of the produced value
@@ -200,9 +199,9 @@ class AsyncTrace:
 
     def to_jsonl(self) -> str:
         lines = []
-        for ev in self.events:
+        for k, ev in enumerate(self.events):
             lines.append(json.dumps({
-                "k": ev.k_global,
+                "k": k,
                 "component": ev.component,
                 "reads": [list(r) for r in ev.reads],
                 "digest": ev.digest,
@@ -235,14 +234,12 @@ class _ScheduleDriver:
             choice = self.n - k % self.n
         else:
             # Random pick unless some component is close to missing its
-            # fairness deadline; distinct last_fired values make the
-            # earliest-deadline override collision-free.
-            critical = [
-                i for i in range(1, self.n + 1)
-                if self.last_fired[i] + self.window - k < self.n
-            ]
-            if critical:
-                choice = min(critical, key=lambda i: self.last_fired[i])
+            # fairness deadline. The least recently fired component has the
+            # earliest deadline, so it is critical whenever any component
+            # is; last_fired values are distinct, so it is unique.
+            oldest = min(self.last_fired, key=self.last_fired.__getitem__)
+            if self.last_fired[oldest] + self.window - k < self.n:
+                choice = oldest
             else:
                 choice = int(self.rng.integers(1, self.n + 1))
         self.last_fired[choice] = k
@@ -286,52 +283,50 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         persistent_slots=dict(mapping.persistent_slots),
     )
 
-    versions = [0] * (p + 1)
-    # (component, base_slot) -> version consumed at its last event.
-    persisted: dict[tuple[int, int], int] = {}
-    # (component, source) -> version consumed via sampled slots at the
-    # component's most recent event; drives the drained check.
-    last_consumed: dict[tuple[int, int], int] = {}
-    sampled_edges = [
-        (i, src)
-        for i in range(1, p + 1)
-        for src, slot in mapping.read_set[i]
-        if slot not in mapping.persistent_slots
-    ]
-
+    persistent = mapping.persistent_slots
+    # The log is the only record of versions: a component's version is the
+    # number of events it has logged.
+    index = trace._event_index
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
     zero_streak = 0
     quiescent_streak = (schedule.delay_bound + 3) * window
 
+    def latest_reads(comp: int) -> tuple[tuple[int, int, int], ...]:
+        return trace.events[index[comp][-1]].reads if index[comp] else ()
+
     def drained() -> bool:
-        return all(
-            last_consumed.get((i, src)) == versions[src]
-            for i, src in sampled_edges
-        )
+        # Each component's latest sampled reads must have seen the newest
+        # version of their sources, the freshest slot counting per source; a
+        # component that never fired stands as having read version -1.
+        for i in range(1, p + 1):
+            reads = latest_reads(i) or [(src, slot, -1) for src, slot in mapping.read_set[i]]
+            consumed: dict[int, int] = {}
+            for source, slot, version in reads:
+                if slot not in persistent:
+                    consumed[source] = max(consumed.get(source, -1), version)
+            if any(version != len(index[src]) for src, version in consumed.items()):
+                return False
+        return True
 
     for k in range(schedule.max_events):
         comp = driver.next_component(k)
+        previous_reads = latest_reads(comp)
         reads = []
         read_values: dict[tuple[int, int], np.ndarray] = {}
-        event_fresh: dict[int, int] = {}
-        event_consumed: dict[int, int] = {}
         for source, slot in mapping.read_set[comp]:
-            if slot in mapping.persistent_slots:
-                version = persisted.get((comp, mapping.persistent_slots[slot]), 0)
+            if slot in persistent:
+                # Replay what the base slot read at this component's previous event.
+                base = persistent[slot]
+                version = next((v for _, sl, v in reversed(previous_reads) if sl == base), 0)
             else:
-                staleness = driver.sample_staleness()
-                version = max(versions[source] - staleness, 0)
-                event_fresh[slot] = version
-                event_consumed[source] = max(event_consumed.get(source, 0), version)
+                version = max(len(index[source]) - driver.sample_staleness(), 0)
             reads.append((source, slot, version))
             read_values[(source, slot)] = trace.version_value(source, version)
-        for source, version in event_consumed.items():
-            last_consumed[(comp, source)] = version
 
         # A copy: eval_fn may reuse its output buffer, and the log keeps every value.
         new_value = np.array(mapping.eval_fn(comp, read_values), dtype=float)
-        previous = trace.version_value(comp, versions[comp])
+        previous = trace.version_value(comp, len(index[comp]))
         if new_value.shape != previous.shape:
             raise DimensionError(
                 f"component {comp} produced shape {new_value.shape}, "
@@ -340,14 +335,8 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         if not np.all(np.isfinite(new_value)):
             raise ValueError(f"component {comp} produced a non-finite value at event {k}")
         delta = float(np.max(np.abs(new_value - previous))) if new_value.size else 0.0
-        versions[comp] += 1
         last_deltas[comp] = delta
-        for base_slot, version in event_fresh.items():
-            if base_slot in mapping.persistent_slots.values():
-                persisted[(comp, base_slot)] = version
-
         trace.append(UpdateRecord(
-            k_global=k,
             component=comp,
             reads=tuple(reads),
             digest=_value_digest(new_value),
@@ -404,18 +393,18 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
 
     versions = [0] * (p + 1)
     prev_base_read: dict[tuple[int, int], int] = {}
-    for ev in trace.events:
+    for k, ev in enumerate(trace.events):
         fresh_this_event: dict[int, int] = {}
         for source, slot, version in ev.reads:
             if slot in persistent:
                 base = persistent[slot]
                 expected = prev_base_read.get((ev.component, base), 0)
                 if version != expected:
-                    provenance.append((ev.k_global, slot, version))
+                    provenance.append((k, slot, version))
             else:
                 oldest = max(versions[source] - bound, 0)
                 if version < oldest or version > versions[source]:
-                    staleness.append((ev.k_global, source, version, oldest))
+                    staleness.append((k, source, version, oldest))
                 fresh_this_event[slot] = version
         for base_slot, version in fresh_this_event.items():
             if base_slot in persistent.values():

@@ -11,10 +11,6 @@ class DimensionError(ValueError):
     """Operands have incompatible shapes or block counts."""
 
 
-class InvalidWeightError(ValueError):
-    """A weighted norm was given a nonpositive weight."""
-
-
 class SingularMatrixError(RuntimeError):
     """A matrix failed the singular-value rank test of ``lu_solve``.
 

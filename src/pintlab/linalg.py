@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, InvalidWeightError, SingularMatrixError
+from .errors import DimensionError, SingularMatrixError
 
 PIVOT_REL_TOL = 1e-14  # sigma_min below this times sigma_max means singular
 MATCH_RTOL = 1e-12     # finite termination: relative gap per entry, no absolute slack
@@ -103,7 +103,7 @@ class BlockVector:
         return BlockVector(self.data.copy())
 
     def max_abs(self) -> float:
-        """Unweighted infinity norm over every entry of every block."""
+        """Infinity norm over every entry of every block."""
         if self.data.size == 0:
             return 0.0
         return float(np.max(np.abs(self.data)))
@@ -119,19 +119,6 @@ def matches_reference(state: BlockVector, reference: BlockVector) -> bool:
     the reference, with no absolute tolerance.
     """
     return np.allclose(state.data, reference.data, rtol=MATCH_RTOL, atol=0.0)
-
-
-def weighted_max_norm(x: BlockVector, weights) -> float:
-    """max_i ||x_i||_inf / w_i with strictly positive weights."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != x.n_blocks:
-        raise DimensionError(
-            f"weight count {w.shape} does not match {x.n_blocks} blocks"
-        )
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise InvalidWeightError("weights must be finite and strictly positive")
-    per_block = np.max(np.abs(x.data), axis=1) if x.block_dim else np.zeros(x.n_blocks)
-    return float(np.max(per_block / w))
 
 
 def max_block_norm(x: BlockVector, kind: NormKind = NormKind.SPECTRAL) -> float:

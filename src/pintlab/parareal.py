@@ -36,31 +36,29 @@ def parareal_update(coarse: AffinePropagator, fine: AffinePropagator,
     return (coarse.apply(fresh_prev) + fine.apply(old_prev)) - coarse.apply(old_prev)
 
 
+def _propagate(prop: AffinePropagator, u0, p: int) -> BlockVector:
+    """u0 followed by its images under 1..p applications of ``prop``."""
+    if p < 1:
+        raise ValueError(f"need p >= 1 subintervals, got {p}")
+    state = np.asarray(u0, dtype=float).reshape(-1)
+    rows = [state]
+    for _ in range(p):
+        state = prop.apply(state)
+        rows.append(state)
+    return BlockVector(np.stack(rows))
+
+
 def sequential_fine_solve(fine: AffinePropagator, u0, p: int) -> BlockVector:
     """Propagate u0 across all p subintervals with the fine map only.
 
     This is the reference solution every parallel variant must reproduce.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1 subintervals, got {p}")
-    state = np.asarray(u0, dtype=float).reshape(-1)
-    rows = [state]
-    for _ in range(p):
-        state = fine.apply(state)
-        rows.append(state)
-    return BlockVector(np.stack(rows))
+    return _propagate(fine, u0, p)
 
 
 def coarse_init(coarse: AffinePropagator, u0, p: int) -> BlockVector:
     """Initial interface states from a sequential coarse pass."""
-    if p < 1:
-        raise ValueError(f"need p >= 1 subintervals, got {p}")
-    state = np.asarray(u0, dtype=float).reshape(-1)
-    rows = [state]
-    for _ in range(p):
-        state = coarse.apply(state)
-        rows.append(state)
-    return BlockVector(np.stack(rows))
+    return _propagate(coarse, u0, p)
 
 
 def parareal_iterate(coarse: AffinePropagator, fine: AffinePropagator,

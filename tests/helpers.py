@@ -10,6 +10,10 @@ formulas applied to M^T M. Desk scale only.
 earlier one from the library itself, and ``replay_parareal`` keeps every
 iterate of a run and applies the stop rules and the finite-termination scan
 afterwards, as a reference for the streaming loop.
+
+``replay_engine_views`` and ``scan_activation_order`` are references for the
+async engine: the stop-predicate views by side tables kept next to the log,
+and the random-fair activation order by a full deadline scan per event.
 """
 from __future__ import annotations
 
@@ -155,3 +159,69 @@ def replay_parareal(coarse, fine, u0, p: int, epsilon: float,
                       if np.allclose(it.data, reference.data, rtol=1e-12, atol=0.0)),
                      None)
     return history, deltas, stop_reason, index
+
+
+def replay_engine_views(trace, read_set) -> list[tuple[bool, np.ndarray]]:
+    """(drained, last_deltas) after each event of an async trace, rebuilt
+    from side tables kept next to the log.
+
+    Tables: a version counter per component; per (component, source), the
+    newest version consumed through a sampled slot at the component's most
+    recent event; and the list of sampled (component, source) edges. An
+    edge is drained once that consumed version is the source's current one;
+    a component that never fired has consumed nothing. Each delta is the
+    max-abs change of the produced value against the component's previous
+    value.
+    """
+    p = trace.n_updatable
+    persistent = trace.persistent_slots
+    versions = [0] * (p + 1)
+    last_consumed: dict[tuple[int, int], int] = {}
+    sampled_edges = [(i, src) for i in range(1, p + 1)
+                     for src, slot in read_set[i] if slot not in persistent]
+    state = trace.initial.data.copy()
+    last_deltas = np.full(p + 1, np.inf)
+    last_deltas[0] = 0.0
+    views = []
+    for ev, value in zip(trace.events, trace.values):
+        consumed: dict[int, int] = {}
+        for source, slot, version in ev.reads:
+            if slot not in persistent:
+                consumed[source] = max(consumed.get(source, 0), version)
+        for source, version in consumed.items():
+            last_consumed[(ev.component, source)] = version
+        versions[ev.component] += 1
+        last_deltas[ev.component] = float(np.max(np.abs(value - state[ev.component])))
+        state[ev.component] = value
+        drained = all(last_consumed.get((i, src)) == versions[src]
+                      for i, src in sampled_edges)
+        views.append((drained, last_deltas.copy()))
+    return views
+
+
+def scan_activation_order(seed: int, p: int, delay_bound: int, n_events: int,
+                          draws: int) -> list[int]:
+    """Random-fair activation order by the full deadline scan.
+
+    At event k every component within p events of missing its fairness
+    deadline (last firing + window) is critical; the least recently fired
+    critical one fires, else a uniform draw picks. After each pick, ``draws``
+    staleness samples are taken from the same generator, as an engine event
+    with that many sampled reads does.
+    """
+    rng = np.random.default_rng(seed)
+    window = p * (delay_bound + 1)
+    last_fired = {i: i - 1 - p for i in range(1, p + 1)}
+    order = []
+    for k in range(n_events):
+        critical = [i for i in range(1, p + 1) if last_fired[i] + window - k < p]
+        if critical:
+            choice = min(critical, key=lambda i: last_fired[i])
+        else:
+            choice = int(rng.integers(1, p + 1))
+        last_fired[choice] = k
+        order.append(choice)
+        for _ in range(draws):
+            if delay_bound:
+                rng.integers(0, delay_bound + 1)
+    return order

@@ -110,10 +110,9 @@ def test_check_result_is_tuple():
 
 # ---------------------------------------------------------------- envelope
 
-def _envelope_event(k, comp, fresh_version, remembered_version):
+def _envelope_event(comp, fresh_version, remembered_version):
     reads = ((comp - 1, 1, fresh_version), (comp - 1, 2, remembered_version))
-    return UpdateRecord(k_global=k, component=comp, reads=reads,
-                        digest="0" * 16, delta=0.0)
+    return UpdateRecord(component=comp, reads=reads, digest="0" * 16, delta=0.0)
 
 
 def _envelope_trace(events, p):
@@ -129,15 +128,13 @@ def test_envelope_depths_hand_trace():
     # three zero-staleness sweeps over p=3: the depth floor climbs one per
     # completed sweep and saturates on the third
     events = []
-    k = 0
     fresh = {1: 0, 2: 0, 3: 0}   # last fresh version each component consumed
     latest = {0: 0, 1: 0, 2: 0, 3: 0}
     for _sweep in range(3):
         for comp in (1, 2, 3):
-            events.append(_envelope_event(k, comp, latest[comp - 1], fresh[comp]))
+            events.append(_envelope_event(comp, latest[comp - 1], fresh[comp]))
             fresh[comp] = latest[comp - 1]
             latest[comp] += 1
-            k += 1
     trace = _envelope_trace(events, 3)
     report = factors_from_norms(0.3, 0.2, p=3, kind=NormKind.INFINITY)
     fixed = BlockVector(np.array([[0.0], [1.0], [0.0], [0.0]]))

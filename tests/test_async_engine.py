@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintlab.async_engine import (
@@ -16,15 +16,19 @@ from pintlab.async_engine import (
     POLICY_ROUND_ROBIN,
     STOP_QUIESCENCE,
     UpdateRecord,
+    _ScheduleDriver,
     linear_relaxation_mapping,
     relaxation_solution,
     simulate_async,
     update_counts,
     validate_schedule,
 )
-from pintlab.async_parareal import run_async_parareal
+from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
 from pintlab.errors import DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector
+from pintlab.parareal import coarse_init
+
+from helpers import replay_engine_views, scan_activation_order
 
 JACOBI_A = np.array([[2.0, 1.0], [1.0, 2.0]])
 JACOBI_B = np.array([1.0, 2.0])
@@ -47,6 +51,19 @@ def test_schedule_validation_and_round_trip():
         AsyncSchedule(seed=1, delay_bound=0, policy="eager")
     with pytest.raises(ValueError):
         AsyncSchedule(seed=1, delay_bound=0, max_events=0)
+    # non-int fields are rejected, not truncated
+    with pytest.raises(TypeError):
+        AsyncSchedule.from_dict({"seed": 1.9, "delay_bound": 2.7, "max_events": 99.9})
+    for doc in ({"seed": 1.9, "delay_bound": 2}, {"seed": 1, "delay_bound": 2.7},
+                {"seed": 1, "delay_bound": 2, "max_events": 99.9},
+                {"seed": True, "delay_bound": 2}, {"seed": 1, "delay_bound": "2"},
+                {"delay_bound": 2}):
+        with pytest.raises(TypeError):
+            AsyncSchedule.from_dict(doc)
+    with pytest.raises(TypeError):
+        AsyncSchedule(seed=1, delay_bound=False)
+    with pytest.raises(ValueError):
+        AsyncSchedule.from_dict({"seed": 1, "delay_bound": 2, "polcy": POLICY_ROUND_ROBIN})
 
 
 def test_mapping_validation():
@@ -92,6 +109,26 @@ def test_different_seeds_differ(heat_setups):
     assert [e.component for e in t1.events] != [e.component for e in t2.events]
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=64),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=2**16),
+       st.integers(min_value=0, max_value=2))
+@example(64, 3, 1, 1)
+def test_deadline_pick_matches_full_scan(p, delay_bound, seed, draws):
+    # one min over last_fired picks what the per-event scan of every
+    # component's deadline picks, staleness draws interleaved
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound)
+    driver = _ScheduleDriver(sched, p)
+    n_events = 20 * sched.window(p)
+    order = []
+    for k in range(n_events):
+        order.append(driver.next_component(k))
+        for _ in range(draws):
+            driver.sample_staleness()
+    assert order == scan_activation_order(seed, p, delay_bound, n_events, draws)
+
+
 # ----------------------------------------------------------- schedule audit
 
 @pytest.mark.parametrize("policy", [POLICY_ROUND_ROBIN, POLICY_RANDOM_FAIR,
@@ -118,9 +155,8 @@ def _handmade_trace(events, n_updatable, window_sched, persistent=None):
     )
 
 
-def _ev(k, comp, reads=()):
-    return UpdateRecord(k_global=k, component=comp, reads=tuple(reads),
-                        digest="0" * 16, delta=1.0)
+def _ev(comp, reads=()):
+    return UpdateRecord(component=comp, reads=tuple(reads), digest="0" * 16, delta=1.0)
 
 
 def test_fairness_violation_detected():
@@ -128,9 +164,9 @@ def test_fairness_violation_detected():
     sched = AsyncSchedule(seed=0, delay_bound=3)
     events = []
     for k in range(11):
-        events.append(_ev(k, 1 + k % 3))
+        events.append(_ev(1 + k % 3))
     for k in range(11, 40):
-        events.append(_ev(k, 1 if k % 2 else 3))
+        events.append(_ev(1 if k % 2 else 3))
     trace = _handmade_trace(events, 3, sched)
     report = validate_schedule(trace)
     assert not report.ok
@@ -142,20 +178,20 @@ def test_fairness_violation_detected():
 
 def test_staleness_violation_detected():
     sched = AsyncSchedule(seed=0, delay_bound=2)
-    events = [_ev(k, 1) for k in range(5)]          # comp 1 reaches version 5
-    events.append(_ev(5, 2, reads=[(1, 1, 0)]))     # reads version 0: too old
-    events.append(_ev(6, 2, reads=[(1, 1, 9)]))     # version 9 does not exist
+    events = [_ev(1) for _ in range(5)]          # comp 1 reaches version 5
+    events.append(_ev(2, reads=[(1, 1, 0)]))     # event 5 reads version 0: too old
+    events.append(_ev(2, reads=[(1, 1, 9)]))     # event 6: version 9 does not exist
     trace = _handmade_trace(events, 2, sched)
     report = validate_schedule(trace)
-    assert (5, 1, 0, 3) in report.staleness_violations
-    assert any(ev == 6 for ev, *_ in report.staleness_violations)
-    assert not report.fairness_violations or True  # fairness not the point here
+    assert report.staleness_violations == [(5, 1, 0, 3), (6, 1, 9, 3)]
+    assert report.fairness_violations == []
+    assert report.provenance_violations == []
 
 
 def test_provenance_violation_detected():
     sched = AsyncSchedule(seed=0, delay_bound=1)
-    good = _ev(0, 1, reads=[(0, 1, 0), (0, 2, 0)])
-    bad = _ev(1, 1, reads=[(0, 1, 0), (0, 2, 1)])   # must replay version 0
+    good = _ev(1, reads=[(0, 1, 0), (0, 2, 0)])
+    bad = _ev(1, reads=[(0, 1, 0), (0, 2, 1)])   # event 1 must replay version 0
     trace = _handmade_trace([good, bad], 1, sched, persistent={2: 1})
     report = validate_schedule(trace)
     assert report.provenance_violations == [(1, 2, 1)]
@@ -324,6 +360,61 @@ def test_event_log_views_agree(heat_setups, policy, delay_bound, p, seed):
     for comp in range(p + 1):
         with pytest.raises(KeyError):
             trace.version_value(comp, versions[comp] + 1)
+
+
+def _two_sampled_slots_mapping(p):
+    # slots 1 and 2 both sample the predecessor and slot 3 replays slot 1,
+    # so drained takes the fresher of two sampled reads of one source
+    def eval_fn(i, reads):
+        first, second, kept = reads[(i - 1, 1)], reads[(i - 1, 2)], reads[(i - 1, 3)]
+        return 0.5 * (first + second) + 0.25 * (first - kept)
+
+    read_set = {i: ((i - 1, 1), (i - 1, 2), (i - 1, 3)) for i in range(1, p + 1)}
+    mapping = AsyncMapping(n_updatable=p, arity=3, eval_fn=eval_fn,
+                           read_set=read_set, persistent_slots={3: 1})
+    init = BlockVector(np.vstack([np.ones((1, 2)), np.zeros((p, 2))]))
+    return mapping, init
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["async-parareal", "relaxation", "two-sampled-slots"]),
+       st.sampled_from([POLICY_ROUND_ROBIN, POLICY_RANDOM_FAIR, POLICY_ADVERSARIAL]),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**16))
+def test_engine_views_match_side_table_replay(heat_setups, kind, policy,
+                                              delay_bound, p, seed):
+    # drained and last_deltas come from the event log alone; they must equal
+    # the views rebuilt from version counters and consumed-version tables
+    if kind == "async-parareal":
+        ivp, coarse, fine = heat_setups[4]
+        mapping = async_parareal_mapping(coarse, fine, p)
+        init = coarse_init(coarse, ivp.u0, p)
+    elif kind == "relaxation":
+        a = np.eye(p) * (p + 1.0) + np.ones((p, p))
+        mapping, init = linear_relaxation_mapping(a, np.diag(a), np.arange(1.0, p + 1))
+    else:
+        mapping, init = _two_sampled_slots_mapping(p)
+    seen = []
+
+    def record(view):
+        seen.append((view.k, view.drained, view.last_deltas))
+        return False
+
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy,
+                          max_events=1500)
+    try:
+        trace = simulate_async(mapping, init, sched, stop=record)
+    except HorizonExhausted as exc:
+        trace = exc.trace
+    assert validate_schedule(trace).ok
+    want = replay_engine_views(trace, mapping.read_set)
+    # quiescence ends the run before the predicate sees the last event
+    quiet = trace.stop_reason == STOP_QUIESCENCE
+    assert [k for k, _, _ in seen] == list(range(len(trace.events) - quiet))
+    for (k, drained, deltas), (want_drained, want_deltas) in zip(seen, want):
+        assert drained == want_drained, k
+        assert np.array_equal(deltas, want_deltas), k
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

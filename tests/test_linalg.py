@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pintlab.errors import (
-    DimensionError,
-    InvalidWeightError,
-    SingularMatrixError,
-)
+from pintlab.errors import DimensionError, SingularMatrixError
 from pintlab.linalg import (
     PIVOT_REL_TOL,
     BlockVector,
@@ -22,7 +18,6 @@ from pintlab.linalg import (
     max_block_norm,
     operator_norm,
     spectral_radius,
-    weighted_max_norm,
 )
 
 from helpers import (
@@ -65,36 +60,10 @@ def test_block_vector_validation():
         BlockVector.from_flat(np.ones(5), 2)
 
 
-def test_weighted_max_norm_frozen():
-    x = BlockVector.from_blocks([[3.0, -4.0], [1.0, 1.0]])
-    assert weighted_max_norm(x, [2.0, 1.0]) == 2.0
-    assert weighted_max_norm(x, [1.0, 1.0]) == x.max_abs() == 4.0
-
-
-def test_weighted_max_norm_rejects_bad_weights():
-    x = BlockVector(np.ones((2, 2)))
-    with pytest.raises(InvalidWeightError):
-        weighted_max_norm(x, [1.0, 0.0])
-    with pytest.raises(InvalidWeightError):
-        weighted_max_norm(x, [1.0, -2.0])
-    with pytest.raises(DimensionError):
-        weighted_max_norm(x, [1.0, 1.0, 1.0])
-
-
 def test_max_block_norm_kinds():
     x = BlockVector.from_blocks([[3.0, 4.0], [1.0, -2.0]])
     assert max_block_norm(x, NormKind.SPECTRAL) == 5.0
-    assert max_block_norm(x, NormKind.INFINITY) == 4.0
-
-
-@given(st.integers(min_value=-6, max_value=6))
-def test_weighted_norm_exact_homogeneity(power):
-    # scaling by a power of two is exact in binary floating point
-    scale = 2.0 ** power
-    x = BlockVector.from_blocks([[1.5, -0.25], [3.0, 0.0]])
-    scaled = BlockVector(x.data * scale)
-    w = [0.5, 2.0]
-    assert weighted_max_norm(scaled, w) == scale * weighted_max_norm(x, w)
+    assert max_block_norm(x, NormKind.INFINITY) == x.max_abs() == 4.0
 
 
 # --------------------------------------------------------------- operator norm
