@@ -15,7 +15,8 @@ worker activation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,15 +45,7 @@ class ContractionReport:
     norm_kind: NormKind
 
     def to_dict(self) -> dict:
-        return {
-            "coarse_norm": self.coarse_norm,
-            "defect_norm": self.defect_norm,
-            "theta": self.theta,
-            "sync_factor": self.sync_factor,
-            "async_factor": self.async_factor,
-            "p": self.p,
-            "norm_kind": self.norm_kind.value,
-        }
+        return {**asdict(self), "norm_kind": self.norm_kind.value}
 
 
 def factors_from_norms(coarse_norm: float, defect_norm: float, p: int,
@@ -97,21 +90,11 @@ def contraction_factors(coarse: AffinePropagator, fine: AffinePropagator, p: int
     return factors_from_norms(coarse_norm, defect_norm, p, kind=kind, theta=theta)
 
 
-class CheckResult(tuple):
-    """(holds, margin) with attribute access; margin > 0 iff holds."""
+class CheckResult(NamedTuple):
+    """(holds, margin); margin > 0 iff holds."""
 
-    __slots__ = ()
-
-    def __new__(cls, holds: bool, margin: float):
-        return super().__new__(cls, (bool(holds), float(margin)))
-
-    @property
-    def holds(self) -> bool:
-        return self[0]
-
-    @property
-    def margin(self) -> float:
-        return self[1]
+    holds: bool
+    margin: float
 
 
 def sync_convergence_check(report: ContractionReport) -> CheckResult:
@@ -191,30 +174,18 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     initial_error = max_block_norm(initial - fixed_point, kind)
     p = trace.n_updatable
 
-    version_depth: dict[int, dict[int, float]] = {0: {0: math.inf}}
-    for comp in range(1, p + 1):
-        version_depth[comp] = {0: 0.0}
+    # Per component, the depth of each version it produced; version 0 is the start.
+    depth_of = {comp: {0: math.inf if comp == 0 else 0.0} for comp in range(p + 1)}
     current = np.zeros(p + 1)
     current[0] = math.inf
-    versions = [0] * (p + 1)
-
-    def bound_for(depth: float) -> float:
-        if math.isinf(depth):
-            return 0.0
-        return factor ** depth * initial_error
-
     depths = [float(np.min(current[1:]))]
-    bounds = [bound_for(depths[0])]
     for ev in trace.events:
-        comp = ev.component
-        shallowest = min(version_depth[src][v] for src, _slot, v in ev.reads)
-        new_depth = shallowest + 1.0
-        versions[comp] += 1
-        version_depth[comp][versions[comp]] = new_depth
-        current[comp] = new_depth
-        sigma = float(np.min(current[1:]))
-        depths.append(sigma)
-        bounds.append(bound_for(sigma))
+        depth = min(depth_of[src][v] for src, _slot, v in ev.reads) + 1.0
+        table = depth_of[ev.component]
+        table[len(table)] = depth
+        current[ev.component] = depth
+        depths.append(float(np.min(current[1:])))
+    bounds = [0.0 if math.isinf(d) else factor ** d * initial_error for d in depths]
     return np.asarray(depths), np.asarray(bounds)
 
 

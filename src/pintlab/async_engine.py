@@ -381,17 +381,23 @@ class ScheduleValidation:
 
 
 def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
-    """Replay a trace and audit it against its declared (D, W)."""
+    """Replay a trace and audit it against its declared (D, W).
+
+    A component fails fairness exactly when two of its consecutive firings,
+    counting sentinels at -1 and at the trace length, lie more than W events
+    apart; its first offending window starts just after the earlier firing.
+    """
     bound = trace.schedule.delay_bound
     win = trace.schedule.window(trace.n_updatable)
     p = trace.n_updatable
     persistent = trace.persistent_slots
 
-    fairness: list[tuple[int, int]] = []
     staleness: list[tuple[int, int, int, int]] = []
     provenance: list[tuple[int, int, int]] = []
 
     versions = [0] * (p + 1)
+    last_fired = [-1] * (p + 1)
+    unfair_from: dict[int, int] = {}   # component -> its first offending window
     prev_base_read: dict[tuple[int, int], int] = {}
     for k, ev in enumerate(trace.events):
         fresh_this_event: dict[int, int] = {}
@@ -410,25 +416,15 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
             if base_slot in persistent.values():
                 prev_base_read[(ev.component, base_slot)] = version
         versions[ev.component] += 1
+        if k - last_fired[ev.component] > win:
+            unfair_from.setdefault(ev.component, last_fired[ev.component] + 1)
+        last_fired[ev.component] = k
 
-    fired = [ev.component for ev in trace.events]
-    n = len(fired)
-    flagged: set[int] = set()
-    if n >= win:
-        window_counts = np.zeros(p + 1, dtype=int)
-        for idx in range(win):
-            window_counts[fired[idx]] += 1
-        start = 0
-        while True:
-            for comp in range(1, p + 1):
-                if window_counts[comp] == 0 and comp not in flagged:
-                    fairness.append((start, comp))
-                    flagged.add(comp)
-            if start + win >= n:
-                break
-            window_counts[fired[start]] -= 1
-            window_counts[fired[start + win]] += 1
-            start += 1
+    for comp in range(1, p + 1):
+        if len(trace.events) - last_fired[comp] > win:
+            unfair_from.setdefault(comp, last_fired[comp] + 1)
+    # The pinned component 0 owes no firings.
+    fairness = sorted((start, comp) for comp, start in unfair_from.items() if comp)
 
     return ScheduleValidation(
         fairness_violations=fairness,

@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .analysis import (
@@ -71,7 +71,7 @@ class PropagatorSpec:
     steps: int
 
     def to_dict(self) -> dict:
-        return {"rule": self.rule, "steps": self.steps}
+        return asdict(self)
 
 
 @dataclass
@@ -289,10 +289,9 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         measured = [max_block_norm(state - oracle, config.norm_kind)
                     for state in trace.states()]
         slack = 1.0 + 1e-10
-        run_entry["envelope_ok"] = bool(all(
-            m <= b * slack or (b == 0.0 and m == 0.0)
-            for m, b in zip(measured, bounds)
-        ))
+        run_entry["envelope_ok"] = all(
+            m <= b * slack for m, b in zip(measured, bounds)
+        )
         run_entry["sigma_final"] = (
             None if sigmas[-1] == float("inf") else float(sigmas[-1])
         )

@@ -14,6 +14,9 @@ afterwards, as a reference for the streaming loop.
 ``replay_engine_views`` and ``scan_activation_order`` are references for the
 async engine: the stop-predicate views by side tables kept next to the log,
 and the random-fair activation order by a full deadline scan per event.
+``sliding_window_fairness`` and ``replay_envelope`` are references for the
+post-hoc audits: the fairness check by a count per sliding window, and the
+depth envelope by a version counter and nested version-to-depth dicts.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import math
 
 import numpy as np
 
+from pintlab.linalg import max_block_norm
 from pintlab.parareal import (
     STOP_EXACT,
     STOP_KMAX,
@@ -225,3 +229,74 @@ def scan_activation_order(seed: int, p: int, delay_bound: int, n_events: int,
             if delay_bound:
                 rng.integers(0, delay_bound + 1)
     return order
+
+
+def sliding_window_fairness(trace) -> list[tuple[int, int]]:
+    """Fairness violations by sliding a window of W = p(D+1) events.
+
+    Keeps a firing count per component for the current window and, at every
+    window start, scans all components; a component whose count is zero is
+    reported once, at the first such start. Traces shorter than one window
+    have no windows and so no violations.
+    """
+    p = trace.n_updatable
+    win = trace.schedule.window(p)
+    fired = [ev.component for ev in trace.events]
+    n = len(fired)
+    fairness: list[tuple[int, int]] = []
+    flagged: set[int] = set()
+    if n >= win:
+        window_counts = np.zeros(p + 1, dtype=int)
+        for idx in range(win):
+            window_counts[fired[idx]] += 1
+        start = 0
+        while True:
+            for comp in range(1, p + 1):
+                if window_counts[comp] == 0 and comp not in flagged:
+                    fairness.append((start, comp))
+                    flagged.add(comp)
+            if start + win >= n:
+                break
+            window_counts[fired[start]] -= 1
+            window_counts[fired[start + win]] += 1
+            start += 1
+    return fairness
+
+
+def replay_envelope(trace, report, fixed_point, initial):
+    """(depths, bounds) of the staleness-aware envelope by version counters.
+
+    Keeps a version counter per component and a dict of dicts from
+    (component, version) to depth; a read of a version that was never
+    produced raises KeyError. The bound of a depth is async_factor**depth
+    times the initial error, zero at infinite depth.
+    """
+    factor = report.async_factor
+    initial_error = max_block_norm(initial - fixed_point, report.norm_kind)
+    p = trace.n_updatable
+
+    version_depth: dict[int, dict[int, float]] = {0: {0: math.inf}}
+    for comp in range(1, p + 1):
+        version_depth[comp] = {0: 0.0}
+    current = np.zeros(p + 1)
+    current[0] = math.inf
+    versions = [0] * (p + 1)
+
+    def bound_for(depth: float) -> float:
+        if math.isinf(depth):
+            return 0.0
+        return factor ** depth * initial_error
+
+    depths = [float(np.min(current[1:]))]
+    bounds = [bound_for(depths[0])]
+    for ev in trace.events:
+        comp = ev.component
+        shallowest = min(version_depth[src][v] for src, _slot, v in ev.reads)
+        new_depth = shallowest + 1.0
+        versions[comp] += 1
+        version_depth[comp][versions[comp]] = new_depth
+        current[comp] = new_depth
+        sigma = float(np.min(current[1:]))
+        depths.append(sigma)
+        bounds.append(bound_for(sigma))
+    return np.asarray(depths), np.asarray(bounds)

@@ -1,10 +1,11 @@
 """Contraction factors, convergence checks, staleness envelope, termination
 detection, and the solve-unit cost model."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pintlab.analysis import (
     CheckResult,
@@ -24,7 +25,7 @@ from pintlab.analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from pintlab.async_engine import AsyncSchedule, AsyncTrace, UpdateRecord
+from pintlab.async_engine import POLICIES, AsyncSchedule, AsyncTrace, UpdateRecord
 from pintlab.async_parareal import run_async_parareal
 from pintlab.errors import (
     EnvelopeUndefinedError,
@@ -34,6 +35,8 @@ from pintlab.errors import (
 )
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.parareal import run_parareal, sequential_fine_solve
+
+from helpers import replay_envelope
 
 # ------------------------------------------------------- contraction factors
 
@@ -169,6 +172,40 @@ def test_envelope_dominates_measured_error(heat_setups, kind):
         measured.append(max_block_norm(trace.state_after(idx) - fixed, kind))
     for m, b in zip(measured, bounds):
         assert m <= b * (1.0 + 1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([NormKind.INFINITY, NormKind.SPECTRAL]), st.data())
+def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, seed,
+                                         kind, data):
+    # the per-component depth tables give the version-counter replay's
+    # depths and bounds bit for bit, and still reject a read of a version
+    # the source never produced, negative ones included
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    report = contraction_factors(coarse, fine, p, kind=kind)
+    fixed = sequential_fine_solve(fine, ivp.u0, p)
+    got = async_error_envelope(trace, report, fixed, trace.initial)
+    want = replay_envelope(trace, report, fixed, trace.initial)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    at = data.draw(st.integers(0, len(trace.events)))
+    source = data.draw(st.integers(0, p))
+    reached = sum(ev.component == source for ev in trace.events[:at])
+    version = data.draw(st.sampled_from([-1, reached + 1]))
+    comp = data.draw(st.integers(1, p))
+    bad = UpdateRecord(component=comp, reads=((comp - 1, 1, 0), (source, 2, version)),
+                       digest="0" * 16, delta=0.0)
+    tampered = replace(trace, events=trace.events[:at] + [bad] + trace.events[at:],
+                       values=trace.values[:at] + [trace.values[0]] + trace.values[at:])
+    for envelope in (async_error_envelope, replay_envelope):
+        with pytest.raises(KeyError):
+            envelope(tampered, report, fixed, trace.initial)
 
 
 # ---------------------------------------------------- termination detection
