@@ -15,6 +15,7 @@ worker activation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -22,13 +23,14 @@ import numpy as np
 
 from .async_engine import AsyncTrace
 from .errors import (
+    DimensionError,
     EnvelopeUndefinedError,
     InvalidThetaError,
     UndefinedLimitError,
     UnfittableError,
 )
 from .linalg import NormKind, abs_matrix, lu_solve, max_block_norm, operator_norm
-from .linalg import BlockVector, matches_reference, spectral_radius
+from .linalg import BlockVector, blocks_match, spectral_radius
 from .model import AffinePropagator
 
 
@@ -157,10 +159,15 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     Depth bookkeeping: the pinned component is exact from the start
     (depth +inf); every other component starts at depth 0. An update sets
     the component's depth to one plus the shallowest depth among the
-    versions it read. The global depth after an event is the minimum over
-    live components, and the bound is async_factor**depth times the initial
-    error; a saturated (infinite) depth certifies an exactly reproduced
-    state, bound zero.
+    versions it read (+inf when it reads nothing). The global depth after an
+    event is the minimum over live components, and the bound is
+    async_factor**depth times the initial error; a saturated (infinite)
+    depth certifies an exactly reproduced state, bound zero. A read of a
+    version its source never produced raises KeyError.
+
+    The minimum is kept running: a count of live components per depth moves
+    it down when a stale read lowers a depth, and it is rescanned among the
+    depths in use only when the count at the minimum reaches zero.
 
     Returns (depths, bounds), each of length n_events + 1 with entry 0
     describing the initial state.
@@ -175,18 +182,36 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     p = trace.n_updatable
 
     # Per component, the depth of each version it produced; version 0 is the start.
-    depth_of = {comp: {0: math.inf if comp == 0 else 0.0} for comp in range(p + 1)}
-    current = np.zeros(p + 1)
-    current[0] = math.inf
-    depths = [float(np.min(current[1:]))]
-    for ev in trace.events:
-        depth = min(depth_of[src][v] for src, _slot, v in ev.reads) + 1.0
-        table = depth_of[ev.component]
-        table[len(table)] = depth
-        current[ev.component] = depth
-        depths.append(float(np.min(current[1:])))
-    bounds = [0.0 if math.isinf(d) else factor ** d * initial_error for d in depths]
-    return np.asarray(depths), np.asarray(bounds)
+    depth_of = [array("d", [math.inf if comp == 0 else 0.0]) for comp in range(p + 1)]
+    current = [math.inf] + [0.0] * p
+    live = {0.0: p}  # depth -> how many of components 1..p sit at it
+    lowest = 0.0
+    depths = array("d", [lowest])
+    for k, comp in enumerate(trace.component):
+        shallowest = math.inf
+        for source, _slot, version in trace.reads_of(k):
+            table = depth_of[source]
+            if not 0 <= version < len(table):
+                raise KeyError(f"component {source} never reached version {version}")
+            shallowest = min(shallowest, table[version])
+        depth = shallowest + 1.0
+        depth_of[comp].append(depth)
+        old, current[comp] = current[comp], depth
+        if comp:
+            left = live[old] - 1
+            if left:
+                live[old] = left
+            else:
+                del live[old]
+            live[depth] = live.get(depth, 0) + 1
+            if depth < lowest:
+                lowest = depth
+            elif old == lowest and not left:
+                lowest = min(live)
+        depths.append(lowest)
+    bounds = array("d", (0.0 if math.isinf(d) else factor ** d * initial_error
+                         for d in depths))
+    return np.array(depths), np.array(bounds)
 
 
 def check_finite_termination(trace: AsyncTrace,
@@ -198,10 +223,32 @@ def check_finite_termination(trace: AsyncTrace,
     while sweeping (``run_parareal(..., reference=...)``). Returns None when
     the trace never reaches the reference, which at desk scale indicates an
     invalid schedule or a too-short horizon.
+
+    The rule is elementwise, so it is kept per block: one match flag per
+    component and a count of mismatched blocks, updated as the value column
+    is walked. Each event costs O(d) and no state is assembled.
     """
-    for idx, state in enumerate(trace.states()):
-        if matches_reference(state, reference):
-            return idx
+    ref = reference.data
+    if ref.shape != trace.initial.data.shape:
+        raise DimensionError(
+            f"reference of shape {ref.shape} for states of shape {trace.initial.data.shape}")
+    matched = blocks_match(trace.initial.data, ref).tolist()
+    mismatched = matched.count(False)
+    if not mismatched:
+        return 0
+    comps = trace.component
+    k = 0
+    for chunk in trace.value_blocks():
+        # Runs of a few hundred rows keep the temporaries small.
+        for lo in range(0, len(chunk), 256):
+            rows = chunk[lo:lo + 256]
+            fired = comps[k:k + len(rows)]
+            for comp, flag in zip(fired, blocks_match(rows, ref[fired]).tolist()):
+                k += 1
+                mismatched += matched[comp] - flag
+                matched[comp] = flag
+                if not mismatched:
+                    return k
     return None
 
 

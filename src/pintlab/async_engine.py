@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple
 
@@ -138,36 +141,138 @@ class EngineView(NamedTuple):
     drained: bool            # every sampled edge has consumed the newest version
 
 
-@dataclass
+CHUNK_BYTES = 256 * 1024  # target size of one chunk of the value column
+MIN_CHUNK_ROWS = 4        # rows per chunk however wide a value is
+
+
+class _LogView(Sequence):
+    """Read-only sequence over a trace's events; item k is built on access."""
+
+    __slots__ = ("_trace", "_item")
+
+    def __init__(self, trace: "AsyncTrace", item: Callable[["AsyncTrace", int], object]):
+        self._trace = trace
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._trace.n_events
+
+    def __getitem__(self, k):
+        n = len(self)
+        if isinstance(k, slice):
+            return [self._item(self._trace, i) for i in range(*k.indices(n))]
+        i = operator.index(k)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"trace has no event {k}")
+        return self._item(self._trace, i)
+
+    def __iter__(self):
+        trace, item = self._trace, self._item
+        return (item(trace, i) for i in range(len(self)))
+
+
 class AsyncTrace:
     """Event log of one simulation, self-describing for offline checks.
 
-    events[k] records event k and values[k] is the value it wrote to its
-    component. Version v >= 1 of a component is the value of its v-th
-    event, version 0 its block of ``initial``; every state is derived from
-    the log and ``initial``.
+    The log is columnar. Per event k it keeps ``component[k]``, the component
+    that fired, ``delta[k]``, and its reads as flat (source, slot, version)
+    triples, ``reads_flat[read_offsets[k]:read_offsets[k + 1]]``. The values
+    produced fill fixed-size 2-D chunks of about CHUNK_BYTES, so the log grows
+    without copying and holds at most one chunk of slack.
+
+    ``events[k]`` builds the UpdateRecord of event k on access, its digest
+    derived from the value, and ``values[k]`` is a read-only row view of the
+    value event k wrote. Version v >= 1 of a component is the value of its
+    v-th event, version 0 its block of ``initial``; every state is derived
+    from the log and ``initial``.
     """
 
-    events: list[UpdateRecord]
-    values: list[np.ndarray]
-    initial: BlockVector
-    stop_reason: str
-    schedule: AsyncSchedule
-    n_updatable: int
-    persistent_slots: dict[int, int]
-    # component -> index of the event that produced each of its versions
-    _event_index: list[list[int]] = field(init=False, repr=False)
+    def __init__(self, initial: BlockVector, schedule: AsyncSchedule, n_updatable: int,
+                 persistent_slots: dict[int, int], stop_reason: str = ""):
+        self.initial = initial
+        self.schedule = schedule
+        self.n_updatable = n_updatable
+        self.persistent_slots = persistent_slots
+        self.stop_reason = stop_reason
+        self.component = array("q")
+        self.delta = array("d")
+        self.reads_flat = array("q")
+        self.read_offsets = array("q", [0])
+        # component -> index of the event that produced each of its versions
+        self._event_index = [array("q") for _ in range(n_updatable + 1)]
+        self._chunk_rows = max(MIN_CHUNK_ROWS, CHUNK_BYTES // (8 * max(initial.block_dim, 1)))
+        self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
+        self._tail: np.ndarray | None = None  # the last chunk, writable
 
-    def __post_init__(self):
-        self._event_index = [[] for _ in range(self.n_updatable + 1)]
-        for idx, ev in enumerate(self.events):
-            self._event_index[ev.component].append(idx)
+    @classmethod
+    def from_records(cls, records: Iterable[UpdateRecord], values: Iterable,
+                     initial: BlockVector, schedule: AsyncSchedule, n_updatable: int,
+                     persistent_slots: dict[int, int] | None = None,
+                     stop_reason: str = "") -> "AsyncTrace":
+        """Pack records and the values they produced into a trace.
 
-    def append(self, record: UpdateRecord, value: np.ndarray) -> None:
-        """Log one event and the value it produced."""
-        self._event_index[record.component].append(len(self.events))
-        self.events.append(record)
-        self.values.append(value)
+        A record's digest is not kept: the log derives it from the value.
+        """
+        trace = cls(initial, schedule, n_updatable, dict(persistent_slots or {}), stop_reason)
+        for record, value in zip(records, values, strict=True):
+            value = np.asarray(value, dtype=float)
+            if value.shape != (initial.block_dim,):
+                raise DimensionError(
+                    f"value of shape {value.shape} for blocks of dim {initial.block_dim}")
+            trace.append(record.component, [x for read in record.reads for x in read],
+                         record.delta, value)
+        return trace
+
+    @property
+    def n_events(self) -> int:
+        return len(self.component)
+
+    @property
+    def events(self) -> Sequence[UpdateRecord]:
+        return _LogView(self, AsyncTrace._record)
+
+    @property
+    def values(self) -> Sequence[np.ndarray]:
+        return _LogView(self, AsyncTrace._value)
+
+    def append(self, component: int, reads: Iterable[int], delta: float,
+               value: np.ndarray) -> None:
+        """Log one event: its flat (source, slot, version) reads, its delta
+        and a copy of the value it produced, which has the block shape."""
+        k = len(self.component)
+        row = k % self._chunk_rows
+        if row == 0:
+            self._tail = np.empty((self._chunk_rows, self.initial.block_dim))
+            view = self._tail.view()
+            view.flags.writeable = False
+            self._chunks.append(view)
+        self._tail[row] = value
+        self.component.append(component)
+        self.delta.append(delta)
+        self.reads_flat.extend(reads)
+        self.read_offsets.append(len(self.reads_flat))
+        self._event_index[component].append(k)
+
+    def _value(self, k: int) -> np.ndarray:
+        chunk, row = divmod(k, self._chunk_rows)
+        return self._chunks[chunk][row]
+
+    def reads_of(self, k: int) -> tuple[tuple[int, int, int], ...]:
+        """The (source, slot, version) reads of event k."""
+        it = iter(self.reads_flat[self.read_offsets[k]:self.read_offsets[k + 1]])
+        return tuple(zip(it, it, it))
+
+    def _record(self, k: int) -> UpdateRecord:
+        return UpdateRecord(component=self.component[k], reads=self.reads_of(k),
+                            digest=_value_digest(self._value(k)), delta=self.delta[k])
+
+    def value_blocks(self) -> Iterator[np.ndarray]:
+        """The value column in event order, as read-only 2-D runs of rows."""
+        n = self.n_events
+        for q, chunk in enumerate(self._chunks):
+            yield chunk[:n - q * self._chunk_rows]
 
     def version_value(self, component: int, version: int) -> np.ndarray:
         """The value a (component, version) stamp refers to."""
@@ -176,25 +281,25 @@ class AsyncTrace:
         index = self._event_index[component]
         if not 1 <= version <= len(index):
             raise KeyError(f"component {component} never reached version {version}")
-        return self.values[index[version - 1]]
+        return self._value(index[version - 1])
 
     def state_after(self, event_index: int) -> BlockVector:
         """State once ``event_index + 1`` events have run; -1 gives the start."""
-        if event_index >= len(self.events):
+        if event_index >= self.n_events:
             raise IndexError(f"trace has no event {event_index}")
         data = self.initial.data.copy()
         for comp, index in enumerate(self._event_index):
             version = bisect_right(index, event_index)
             if version:
-                data[comp] = self.values[index[version - 1]]
+                data[comp] = self._value(index[version - 1])
         return BlockVector(data)
 
     def states(self) -> Iterator[BlockVector]:
         """The start state, then the state after each event in order."""
         data = self.initial.data.copy()
         yield BlockVector(data.copy())
-        for ev, value in zip(self.events, self.values):
-            data[ev.component] = value
+        for comp, value in zip(self.component, self.values):
+            data[comp] = value
             yield BlockVector(data.copy())
 
     def to_jsonl(self) -> str:
@@ -277,11 +382,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         raise DimensionError(f"init has {init.n_blocks} blocks, expected {p + 1}")
     window = schedule.window(p)
     driver = _ScheduleDriver(schedule, p)
-    trace = AsyncTrace(
-        events=[], values=[], initial=init.copy(), stop_reason="",
-        schedule=schedule, n_updatable=p,
-        persistent_slots=dict(mapping.persistent_slots),
-    )
+    trace = AsyncTrace(init.copy(), schedule, p, dict(mapping.persistent_slots))
 
     persistent = mapping.persistent_slots
     # The log is the only record of versions: a component's version is the
@@ -293,7 +394,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     quiescent_streak = (schedule.delay_bound + 3) * window
 
     def latest_reads(comp: int) -> tuple[tuple[int, int, int], ...]:
-        return trace.events[index[comp][-1]].reads if index[comp] else ()
+        return trace.reads_of(index[comp][-1]) if index[comp] else ()
 
     def drained() -> bool:
         # Each component's latest sampled reads must have seen the newest
@@ -312,7 +413,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     for k in range(schedule.max_events):
         comp = driver.next_component(k)
         previous_reads = latest_reads(comp)
-        reads = []
+        reads: list[int] = []
         read_values: dict[tuple[int, int], np.ndarray] = {}
         for source, slot in mapping.read_set[comp]:
             if slot in persistent:
@@ -321,11 +422,11 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
                 version = next((v for _, sl, v in reversed(previous_reads) if sl == base), 0)
             else:
                 version = max(len(index[source]) - driver.sample_staleness(), 0)
-            reads.append((source, slot, version))
+            reads += (source, slot, version)
             read_values[(source, slot)] = trace.version_value(source, version)
 
-        # A copy: eval_fn may reuse its output buffer, and the log keeps every value.
-        new_value = np.array(mapping.eval_fn(comp, read_values), dtype=float)
+        # eval_fn may reuse its output buffer: the log keeps a copy.
+        new_value = np.asarray(mapping.eval_fn(comp, read_values), dtype=float)
         previous = trace.version_value(comp, len(index[comp]))
         if new_value.shape != previous.shape:
             raise DimensionError(
@@ -336,12 +437,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
             raise ValueError(f"component {comp} produced a non-finite value at event {k}")
         delta = float(np.max(np.abs(new_value - previous))) if new_value.size else 0.0
         last_deltas[comp] = delta
-        trace.append(UpdateRecord(
-            component=comp,
-            reads=tuple(reads),
-            digest=_value_digest(new_value),
-            delta=delta,
-        ), new_value)
+        trace.append(comp, reads, delta, new_value)
 
         zero_streak = zero_streak + 1 if delta == 0.0 else 0
         if zero_streak >= quiescent_streak:
@@ -399,12 +495,12 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     last_fired = [-1] * (p + 1)
     unfair_from: dict[int, int] = {}   # component -> its first offending window
     prev_base_read: dict[tuple[int, int], int] = {}
-    for k, ev in enumerate(trace.events):
+    for k, comp in enumerate(trace.component):
         fresh_this_event: dict[int, int] = {}
-        for source, slot, version in ev.reads:
+        for source, slot, version in trace.reads_of(k):
             if slot in persistent:
                 base = persistent[slot]
-                expected = prev_base_read.get((ev.component, base), 0)
+                expected = prev_base_read.get((comp, base), 0)
                 if version != expected:
                     provenance.append((k, slot, version))
             else:
@@ -414,14 +510,14 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
                 fresh_this_event[slot] = version
         for base_slot, version in fresh_this_event.items():
             if base_slot in persistent.values():
-                prev_base_read[(ev.component, base_slot)] = version
-        versions[ev.component] += 1
-        if k - last_fired[ev.component] > win:
-            unfair_from.setdefault(ev.component, last_fired[ev.component] + 1)
-        last_fired[ev.component] = k
+                prev_base_read[(comp, base_slot)] = version
+        versions[comp] += 1
+        if k - last_fired[comp] > win:
+            unfair_from.setdefault(comp, last_fired[comp] + 1)
+        last_fired[comp] = k
 
     for comp in range(1, p + 1):
-        if len(trace.events) - last_fired[comp] > win:
+        if trace.n_events - last_fired[comp] > win:
             unfair_from.setdefault(comp, last_fired[comp] + 1)
     # The pinned component 0 owes no firings.
     fairness = sorted((start, comp) for comp, start in unfair_from.items() if comp)

@@ -118,7 +118,18 @@ def matches_reference(state: BlockVector, reference: BlockVector) -> bool:
     Every entry lies within MATCH_RTOL of the reference entry, relative to
     the reference, with no absolute tolerance.
     """
-    return np.allclose(state.data, reference.data, rtol=MATCH_RTOL, atol=0.0)
+    return bool(np.all(blocks_match(state.data, reference.data)))
+
+
+def blocks_match(blocks: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """``matches_reference`` per row of two (n, dim) arrays of finite values.
+
+    Row i is True when every entry of it lies within MATCH_RTOL of the
+    matching reference entry, relative to the reference. For finite values
+    this is the rule of ``np.allclose(..., rtol=MATCH_RTOL, atol=0)``, entry
+    by entry, so a state matches exactly when all of its blocks do.
+    """
+    return np.all(np.abs(blocks - reference) <= MATCH_RTOL * np.abs(reference), axis=1)
 
 
 def max_block_norm(x: BlockVector, kind: NormKind = NormKind.SPECTRAL) -> float:

@@ -9,6 +9,7 @@ the purely sequential fine solution, so p sweeps terminate exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +109,14 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     Component i is frozen once i < k: by then it carries its exact value, so
     recomputing it would only waste the corresponding processor.
 
-    Only the previous and the current iterate are held. When a reference is
-    given, each iterate is tested against it (``matches_reference``) until
-    the first match, whose sweep index becomes finite_termination_index.
-    epsilon and k_max only choose when to stop: the iterate after sweep j is
-    the same, bitwise, in every run that gets that far.
+    Only the previous and the current iterate are held, in two buffers that
+    swap roles each sweep. Rows below k-1 already agree in both, so sweep k
+    copies over the row that froze last sweep and rewrites rows k..p only;
+    its delta is taken over those rows. When a reference is given, each
+    iterate is tested against it (``matches_reference``) until the first
+    match, whose sweep index becomes finite_termination_index. epsilon and
+    k_max only choose when to stop: the iterate after sweep j is the same,
+    bitwise, in every run that gets that far.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -120,19 +124,24 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     if cap < 1:
         raise ValueError(f"iteration budget must allow k >= 1, got k_max={k_max}")
     lam = coarse_init(coarse, u0, p)
+    new = BlockVector(np.zeros_like(lam.data))
     match = None
     if reference is not None and matches_reference(lam, reference):
         match = 0
     deltas: list[float] = []
     stop_reason = STOP_KMAX
     for k in range(1, cap + 1):
-        new = lam.copy()
+        old, cur = lam.data, new.data
+        cur[k - 1] = old[k - 1]
         # Components below k are already exact; Algorithm-style freeze.
         for i in range(k, p + 1):
-            new.data[i] = parareal_update(coarse, fine, new.data[i - 1], lam.data[i - 1])
-        delta = (new - lam).max_abs()
+            cur[i] = parareal_update(coarse, fine, cur[i - 1], old[i - 1])
+        change = np.abs(cur[k:] - old[k:])
+        delta = float(np.max(change)) if change.size else 0.0
+        if not math.isfinite(delta):  # an iterate stays finite, like every BlockVector
+            raise ValueError("block entries must be finite")
         deltas.append(delta)
-        lam = new
+        lam, new = new, lam
         if match is None and reference is not None and matches_reference(lam, reference):
             match = k
         if delta < epsilon:

@@ -14,9 +14,11 @@ afterwards, as a reference for the streaming loop.
 ``replay_engine_views`` and ``scan_activation_order`` are references for the
 async engine: the stop-predicate views by side tables kept next to the log,
 and the random-fair activation order by a full deadline scan per event.
-``sliding_window_fairness`` and ``replay_envelope`` are references for the
-post-hoc audits: the fairness check by a count per sliding window, and the
-depth envelope by a version counter and nested version-to-depth dicts.
+``sliding_window_fairness``, ``replay_envelope`` and
+``scan_finite_termination`` are references for the post-hoc audits: the
+fairness check by a count per sliding window, the depth envelope by a
+version counter and nested version-to-depth dicts, and the
+finite-termination index by matching every full state in turn.
 """
 from __future__ import annotations
 
@@ -300,3 +302,15 @@ def replay_envelope(trace, report, fixed_point, initial):
         depths.append(sigma)
         bounds.append(bound_for(sigma))
     return np.asarray(depths), np.asarray(bounds)
+
+
+def scan_finite_termination(trace, reference):
+    """First event index whose full state matches the reference, or None.
+
+    Builds every state of the trace (0 is the initial state) and tests it
+    whole: every entry within rtol 1e-12 (atol 0) of the reference.
+    """
+    for idx, state in enumerate(trace.states()):
+        if np.allclose(state.data, reference.data, rtol=1e-12, atol=0.0):
+            return idx
+    return None

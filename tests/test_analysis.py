@@ -1,7 +1,6 @@
 """Contraction factors, convergence checks, staleness envelope, termination
 detection, and the solve-unit cost model."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,13 @@ from pintlab.analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from pintlab.async_engine import POLICIES, AsyncSchedule, AsyncTrace, UpdateRecord
+from pintlab.async_engine import (
+    AsyncSchedule,
+    AsyncTrace,
+    POLICIES,
+    POLICY_ADVERSARIAL,
+    UpdateRecord,
+)
 from pintlab.async_parareal import run_async_parareal
 from pintlab.errors import (
     EnvelopeUndefinedError,
@@ -34,9 +39,10 @@ from pintlab.errors import (
     UnfittableError,
 )
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
+from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
 
-from helpers import replay_envelope
+from helpers import replay_envelope, scan_finite_termination
 
 # ------------------------------------------------------- contraction factors
 
@@ -119,8 +125,8 @@ def _envelope_event(comp, fresh_version, remembered_version):
 
 
 def _envelope_trace(events, p):
-    return AsyncTrace(
-        events=events, values=[np.zeros(1) for _ in events],
+    return AsyncTrace.from_records(
+        events, [np.zeros(1) for _ in events],
         initial=BlockVector(np.zeros((p + 1, 1))), stop_reason="quiescence",
         schedule=AsyncSchedule(seed=0, delay_bound=0),
         n_updatable=p, persistent_slots={2: 1},
@@ -145,6 +151,33 @@ def test_envelope_depths_hand_trace():
     assert list(depths) == [0, 0, 0, 1, 1, 1, 2, 2, 2, math.inf]
     assert list(bounds) == [1.0, 1.0, 1.0, 0.5, 0.5, 0.5,
                             0.25, 0.25, 0.25, 0.0]
+
+
+def test_envelope_stale_read_lowers_global_depth():
+    # p=4: component 4 climbs to depth 3 above the minimum 2 of component 3,
+    # then a stale read of component 3's version 0 (depth 0) drops it to 1,
+    # below that minimum, which must follow it down
+    events = [
+        _envelope_event(1, 0, 0),   # reads only the pinned source: depth inf
+        _envelope_event(2, 1, 0),   # min(inf, 0) + 1 = 1
+        _envelope_event(3, 1, 0),   # min(1, 0) + 1 = 1
+        _envelope_event(4, 1, 0),   # 1; every live component is past 0
+        _envelope_event(2, 1, 1),   # inf
+        _envelope_event(3, 2, 1),   # min(inf, 1) + 1 = 2
+        _envelope_event(4, 2, 1),   # min(2, 1) + 1 = 2; global rises to 2
+        _envelope_event(4, 2, 2),   # 3, above the minimum
+        _envelope_event(4, 0, 2),   # stale: min(0, 2) + 1 = 1; global falls to 1
+        _envelope_event(3, 2, 2),   # inf
+        _envelope_event(4, 3, 3),   # inf everywhere
+    ]
+    trace = _envelope_trace(events, 4)
+    report = factors_from_norms(0.3, 0.2, p=4, kind=NormKind.INFINITY)
+    fixed = BlockVector(np.array([[0.0], [1.0], [0.0], [0.0], [0.0]]))
+    depths, bounds = async_error_envelope(trace, report, fixed, trace.initial)
+    assert list(depths) == [0, 0, 0, 0, 1, 1, 1, 2, 2, 1, 1, math.inf]
+    assert list(bounds) == [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.25, 0.25, 0.5, 0.5, 0.0]
+    want = replay_envelope(trace, report, fixed, trace.initial)
+    assert depths.tobytes() == want[0].tobytes() and bounds.tobytes() == want[1].tobytes()
 
 
 def test_envelope_undefined_when_factor_too_large(heat_setups):
@@ -201,8 +234,11 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
     comp = data.draw(st.integers(1, p))
     bad = UpdateRecord(component=comp, reads=((comp - 1, 1, 0), (source, 2, version)),
                        digest="0" * 16, delta=0.0)
-    tampered = replace(trace, events=trace.events[:at] + [bad] + trace.events[at:],
-                       values=trace.values[:at] + [trace.values[0]] + trace.values[at:])
+    tampered = AsyncTrace.from_records(
+        trace.events[:at] + [bad] + trace.events[at:],
+        trace.values[:at] + [trace.values[0]] + trace.values[at:],
+        initial=trace.initial, schedule=trace.schedule, n_updatable=p,
+        persistent_slots=trace.persistent_slots)
     for envelope in (async_error_envelope, replay_envelope):
         with pytest.raises(KeyError):
             envelope(tampered, report, fixed, trace.initial)
@@ -235,6 +271,64 @@ def test_finite_termination_async(heat_setups):
     match = lambda state: np.allclose(state.data, reference.data, rtol=1e-12, atol=0.0)
     assert match(trace.state_after(idx - 1))
     assert not match(trace.state_after(idx - 2))
+
+
+def _mixed_reference(trace, times, scale):
+    """Block c of the state after event times[c], scaled by 1 + scale."""
+    blocks = [trace.state_after(t)[c] for c, t in enumerate(times)]
+    return BlockVector(np.stack(blocks) * (1.0 + scale))
+
+
+SCALES = [0.0, 0.5e-12, 1e-12, 1.5e-12, 1e-9]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.data())
+def test_finite_termination_matches_state_scan(heat_setups, policy, delay_bound, p,
+                                               seed, data):
+    # per-block flags and a mismatch count give the index of the per-state
+    # scan: for the oracle, for intermediate states at or just around the
+    # relative-1e-12 boundary, and for references whose blocks come from
+    # different events, so blocks match and then stop matching
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    assert check_finite_termination(trace, oracle) == scan_finite_termination(trace, oracle)
+    n = len(trace.events)
+    times = data.draw(st.one_of(
+        st.integers(-1, n - 1).map(lambda t: [t] * (p + 1)),
+        st.lists(st.integers(-1, n - 1), min_size=p + 1, max_size=p + 1)))
+    reference = _mixed_reference(trace, times, data.draw(st.sampled_from(SCALES)))
+    assert (check_finite_termination(trace, reference)
+            == scan_finite_termination(trace, reference))
+
+
+def test_finite_termination_on_a_long_trace():
+    # 1,585 events: the scan crosses many of its row runs
+    p = dim = 16
+    ivp = heat1d_system(n_interior=dim, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=0.2 * p)
+    coarse = backward_euler_propagator(ivp, 0.2, 1)
+    fine = trapezoidal_propagator(ivp, 0.2, 20)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=1, delay_bound=3,
+                                             policy=POLICY_ADVERSARIAL))
+    n = len(trace.events)
+    assert n > 1000
+    rng = np.random.default_rng(3)
+    references = [sequential_fine_solve(fine, ivp.u0, p)]
+    for t in (-1, 0, 255, 256, 511, 700, n - 1):
+        references.append(_mixed_reference(trace, [t] * (p + 1), 0.0))
+    for _ in range(6):
+        times = rng.integers(-1, n, size=p + 1)
+        references.append(_mixed_reference(trace, times, 0.0))
+    for reference in references:
+        assert (check_finite_termination(trace, reference)
+                == scan_finite_termination(trace, reference))
 
 
 def test_chazan_miranker_frozen():

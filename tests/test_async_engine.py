@@ -1,6 +1,8 @@
-"""Event simulator: determinism, schedule auditing, quiescence, and the
-linear-relaxation demo."""
+"""Event simulator: determinism, schedule auditing, quiescence, the columnar
+event log, and the linear-relaxation demo."""
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from pintlab.async_engine import (
     AsyncMapping,
     AsyncSchedule,
     AsyncTrace,
+    CHUNK_BYTES,
+    MIN_CHUNK_ROWS,
     POLICY_ADVERSARIAL,
     POLICY_RANDOM_FAIR,
     POLICY_ROUND_ROBIN,
@@ -26,6 +30,7 @@ from pintlab.async_engine import (
 from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
 from pintlab.errors import DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector
+from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import coarse_init
 
 from helpers import replay_engine_views, scan_activation_order, sliding_window_fairness
@@ -144,9 +149,9 @@ def test_generated_schedules_audit_clean(heat_setups, policy, delay_bound):
 
 
 def _handmade_trace(events, n_updatable, window_sched, persistent=None):
-    return AsyncTrace(
-        events=events,
-        values=[np.zeros(1) for _ in events],
+    return AsyncTrace.from_records(
+        events,
+        [np.zeros(1) for _ in events],
         initial=BlockVector(np.zeros((n_updatable + 1, 1))),
         stop_reason="stop-predicate",
         schedule=window_sched,
@@ -337,7 +342,7 @@ def test_version_value_reconstruction(heat_setups):
     for idx, ev in enumerate(trace.events):
         versions[ev.component] += 1
         got = trace.version_value(ev.component, versions[ev.component])
-        assert got is trace.values[idx]
+        assert np.shares_memory(got, trace.values[idx])
         assert np.array_equal(got, trace.state_after(idx)[ev.component])
     assert np.array_equal(trace.version_value(1, 0), trace.initial[1])
     with pytest.raises(KeyError):
@@ -370,7 +375,8 @@ def test_event_log_views_agree(heat_setups, policy, delay_bound, p, seed):
         assert np.array_equal(states[k + 1].data, after.data), k
         assert np.array_equal(trace.values[k], after[ev.component]), k
         versions[ev.component] += 1
-        assert trace.version_value(ev.component, versions[ev.component]) is trace.values[k]
+        assert np.shares_memory(trace.version_value(ev.component, versions[ev.component]),
+                                trace.values[k])
     assert update_counts(trace)[0].tolist() == versions
     for comp in range(p + 1):
         with pytest.raises(KeyError):
@@ -456,3 +462,116 @@ def test_log_keeps_a_copy_of_each_value():
                            AsyncSchedule(seed=0, delay_bound=0),
                            stop=lambda view: view.k >= 4)
     assert [float(v[0]) for v in trace.values] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+# ---------------------------------------------------------- columnar log
+
+def _recording_mapping(p, dim):
+    """Mapping whose eval_fn records what each event read and produced.
+
+    Component i reads its predecessor through a sampled slot 1 and a
+    persisted slot 2, and itself through a sampled slot 3. Entry 0 of every
+    value is a running event count, so each version is unique and a read
+    value pins the version it came from.
+    """
+    seen = []
+
+    def eval_fn(i, reads):
+        out = np.empty(dim)
+        out[0] = len(seen) + 1
+        out[1:] = (0.5 * reads[(i - 1, 1)][1:] + 0.25 * reads[(i - 1, 2)][1:]
+                   + 0.125 * reads[(i, 3)][1:] + i)
+        seen.append((i, {key: value.copy() for key, value in reads.items()}, out.copy()))
+        return out
+
+    read_set = {i: ((i - 1, 1), (i - 1, 2), (i, 3)) for i in range(1, p + 1)}
+    mapping = AsyncMapping(n_updatable=p, arity=3, eval_fn=eval_fn,
+                           read_set=read_set, persistent_slots={2: 1})
+    init = BlockVector(-np.arange(1.0, (p + 1) * dim + 1).reshape(p + 1, dim))
+    return mapping, init, seen
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([POLICY_ROUND_ROBIN, POLICY_RANDOM_FAIR, POLICY_ADVERSARIAL]),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**16),
+       st.integers(min_value=1, max_value=80))
+def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, seed,
+                                                      n_events):
+    # events[k], values[k] and JSONL line k are built from the columns; they
+    # must say exactly what eval_fn saw and returned at event k
+    mapping, init, seen = _recording_mapping(p, 3)
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
+    trace = simulate_async(mapping, init, sched, stop=lambda view: view.k + 1 >= n_events)
+    assert len(trace.events) == len(trace.values) == len(seen) == n_events
+    lines = trace.to_jsonl().splitlines()
+    assert len(lines) == n_events
+    latest = init.data.copy()
+    for k, (comp, read_values, out) in enumerate(seen):
+        ev = trace.events[k]
+        assert ev.component == comp
+        assert sorted((src, slot) for src, slot, _ in ev.reads) == sorted(read_values)
+        for source, slot, version in ev.reads:
+            assert np.array_equal(trace.version_value(source, version),
+                                  read_values[(source, slot)]), (k, source, slot)
+        assert np.array_equal(trace.values[k], out)
+        assert ev.digest == hashlib.sha256(out.tobytes()).hexdigest()[:16]
+        assert ev.delta == float(np.max(np.abs(out - latest[comp])))
+        latest[comp] = out
+        assert json.loads(lines[k]) == {"k": k, "component": comp,
+                                        "reads": [list(r) for r in ev.reads],
+                                        "digest": ev.digest, "delta": ev.delta}
+    assert trace.events[-1] == trace.events[n_events - 1]
+    assert trace.events[1:3] == [trace.events[k] for k in range(1, min(3, n_events))]
+    with pytest.raises(IndexError):
+        trace.events[n_events]
+    with pytest.raises(ValueError):
+        trace.values[0][0] = 0.0   # served read-only from the log
+
+
+def test_values_agree_across_chunk_boundaries():
+    # blocks this wide leave a chunk its minimum row count, so 18 events
+    # span five chunks; every view of the log must agree across the seams
+    dim = CHUNK_BYTES // (8 * MIN_CHUNK_ROWS) + 1
+    p, n_events = 3, 18
+    mapping, init, seen = _recording_mapping(p, dim)
+    trace = simulate_async(mapping, init, AsyncSchedule(seed=5, delay_bound=1),
+                           stop=lambda view: view.k + 1 >= n_events)
+    blocks = list(trace.value_blocks())
+    assert len(blocks) > 2
+    assert [len(b) for b in blocks] == [MIN_CHUNK_ROWS] * 4 + [2]
+    assert np.array_equal(np.concatenate(blocks), np.stack([out for _, _, out in seen]))
+    states = list(trace.states())
+    state = init.data.copy()
+    versions = [0] * (p + 1)
+    for k, (comp, _, out) in enumerate(seen):
+        assert np.array_equal(trace.values[k], out), k
+        versions[comp] += 1
+        assert np.array_equal(trace.version_value(comp, versions[comp]), out), k
+        state[comp] = out
+        assert np.array_equal(trace.state_after(k).data, state), k
+        assert np.array_equal(states[k + 1].data, state), k
+
+
+def test_trace_memory_stays_columnar():
+    # the log's footprint is the d floats of each value plus a few typed
+    # integers per event, and at most one chunk of slack; one Python record
+    # and one ndarray per event would cost about 700 B each
+    p = dim = 16
+    ivp = heat1d_system(n_interior=dim, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=0.2 * p)
+    coarse = backward_euler_propagator(ivp, 0.2, 1)
+    fine = trapezoidal_propagator(ivp, 0.2, 20)
+    sched = AsyncSchedule(seed=1, delay_bound=3, policy=POLICY_ADVERSARIAL)
+    run_async_parareal(coarse, fine, ivp.u0, p, sched)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_async_parareal(coarse, fine, ivp.u0, p, sched)
+        footprint = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    events = len(trace.events)
+    assert events > 1000
+    assert footprint <= events * (8 * dim + 96) + CHUNK_BYTES
