@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     UndefinedLimitError,
     UnfittableError,
 )
-from .linalg import NormKind, abs_matrix, lu_solve, max_block_norm, operator_norm
+from .linalg import NormKind, abs_matrix, block_norms, lu_solve, operator_norm
 from .linalg import BlockVector, blocks_match, spectral_radius
 from .model import AffinePropagator
 
@@ -151,10 +151,27 @@ def compare_factors(report: ContractionReport) -> RateComparison:
     return RateComparison(True, report.sync_factor, report.async_factor, gap)
 
 
+def _row_results(trace: AsyncTrace, per_rows) -> Iterator[tuple[int, object]]:
+    """(component, result) per event in order, walking the value column.
+
+    ``per_rows(rows, fired)`` gets a run of produced values and the
+    components that produced them, and returns one result per row. Runs of a
+    few hundred rows keep its temporaries small.
+    """
+    comps = trace.component
+    k = 0
+    for chunk in trace.value_blocks():
+        for lo in range(0, len(chunk), 256):
+            rows = chunk[lo:lo + 256]
+            fired = comps[k:k + len(rows)]
+            k += len(rows)
+            yield from zip(fired, per_rows(rows, fired).tolist())
+
+
 def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
-                         fixed_point: BlockVector,
-                         initial: BlockVector) -> tuple[np.ndarray, np.ndarray]:
-    """Per-event staleness-aware contraction depths and error bounds.
+                         fixed_point: BlockVector
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-event staleness-aware depths, error bounds, and measured errors.
 
     Depth bookkeeping: the pinned component is exact from the start
     (depth +inf); every other component starts at depth 0. An update sets
@@ -169,8 +186,12 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     it down when a stale read lowers a depth, and it is rescanned among the
     depths in use only when the count at the minimum reaches zero.
 
-    Returns (depths, bounds), each of length n_events + 1 with entry 0
-    describing the initial state.
+    The measured error is ``max_block_norm(state - fixed_point)`` in the
+    report's norm, kept per block from ``trace.initial`` on: an event costs
+    the norm of the block it wrote, with the bits of the whole-state norm.
+
+    Returns (depths, bounds, errors), each of length n_events + 1 with entry
+    0 describing the initial state.
     """
     if report.async_factor >= 1.0:
         raise EnvelopeUndefinedError(
@@ -178,7 +199,12 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
         )
     factor = report.async_factor
     kind = report.norm_kind
-    initial_error = max_block_norm(initial - fixed_point, kind)
+    block_error = block_norms((trace.initial - fixed_point).data, kind).tolist()
+    errors = array("d", [max(block_error)])
+    for comp, error in _row_results(trace, lambda rows, fired:
+                                    block_norms(rows - fixed_point.data[fired], kind)):
+        block_error[comp] = error
+        errors.append(max(block_error))
     p = trace.n_updatable
 
     # Per component, the depth of each version it produced; version 0 is the start.
@@ -209,9 +235,9 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
             elif old == lowest and not left:
                 lowest = min(live)
         depths.append(lowest)
-    bounds = array("d", (0.0 if math.isinf(d) else factor ** d * initial_error
+    bounds = array("d", (0.0 if math.isinf(d) else factor ** d * errors[0]
                          for d in depths))
-    return np.array(depths), np.array(bounds)
+    return np.array(depths), np.array(bounds), np.array(errors)
 
 
 def check_finite_termination(trace: AsyncTrace,
@@ -219,10 +245,10 @@ def check_finite_termination(trace: AsyncTrace,
     """Smallest event index whose state matches the reference.
 
     The index counts executed events (0 is the initial state) and the match
-    rule is ``matches_reference``; synchronous runs record the same index
-    while sweeping (``run_parareal(..., reference=...)``). Returns None when
-    the trace never reaches the reference, which at desk scale indicates an
-    invalid schedule or a too-short horizon.
+    rule is ``blocks_match`` on every block; synchronous runs record the same
+    index while sweeping (``run_parareal(..., reference=...)``). Returns None
+    when the trace never reaches the reference, which at desk scale indicates
+    an invalid schedule or a too-short horizon.
 
     The rule is elementwise, so it is kept per block: one match flag per
     component and a count of mismatched blocks, updated as the value column
@@ -236,19 +262,12 @@ def check_finite_termination(trace: AsyncTrace,
     mismatched = matched.count(False)
     if not mismatched:
         return 0
-    comps = trace.component
-    k = 0
-    for chunk in trace.value_blocks():
-        # Runs of a few hundred rows keep the temporaries small.
-        for lo in range(0, len(chunk), 256):
-            rows = chunk[lo:lo + 256]
-            fired = comps[k:k + len(rows)]
-            for comp, flag in zip(fired, blocks_match(rows, ref[fired]).tolist()):
-                k += 1
-                mismatched += matched[comp] - flag
-                matched[comp] = flag
-                if not mismatched:
-                    return k
+    flags = _row_results(trace, lambda rows, fired: blocks_match(rows, ref[fired]))
+    for k, (comp, flag) in enumerate(flags, 1):
+        mismatched += matched[comp] - flag
+        matched[comp] = flag
+        if not mismatched:
+            return k
     return None
 
 

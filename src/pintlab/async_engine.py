@@ -294,14 +294,6 @@ class AsyncTrace:
                 data[comp] = self._value(index[version - 1])
         return BlockVector(data)
 
-    def states(self) -> Iterator[BlockVector]:
-        """The start state, then the state after each event in order."""
-        data = self.initial.data.copy()
-        yield BlockVector(data.copy())
-        for comp, value in zip(self.component, self.values):
-            data[comp] = value
-            yield BlockVector(data.copy())
-
     def to_jsonl(self) -> str:
         lines = []
         for k, ev in enumerate(self.events):

@@ -102,47 +102,39 @@ class BlockVector:
     def copy(self) -> "BlockVector":
         return BlockVector(self.data.copy())
 
-    def max_abs(self) -> float:
-        """Infinity norm over every entry of every block."""
-        if self.data.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.data)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BlockVector(n_blocks={self.n_blocks}, dim={self.block_dim})"
 
 
-def matches_reference(state: BlockVector, reference: BlockVector) -> bool:
-    """The finite-termination match rule, shared by the sync and async checks.
-
-    Every entry lies within MATCH_RTOL of the reference entry, relative to
-    the reference, with no absolute tolerance.
-    """
-    return bool(np.all(blocks_match(state.data, reference.data)))
-
-
 def blocks_match(blocks: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """``matches_reference`` per row of two (n, dim) arrays of finite values.
+    """The finite-termination match rule, per row of two (n, dim) arrays of
+    finite values; the sync and async checks share it.
 
     Row i is True when every entry of it lies within MATCH_RTOL of the
-    matching reference entry, relative to the reference. For finite values
-    this is the rule of ``np.allclose(..., rtol=MATCH_RTOL, atol=0)``, entry
-    by entry, so a state matches exactly when all of its blocks do.
+    matching reference entry, relative to the reference, with no absolute
+    tolerance. For finite values this is the rule of
+    ``np.allclose(..., rtol=MATCH_RTOL, atol=0)``, entry by entry, so a state
+    matches exactly when all of its blocks do.
     """
     return np.all(np.abs(blocks - reference) <= MATCH_RTOL * np.abs(reference), axis=1)
 
 
-def max_block_norm(x: BlockVector, kind: NormKind = NormKind.SPECTRAL) -> float:
-    """Largest per-block vector norm, inner norm matched to ``kind``.
+def block_norms(blocks: np.ndarray, kind: NormKind = NormKind.SPECTRAL) -> np.ndarray:
+    """Vector norm of each row of an (n, dim) array, inner norm matched to ``kind``.
 
     SPECTRAL pairs with the Euclidean block norm, INFINITY with max-abs,
-    so operator-norm bounds apply blockwise without mixing norms.
+    so operator-norm bounds apply blockwise without mixing norms. A row's
+    norm has the same bits in any batch of rows; a 1-D ``np.linalg.norm``
+    of the row rounds differently in the last bit.
     """
-    if x.data.size == 0:
-        return 0.0
     if kind is NormKind.INFINITY:
-        return float(np.max(np.abs(x.data)))
-    return float(np.max(np.linalg.norm(x.data, axis=1)))
+        return np.max(np.abs(blocks), axis=1, initial=0.0)
+    return np.linalg.norm(blocks, axis=1)
+
+
+def max_block_norm(x: BlockVector, kind: NormKind = NormKind.SPECTRAL) -> float:
+    """Largest per-block vector norm (``block_norms``); 0 with no entries."""
+    return float(np.max(block_norms(x.data, kind), initial=0.0))
 
 
 def abs_matrix(m) -> np.ndarray:

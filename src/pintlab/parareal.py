@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import BlockVector, matches_reference
+from .linalg import BlockVector, blocks_match
 from .model import AffinePropagator
 
 STOP_THRESHOLD = "threshold"
@@ -113,10 +113,10 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     swap roles each sweep. Rows below k-1 already agree in both, so sweep k
     copies over the row that froze last sweep and rewrites rows k..p only;
     its delta is taken over those rows. When a reference is given, each
-    iterate is tested against it (``matches_reference``) until the first
-    match, whose sweep index becomes finite_termination_index. epsilon and
-    k_max only choose when to stop: the iterate after sweep j is the same,
-    bitwise, in every run that gets that far.
+    iterate is tested against it (``blocks_match`` on every block) until
+    the first match, whose sweep index becomes finite_termination_index.
+    epsilon and k_max only choose when to stop: the iterate after sweep j is
+    the same, bitwise, in every run that gets that far.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -126,7 +126,7 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     lam = coarse_init(coarse, u0, p)
     new = BlockVector(np.zeros_like(lam.data))
     match = None
-    if reference is not None and matches_reference(lam, reference):
+    if reference is not None and blocks_match(lam.data, reference.data).all():
         match = 0
     deltas: list[float] = []
     stop_reason = STOP_KMAX
@@ -142,7 +142,8 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
             raise ValueError("block entries must be finite")
         deltas.append(delta)
         lam, new = new, lam
-        if match is None and reference is not None and matches_reference(lam, reference):
+        if (match is None and reference is not None
+                and blocks_match(lam.data, reference.data).all()):
             match = k
         if delta < epsilon:
             stop_reason = STOP_THRESHOLD

@@ -14,11 +14,12 @@ afterwards, as a reference for the streaming loop.
 ``replay_engine_views`` and ``scan_activation_order`` are references for the
 async engine: the stop-predicate views by side tables kept next to the log,
 and the random-fair activation order by a full deadline scan per event.
-``sliding_window_fairness``, ``replay_envelope`` and
+``sliding_window_fairness``, ``replay_envelope``, ``state_errors`` and
 ``scan_finite_termination`` are references for the post-hoc audits: the
 fairness check by a count per sliding window, the depth envelope by a
-version counter and nested version-to-depth dicts, and the
-finite-termination index by matching every full state in turn.
+version counter and nested version-to-depth dicts, and the measured error
+and the finite-termination index from every full state in turn, each
+rebuilt by ``state_after``.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from pintlab.linalg import max_block_norm
+from pintlab.linalg import NormKind, max_block_norm
 from pintlab.parareal import (
     STOP_EXACT,
     STOP_KMAX,
@@ -265,7 +266,7 @@ def sliding_window_fairness(trace) -> list[tuple[int, int]]:
     return fairness
 
 
-def replay_envelope(trace, report, fixed_point, initial):
+def replay_envelope(trace, report, fixed_point):
     """(depths, bounds) of the staleness-aware envelope by version counters.
 
     Keeps a version counter per component and a dict of dicts from
@@ -274,7 +275,7 @@ def replay_envelope(trace, report, fixed_point, initial):
     times the initial error, zero at infinite depth.
     """
     factor = report.async_factor
-    initial_error = max_block_norm(initial - fixed_point, report.norm_kind)
+    initial_error = max_block_norm(trace.initial - fixed_point, report.norm_kind)
     p = trace.n_updatable
 
     version_depth: dict[int, dict[int, float]] = {0: {0: math.inf}}
@@ -304,13 +305,31 @@ def replay_envelope(trace, report, fixed_point, initial):
     return np.asarray(depths), np.asarray(bounds)
 
 
+def _full_states(trace):
+    """The start state, then the state after each event, each rebuilt whole."""
+    return (trace.state_after(k) for k in range(-1, len(trace.events)))
+
+
+def state_errors(trace, fixed_point, kind) -> np.ndarray:
+    """Largest block norm of state - fixed_point for every full state.
+
+    Written out in numpy on the whole state, not through ``block_norms``:
+    max-abs over every entry for INFINITY, the largest of the row norms
+    ``np.linalg.norm(·, axis=1)`` for SPECTRAL.
+    """
+    diffs = [(state - fixed_point).data for state in _full_states(trace)]
+    if kind is NormKind.INFINITY:
+        return np.array([np.max(np.abs(d)) for d in diffs])
+    return np.array([np.max(np.linalg.norm(d, axis=1)) for d in diffs])
+
+
 def scan_finite_termination(trace, reference):
     """First event index whose full state matches the reference, or None.
 
     Builds every state of the trace (0 is the initial state) and tests it
     whole: every entry within rtol 1e-12 (atol 0) of the reference.
     """
-    for idx, state in enumerate(trace.states()):
+    for idx, state in enumerate(_full_states(trace)):
         if np.allclose(state.data, reference.data, rtol=1e-12, atol=0.0):
             return idx
     return None

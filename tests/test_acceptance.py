@@ -205,8 +205,7 @@ def test_04_staleness_envelope_bound():
             n_traces += 1
             for kind in NormKind:
                 report = contraction_factors(coarse, fine, p, kind=kind)
-                _, bounds = async_error_envelope(trace, report, oracle,
-                                                 trace.initial)
+                _, bounds, _ = async_error_envelope(trace, report, oracle)
                 measured = [max_block_norm(trace.initial - oracle, kind)]
                 measured += [max_block_norm(trace.state_after(i) - oracle, kind)
                              for i in range(len(trace.events))]

@@ -25,6 +25,7 @@ from pintlab.analysis import (
     sync_cost,
 )
 from pintlab.async_engine import (
+    CHUNK_BYTES,
     AsyncSchedule,
     AsyncTrace,
     POLICIES,
@@ -42,7 +43,7 @@ from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
 
-from helpers import replay_envelope, scan_finite_termination
+from helpers import replay_envelope, scan_finite_termination, state_errors
 
 # ------------------------------------------------------- contraction factors
 
@@ -147,7 +148,7 @@ def test_envelope_depths_hand_trace():
     trace = _envelope_trace(events, 3)
     report = factors_from_norms(0.3, 0.2, p=3, kind=NormKind.INFINITY)
     fixed = BlockVector(np.array([[0.0], [1.0], [0.0], [0.0]]))
-    depths, bounds = async_error_envelope(trace, report, fixed, trace.initial)
+    depths, bounds, _ = async_error_envelope(trace, report, fixed)
     assert list(depths) == [0, 0, 0, 1, 1, 1, 2, 2, 2, math.inf]
     assert list(bounds) == [1.0, 1.0, 1.0, 0.5, 0.5, 0.5,
                             0.25, 0.25, 0.25, 0.0]
@@ -173,10 +174,10 @@ def test_envelope_stale_read_lowers_global_depth():
     trace = _envelope_trace(events, 4)
     report = factors_from_norms(0.3, 0.2, p=4, kind=NormKind.INFINITY)
     fixed = BlockVector(np.array([[0.0], [1.0], [0.0], [0.0], [0.0]]))
-    depths, bounds = async_error_envelope(trace, report, fixed, trace.initial)
+    depths, bounds, _ = async_error_envelope(trace, report, fixed)
     assert list(depths) == [0, 0, 0, 0, 1, 1, 1, 2, 2, 1, 1, math.inf]
     assert list(bounds) == [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.25, 0.25, 0.5, 0.5, 0.0]
-    want = replay_envelope(trace, report, fixed, trace.initial)
+    want = replay_envelope(trace, report, fixed)
     assert depths.tobytes() == want[0].tobytes() and bounds.tobytes() == want[1].tobytes()
 
 
@@ -186,7 +187,7 @@ def test_envelope_undefined_when_factor_too_large(heat_setups):
                                AsyncSchedule(seed=1, delay_bound=1))
     report = factors_from_norms(0.9, 0.3, p=3)
     with pytest.raises(EnvelopeUndefinedError):
-        async_error_envelope(trace, report, trace.initial, trace.initial)
+        async_error_envelope(trace, report, trace.initial)
 
 
 @pytest.mark.parametrize("kind", [NormKind.INFINITY, NormKind.SPECTRAL])
@@ -197,7 +198,7 @@ def test_envelope_dominates_measured_error(heat_setups, kind):
                                AsyncSchedule(seed=3, delay_bound=2))
     report = contraction_factors(coarse, fine, p, kind=kind)
     fixed = sequential_fine_solve(fine, ivp.u0, p)
-    depths, bounds = async_error_envelope(trace, report, fixed, trace.initial)
+    depths, bounds, _ = async_error_envelope(trace, report, fixed)
     assert len(bounds) == len(trace.events) + 1
     assert bounds[-1] == 0.0
     measured = [max_block_norm(trace.initial - fixed, kind)]
@@ -222,9 +223,9 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
                                              policy=policy))
     report = contraction_factors(coarse, fine, p, kind=kind)
     fixed = sequential_fine_solve(fine, ivp.u0, p)
-    got = async_error_envelope(trace, report, fixed, trace.initial)
-    want = replay_envelope(trace, report, fixed, trace.initial)
-    for g, w in zip(got, want):
+    got = async_error_envelope(trace, report, fixed)[:2]
+    want = replay_envelope(trace, report, fixed)
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     at = data.draw(st.integers(0, len(trace.events)))
@@ -241,7 +242,46 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
         persistent_slots=trace.persistent_slots)
     for envelope in (async_error_envelope, replay_envelope):
         with pytest.raises(KeyError):
-            envelope(tampered, report, fixed, trace.initial)
+            envelope(tampered, report, fixed)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([NormKind.INFINITY, NormKind.SPECTRAL]))
+def test_envelope_errors_match_state_norms(heat_setups, policy, delay_bound, p, seed,
+                                           kind):
+    # the error kept per block gives the whole-state norm of every state,
+    # byte for byte: same kernel, same bits, whichever batch a row sits in
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    report = contraction_factors(coarse, fine, p, kind=kind)
+    fixed = sequential_fine_solve(fine, ivp.u0, p)
+    errors = async_error_envelope(trace, report, fixed)[2]
+    want = state_errors(trace, fixed, kind)
+    assert errors.dtype == want.dtype and errors.tobytes() == want.tobytes()
+
+
+def test_envelope_errors_across_chunk_boundaries():
+    # blocks this wide leave four rows per chunk, so 14 events span four
+    # chunks; random values move the largest block error up and down
+    dim = CHUNK_BYTES // 32 + 1
+    p, n_events = 3, 14
+    rng = np.random.default_rng(7)
+    events = [UpdateRecord(component=int(c), reads=(), digest="", delta=0.0)
+              for c in rng.integers(1, p + 1, size=n_events)]
+    trace = AsyncTrace.from_records(
+        events, rng.standard_normal((n_events, dim)) * rng.uniform(0.5, 2.0, (n_events, 1)),
+        initial=BlockVector(rng.standard_normal((p + 1, dim))),
+        schedule=AsyncSchedule(seed=0, delay_bound=0), n_updatable=p)
+    assert len(list(trace.value_blocks())) > 2
+    fixed = BlockVector(rng.standard_normal((p + 1, dim)))
+    for kind in NormKind:
+        report = factors_from_norms(0.3, 0.2, p=p, kind=kind)
+        errors = async_error_envelope(trace, report, fixed)[2]
+        assert errors.tobytes() == state_errors(trace, fixed, kind).tobytes()
 
 
 # ---------------------------------------------------- termination detection

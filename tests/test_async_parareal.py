@@ -71,13 +71,11 @@ def test_first_worker_exact_after_first_firing(heat_setups):
         trace = run_async_parareal(coarse, fine, ivp.u0, 3,
                                    AsyncSchedule(seed=seed, delay_bound=3))
         fired = False
-        states = trace.states()
-        next(states)
-        for idx, (ev, state) in enumerate(zip(trace.events, states)):
+        for idx, ev in enumerate(trace.events):
             if ev.component == 1:
                 fired = True
             if fired:
-                assert np.array_equal(state[1], fine_seq[1]), idx
+                assert np.array_equal(trace.state_after(idx)[1], fine_seq[1]), idx
 
 
 def test_exactness_cascade_at_quiescence(heat_setups):

@@ -37,7 +37,7 @@ def test_block_vector_round_trip():
     assert np.array_equal(x.flat, [1, 2, 3, -4, 0, 0.5])
     y = BlockVector.from_flat(x.flat, 3)
     assert np.array_equal(x.data, y.data)
-    assert x.max_abs() == 4.0
+    assert max_block_norm(x, NormKind.INFINITY) == 4.0
 
 
 def test_block_vector_sub_and_copy_independent():
@@ -46,7 +46,7 @@ def test_block_vector_sub_and_copy_independent():
     y.data[0, 0] = 7.0
     assert x.data[0, 0] == 1.0
     d = y - x
-    assert d.max_abs() == 6.0
+    assert max_block_norm(d, NormKind.INFINITY) == 6.0
     with pytest.raises(DimensionError):
         _ = x - BlockVector(np.ones((3, 3)))
 
@@ -63,7 +63,10 @@ def test_block_vector_validation():
 def test_max_block_norm_kinds():
     x = BlockVector.from_blocks([[3.0, 4.0], [1.0, -2.0]])
     assert max_block_norm(x, NormKind.SPECTRAL) == 5.0
-    assert max_block_norm(x, NormKind.INFINITY) == x.max_abs() == 4.0
+    assert max_block_norm(x, NormKind.INFINITY) == 4.0
+    for shape in ((0, 2), (2, 0)):
+        for kind in NormKind:
+            assert max_block_norm(BlockVector(np.zeros(shape)), kind) == 0.0
 
 
 # --------------------------------------------------------------- operator norm
