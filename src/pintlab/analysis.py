@@ -29,7 +29,7 @@ from .errors import (
     UndefinedLimitError,
     UnfittableError,
 )
-from .linalg import NormKind, abs_matrix, block_norms, lu_solve, operator_norm
+from .linalg import NormKind, block_norms, lu_solve, operator_norm
 from .linalg import BlockVector, blocks_match, spectral_radius
 from .model import AffinePropagator
 
@@ -191,7 +191,8 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     the norm of the block it wrote, with the bits of the whole-state norm.
 
     Returns (depths, bounds, errors), each of length n_events + 1 with entry
-    0 describing the initial state.
+    0 describing the initial state, as arrays over the columns built here
+    (no copy).
     """
     if report.async_factor >= 1.0:
         raise EnvelopeUndefinedError(
@@ -237,7 +238,7 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
         depths.append(lowest)
     bounds = array("d", (0.0 if math.isinf(d) else factor ** d * errors[0]
                          for d in depths))
-    return np.array(depths), np.array(bounds), np.array(errors)
+    return np.frombuffer(depths), np.frombuffer(bounds), np.frombuffer(errors)
 
 
 def check_finite_termination(trace: AsyncTrace,
@@ -281,7 +282,7 @@ def chazan_miranker_check(a_mat, m_mat) -> CheckResult:
     a = np.asarray(a_mat, dtype=float)
     m = np.asarray(m_mat, dtype=float)
     iteration = np.eye(a.shape[0]) - lu_solve(m, a)
-    radius = spectral_radius(abs_matrix(iteration))
+    radius = spectral_radius(np.abs(iteration))
     return CheckResult(radius < 1.0, 1.0 - radius)
 
 

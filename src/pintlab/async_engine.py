@@ -90,28 +90,29 @@ class AsyncMapping:
     component's previous event.
     """
 
-    n_updatable: int
-    arity: int
     eval_fn: Callable[[int, dict], np.ndarray]
     read_set: dict[int, tuple[tuple[int, int], ...]]
     persistent_slots: dict[int, int] = field(default_factory=dict)
 
+    @property
+    def n_updatable(self) -> int:
+        return len(self.read_set)
+
     def __post_init__(self):
-        if self.n_updatable < 1:
-            raise ValueError("need at least one updatable component")
-        for i in range(1, self.n_updatable + 1):
-            if i not in self.read_set:
-                raise ValueError(f"read_set missing component {i}")
-            for source, slot in self.read_set[i]:
-                if not 0 <= source <= self.n_updatable:
+        p = self.n_updatable
+        if p < 1 or sorted(self.read_set) != list(range(1, p + 1)):
+            raise ValueError(f"read_set keys must be 1..n, n >= 1; got {sorted(self.read_set)}")
+        for i, reads in self.read_set.items():
+            for source, slot in reads:
+                if not 0 <= source <= p:
                     raise DimensionError(f"component {i} reads unknown source {source}")
-                if not 1 <= slot <= self.arity:
-                    raise DimensionError(f"component {i} uses slot {slot} > arity {self.arity}")
+                if slot < 1:
+                    raise DimensionError(f"component {i} uses slot {slot} < 1")
         for slot, base in self.persistent_slots.items():
             if base in self.persistent_slots:
                 raise ValueError(f"persistent slot {slot} chained onto persistent slot {base}")
-        for i in range(1, self.n_updatable + 1):
-            by_slot = {slot: src for src, slot in self.read_set[i]}
+        for i, reads in self.read_set.items():
+            by_slot = {slot: src for src, slot in reads}
             for slot, base in self.persistent_slots.items():
                 if slot in by_slot and by_slot.get(base) != by_slot[slot]:
                     raise ValueError(
@@ -186,14 +187,13 @@ class AsyncTrace:
     derived from the value, and ``values[k]`` is a read-only row view of the
     value event k wrote. Version v >= 1 of a component is the value of its
     v-th event, version 0 its block of ``initial``; every state is derived
-    from the log and ``initial``.
+    from the log and ``initial``, one block per component.
     """
 
-    def __init__(self, initial: BlockVector, schedule: AsyncSchedule, n_updatable: int,
+    def __init__(self, initial: BlockVector, schedule: AsyncSchedule,
                  persistent_slots: dict[int, int], stop_reason: str = ""):
         self.initial = initial
         self.schedule = schedule
-        self.n_updatable = n_updatable
         self.persistent_slots = persistent_slots
         self.stop_reason = stop_reason
         self.component = array("q")
@@ -201,21 +201,21 @@ class AsyncTrace:
         self.reads_flat = array("q")
         self.read_offsets = array("q", [0])
         # component -> index of the event that produced each of its versions
-        self._event_index = [array("q") for _ in range(n_updatable + 1)]
+        self._event_index = [array("q") for _ in range(initial.n_blocks)]
         self._chunk_rows = max(MIN_CHUNK_ROWS, CHUNK_BYTES // (8 * max(initial.block_dim, 1)))
         self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
         self._tail: np.ndarray | None = None  # the last chunk, writable
 
     @classmethod
     def from_records(cls, records: Iterable[UpdateRecord], values: Iterable,
-                     initial: BlockVector, schedule: AsyncSchedule, n_updatable: int,
+                     initial: BlockVector, schedule: AsyncSchedule,
                      persistent_slots: dict[int, int] | None = None,
                      stop_reason: str = "") -> "AsyncTrace":
         """Pack records and the values they produced into a trace.
 
         A record's digest is not kept: the log derives it from the value.
         """
-        trace = cls(initial, schedule, n_updatable, dict(persistent_slots or {}), stop_reason)
+        trace = cls(initial, schedule, dict(persistent_slots or {}), stop_reason)
         for record, value in zip(records, values, strict=True):
             value = np.asarray(value, dtype=float)
             if value.shape != (initial.block_dim,):
@@ -224,6 +224,10 @@ class AsyncTrace:
             trace.append(record.component, [x for read in record.reads for x in read],
                          record.delta, value)
         return trace
+
+    @property
+    def n_updatable(self) -> int:
+        return self.initial.n_blocks - 1
 
     @property
     def n_events(self) -> int:
@@ -285,7 +289,7 @@ class AsyncTrace:
 
     def state_after(self, event_index: int) -> BlockVector:
         """State once ``event_index + 1`` events have run; -1 gives the start."""
-        if event_index >= self.n_events:
+        if not -1 <= event_index < self.n_events:
             raise IndexError(f"trace has no event {event_index}")
         data = self.initial.data.copy()
         for comp, index in enumerate(self._event_index):
@@ -374,7 +378,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         raise DimensionError(f"init has {init.n_blocks} blocks, expected {p + 1}")
     window = schedule.window(p)
     driver = _ScheduleDriver(schedule, p)
-    trace = AsyncTrace(init.copy(), schedule, p, dict(mapping.persistent_slots))
+    trace = AsyncTrace(init.copy(), schedule, dict(mapping.persistent_slots))
 
     persistent = mapping.persistent_slots
     # The log is the only record of versions: a component's version is the
@@ -528,9 +532,7 @@ def update_counts(trace: AsyncTrace) -> tuple[np.ndarray, int]:
     model charges; an empty trace gives zero.
     """
     counts = np.array([len(index) for index in trace._event_index], dtype=int)
-    if counts[1:].size == 0:
-        return counts, 0
-    return counts, int(np.max(counts[1:]))
+    return counts, int(np.max(counts[1:], initial=0))
 
 
 def linear_relaxation_mapping(a_mat, m_diag, rhs) -> tuple[AsyncMapping, BlockVector]:
@@ -551,20 +553,13 @@ def linear_relaxation_mapping(a_mat, m_diag, rhs) -> tuple[AsyncMapping, BlockVe
         raise ValueError("splitting diagonal must be invertible")
 
     def eval_fn(i: int, read_values: dict) -> np.ndarray:
-        row = a[i - 1]
-        acc = b[i - 1]
-        for j in range(1, n + 1):
-            x_j = read_values[(j, 1)][0]
-            acc -= row[j - 1] * x_j
-        x_i = read_values[(i, 1)][0]
-        return np.array([x_i + acc / d[i - 1]])
+        x = np.array([read_values[(j, 1)][0] for j in range(1, n + 1)])
+        return np.array([x[i - 1] + (b[i - 1] - a[i - 1] @ x) / d[i - 1]])
 
     read_set = {
         i: tuple((j, 1) for j in range(1, n + 1)) for i in range(1, n + 1)
     }
-    mapping = AsyncMapping(
-        n_updatable=n, arity=1, eval_fn=eval_fn, read_set=read_set
-    )
+    mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set)
     init = BlockVector(np.zeros((n + 1, 1)))
     return mapping, init
 

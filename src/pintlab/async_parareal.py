@@ -40,13 +40,8 @@ def async_parareal_mapping(coarse: AffinePropagator, fine: AffinePropagator,
         i: ((i - 1, FRESH_SLOT), (i - 1, REMEMBERED_SLOT))
         for i in range(1, p + 1)
     }
-    return AsyncMapping(
-        n_updatable=p,
-        arity=2,
-        eval_fn=eval_fn,
-        read_set=read_set,
-        persistent_slots={REMEMBERED_SLOT: FRESH_SLOT},
-    )
+    return AsyncMapping(eval_fn=eval_fn, read_set=read_set,
+                        persistent_slots={REMEMBERED_SLOT: FRESH_SLOT})
 
 
 def async_stop_check(worker_deltas, epsilon: float, drained: bool) -> bool:

@@ -115,9 +115,9 @@ def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
             raise ConfigError(f"{where}: missing required field '{key}'")
         return default
     value = raw[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ConfigError(
-            f"{where}.{key}: expected {getattr(kinds, '__name__', kinds)}, "
+            f"{where}.{key}: expected {getattr(kinds, '__name__', 'number')}, "
             f"got {type(value).__name__}"
         )
     return value
@@ -145,7 +145,10 @@ def _parse_problem(raw, where: str) -> LinearIVP:
             raise ConfigError(
                 f"{where}: unknown parameters for '{name}': {', '.join(unknown)}"
             )
-        kwargs = {k: raw.get(k, v) for k, v in defaults.items()}
+        # an int default (n_interior) takes ints only
+        kwargs = {k: _expect(raw, k, int if isinstance(v, int) else (int, float), where,
+                             required=False, default=v)
+                  for k, v in defaults.items()}
         try:
             return builder(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -164,7 +167,7 @@ def _parse_propagator(raw, where: str) -> PropagatorSpec:
         known = ", ".join(sorted(PROPAGATOR_RULES))
         raise ConfigError(f"{where}.rule: unknown rule '{rule}' (known: {known})")
     steps = _expect(raw, "steps", int, where)
-    if isinstance(steps, bool) or steps < 1:
+    if steps < 1:
         raise ConfigError(f"{where}.steps: need a positive integer, got {steps!r}")
     return PropagatorSpec(rule=rule, steps=steps)
 
@@ -190,15 +193,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     label = _expect(raw, "label", str, "config", required=False, default="experiment")
     ivp = _parse_problem(_expect(raw, "problem", dict, "config"), "config.problem")
     p = _expect(raw, "p", int, "config")
-    if isinstance(p, bool) or p < 1:
+    if p < 1:
         raise ConfigError(f"config.p: need a positive integer, got {p!r}")
     fine = _parse_propagator(_expect(raw, "fine", dict, "config"), "config.fine")
     coarse = _parse_propagator(_expect(raw, "coarse", dict, "config"), "config.coarse")
     epsilon = _expect(raw, "epsilon", (int, float), "config", required=False, default=0.0)
-    if isinstance(epsilon, bool) or epsilon < 0.0:
+    if epsilon < 0.0:
         raise ConfigError(f"config.epsilon: need a number >= 0, got {epsilon!r}")
     k_max = _expect(raw, "k_max", int, "config", required=False)
-    if k_max is not None and (isinstance(k_max, bool) or k_max < 1):
+    if k_max is not None and k_max < 1:
         raise ConfigError(f"config.k_max: need a positive integer, got {k_max!r}")
     norm_name = _expect(raw, "norm", str, "config", required=False, default="spectral")
     try:
@@ -213,7 +216,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     costs = _expect(raw, "costs", dict, "config", required=False, default={})
     def cost_field(key):
         v = _expect(costs, key, (int, float), "config.costs", required=False)
-        if v is not None and (isinstance(v, bool) or v < 0.0):
+        if v is not None and v < 0.0:
             raise ConfigError(f"config.costs.{key}: need a number >= 0, got {v!r}")
         return None if v is None else float(v)
     known_top = {"label", "problem", "p", "fine", "coarse", "epsilon", "k_max",

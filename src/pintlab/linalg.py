@@ -137,11 +137,6 @@ def max_block_norm(x: BlockVector, kind: NormKind = NormKind.SPECTRAL) -> float:
     return float(np.max(block_norms(x.data, kind), initial=0.0))
 
 
-def abs_matrix(m) -> np.ndarray:
-    """Entrywise absolute value (comparison matrix of a linear map)."""
-    return np.abs(as_matrix(m))
-
-
 def operator_norm(m, kind: NormKind = NormKind.SPECTRAL) -> float:
     """Induced operator norm of a square matrix.
 

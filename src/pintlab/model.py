@@ -59,7 +59,24 @@ class LinearIVP:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearIVP":
-        return cls(doc["A"], doc["c"], doc["u0"], doc["T"], doc.get("label", "ivp"))
+        """Decode ``to_dict`` output: A, c, u0 and T hold JSON numbers (never
+        strings or bools) and the label is a string."""
+        for key, depth in (("A", 2), ("c", 1), ("u0", 1), ("T", 0)):
+            _require_numbers(doc[key], depth, key)
+        label = doc.get("label", "ivp")
+        if not isinstance(label, str):
+            raise TypeError(f"label: expected a string, got {label!r}")
+        return cls(doc["A"], doc["c"], doc["u0"], doc["T"], label)
+
+
+def _require_numbers(value, depth: int, where: str) -> None:
+    """Require ``depth`` levels of lists around JSON numbers."""
+    kinds = list if depth else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{where}: expected {'a list' if depth else 'a number'}, "
+                        f"got {value!r}")
+    for j, item in enumerate(value if depth else ()):
+        _require_numbers(item, depth - 1, f"{where}[{j}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,50 +125,40 @@ def fine_from_onestep(onestep: AffinePropagator, count: int) -> AffinePropagator
     return folded
 
 
-def _onestep(ivp: LinearIVP, dt: float, lhs: np.ndarray, rhs_mat: np.ndarray,
-             rhs_off: np.ndarray) -> AffinePropagator:
+def _theta_propagator(ivp: LinearIVP, span: float, steps: int,
+                      theta: float) -> AffinePropagator:
+    """theta-method over ``span`` in ``steps`` equal implicit steps.
+
+    One step maps u to (I - theta dt A)^{-1} ((I + (1 - theta) dt A) u + dt c).
+    """
+    if steps < 1:
+        raise ValueError(f"step count must be >= 1, got {steps}")
+    if not span > 0.0:
+        raise ValueError(f"span must be positive, got {span}")
+    dt = span / steps
+    eye = np.eye(ivp.dim)
+    lhs = eye - theta * dt * ivp.a_mat
+    rhs = np.hstack([eye + (1.0 - theta) * dt * ivp.a_mat, dt * ivp.forcing[:, None]])
     try:
-        solved = lu_solve(lhs, np.hstack([rhs_mat, rhs_off[:, None]]))
+        solved = lu_solve(lhs, rhs)
     except SingularMatrixError as err:
         raise SingularSystemError(
             f"implicit step with dt={dt} is singular (pivot {err.pivot:.3e})",
             dt=dt,
             pivot=err.pivot,
         ) from err
-    return AffinePropagator(
-        matrix=solved[:, :-1], offset=solved[:, -1], cost_units=UNIT_STEP_COST
-    )
+    step = AffinePropagator(solved[:, :-1], solved[:, -1], UNIT_STEP_COST)
+    return fine_from_onestep(step, steps)
 
 
 def backward_euler_propagator(ivp: LinearIVP, span: float, steps: int) -> AffinePropagator:
-    """Backward Euler over ``span`` in ``steps`` equal implicit steps.
-
-    One step maps u to (I - dt A)^{-1} (u + dt c).
-    """
-    if steps < 1:
-        raise ValueError(f"step count must be >= 1, got {steps}")
-    if not span > 0.0:
-        raise ValueError(f"span must be positive, got {span}")
-    dt = span / steps
-    eye = np.eye(ivp.dim)
-    step = _onestep(ivp, dt, eye - dt * ivp.a_mat, eye, dt * ivp.forcing)
-    return fine_from_onestep(step, steps)
+    """Backward Euler (theta = 1) over ``span`` in ``steps`` equal implicit steps."""
+    return _theta_propagator(ivp, span, steps, 1.0)
 
 
 def trapezoidal_propagator(ivp: LinearIVP, span: float, steps: int) -> AffinePropagator:
-    """Trapezoidal rule over ``span`` in ``steps`` equal implicit steps.
-
-    One step maps u to (I - dt/2 A)^{-1} ((I + dt/2 A) u + dt c).
-    """
-    if steps < 1:
-        raise ValueError(f"step count must be >= 1, got {steps}")
-    if not span > 0.0:
-        raise ValueError(f"span must be positive, got {span}")
-    dt = span / steps
-    eye = np.eye(ivp.dim)
-    half = 0.5 * dt * ivp.a_mat
-    step = _onestep(ivp, dt, eye - half, eye + half, dt * ivp.forcing)
-    return fine_from_onestep(step, steps)
+    """Trapezoidal rule (theta = 1/2) over ``span`` in ``steps`` equal implicit steps."""
+    return _theta_propagator(ivp, span, steps, 0.5)
 
 
 PROPAGATOR_RULES = {

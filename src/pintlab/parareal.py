@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import BlockVector, blocks_match
+from .linalg import BlockVector, blocks_match, lu_solve
 from .model import AffinePropagator
 
 STOP_THRESHOLD = "threshold"
@@ -172,41 +172,17 @@ class BlockSystem:
     p: int
     dim: int
 
-    @property
-    def coarse_matrix(self) -> np.ndarray:
-        d = self.dim
-        return -self.m_block[d : 2 * d, 0:d]
-
-    def solve_preconditioner(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve m_block @ y = rhs by forward block substitution.
-
-        m_block is unit lower block bidiagonal, so p substitution passes
-        suffice; no explicit inverse is ever formed.
-        """
-        r = np.asarray(rhs, dtype=float)
-        if r.shape[0] != (self.p + 1) * self.dim:
-            raise DimensionError("rhs size does not match the block system")
-        vec_in = r.ndim == 1
-        mat = r[:, None] if vec_in else r
-        d = self.dim
-        g = self.coarse_matrix
-        out = np.empty_like(mat)
-        out[0:d] = mat[0:d]
-        for i in range(1, self.p + 1):
-            lo = i * d
-            out[lo : lo + d] = mat[lo : lo + d] + g @ out[lo - d : lo]
-        return out[:, 0] if vec_in else out
-
     def iteration_matrix(self) -> np.ndarray:
-        """I - M^{-1} A, assembled via forward block substitutions."""
+        """I - M^{-1} A, with M^{-1} A from one LU solve. When the coarse map's
+        entries are below one in magnitude, no pivot swaps a row."""
         n = (self.p + 1) * self.dim
-        return np.eye(n) - self.solve_preconditioner(self.a_block)
+        return np.eye(n) - lu_solve(self.m_block, self.a_block)
 
     def richardson_step(self, lam: BlockVector) -> BlockVector:
         """Apply lam -> (I - M^{-1} A) lam + M^{-1} b without forming I - M^{-1}A."""
         flat = lam.flat
         residual = self.rhs - self.a_block @ flat
-        updated = flat + self.solve_preconditioner(residual)
+        updated = flat + lu_solve(self.m_block, residual)
         return BlockVector.from_flat(updated, self.p + 1)
 
 

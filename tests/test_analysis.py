@@ -112,6 +112,27 @@ def test_divergent_coarse_fails_both_checks():
     assert not async_convergence_check(r).holds
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1e6),
+       st.integers(min_value=1, max_value=10_000))
+def test_convergence_checks_asymptotically_equivalent(coarse, defect, p):
+    # the sync condition is the async one plus the slack coarse^p * defect:
+    # weaker at every p, and equal once that slack rounds away against 1
+    r = factors_from_norms(coarse, defect, p)
+    sync, asyn = sync_convergence_check(r), async_convergence_check(r)
+    assert sync.margin >= asyn.margin
+    if asyn.holds:
+        assert sync.holds
+    if coarse ** p * defect < 1e-17:
+        assert sync.margin == asyn.margin
+
+
+def test_sync_condition_weaker_at_finite_p():
+    r = factors_from_norms(0.5, 0.6, p=1)
+    assert sync_convergence_check(r).holds
+    assert not async_convergence_check(r).holds
+
+
 def test_check_result_is_tuple():
     res = CheckResult(True, 0.25)
     holds, margin = res
@@ -130,7 +151,7 @@ def _envelope_trace(events, p):
         events, [np.zeros(1) for _ in events],
         initial=BlockVector(np.zeros((p + 1, 1))), stop_reason="quiescence",
         schedule=AsyncSchedule(seed=0, delay_bound=0),
-        n_updatable=p, persistent_slots={2: 1},
+        persistent_slots={2: 1},
     )
 
 
@@ -238,7 +259,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
     tampered = AsyncTrace.from_records(
         trace.events[:at] + [bad] + trace.events[at:],
         trace.values[:at] + [trace.values[0]] + trace.values[at:],
-        initial=trace.initial, schedule=trace.schedule, n_updatable=p,
+        initial=trace.initial, schedule=trace.schedule,
         persistent_slots=trace.persistent_slots)
     for envelope in (async_error_envelope, replay_envelope):
         with pytest.raises(KeyError):
@@ -275,7 +296,7 @@ def test_envelope_errors_across_chunk_boundaries():
     trace = AsyncTrace.from_records(
         events, rng.standard_normal((n_events, dim)) * rng.uniform(0.5, 2.0, (n_events, 1)),
         initial=BlockVector(rng.standard_normal((p + 1, dim))),
-        schedule=AsyncSchedule(seed=0, delay_bound=0), n_updatable=p)
+        schedule=AsyncSchedule(seed=0, delay_bound=0))
     assert len(list(trace.value_blocks())) > 2
     fixed = BlockVector(rng.standard_normal((p + 1, dim)))
     for kind in NormKind:

@@ -74,19 +74,20 @@ def test_schedule_validation_and_round_trip():
 def test_mapping_validation():
     fn = lambda i, reads: np.zeros(1)
     with pytest.raises(ValueError):
-        AsyncMapping(n_updatable=2, arity=1, eval_fn=fn, read_set={1: ((0, 1),)})
-    with pytest.raises(DimensionError):
-        AsyncMapping(n_updatable=1, arity=1, eval_fn=fn, read_set={1: ((5, 1),)})
-    with pytest.raises(DimensionError):
-        AsyncMapping(n_updatable=1, arity=1, eval_fn=fn, read_set={1: ((0, 2),)})
+        AsyncMapping(eval_fn=fn, read_set={})
     with pytest.raises(ValueError):
-        AsyncMapping(n_updatable=1, arity=3, eval_fn=fn,
-                     read_set={1: ((0, 1), (0, 2), (0, 3))},
+        # the keys must be exactly 1..n
+        AsyncMapping(eval_fn=fn, read_set={1: ((0, 1),), 3: ((0, 1),)})
+    with pytest.raises(DimensionError):
+        AsyncMapping(eval_fn=fn, read_set={1: ((5, 1),)})
+    with pytest.raises(DimensionError):
+        AsyncMapping(eval_fn=fn, read_set={1: ((0, 0),)})
+    with pytest.raises(ValueError):
+        AsyncMapping(eval_fn=fn, read_set={1: ((0, 1), (0, 2), (0, 3))},
                      persistent_slots={3: 2, 2: 1})
     with pytest.raises(ValueError):
         # persisted slot must re-read the same source as its base slot
-        AsyncMapping(n_updatable=2, arity=2, eval_fn=fn,
-                     read_set={1: ((0, 1), (2, 2)), 2: ((1, 1), (1, 2))},
+        AsyncMapping(eval_fn=fn, read_set={1: ((0, 1), (2, 2)), 2: ((1, 1), (1, 2))},
                      persistent_slots={2: 1})
 
 
@@ -155,7 +156,6 @@ def _handmade_trace(events, n_updatable, window_sched, persistent=None):
         initial=BlockVector(np.zeros((n_updatable + 1, 1))),
         stop_reason="stop-predicate",
         schedule=window_sched,
-        n_updatable=n_updatable,
         persistent_slots=persistent or {},
     )
 
@@ -263,8 +263,7 @@ def test_horizon_exhausted_carries_partial_trace():
     def grow(i, reads):
         return reads[(1, 1)] + 1.0
 
-    mapping = AsyncMapping(n_updatable=1, arity=1, eval_fn=grow,
-                           read_set={1: ((1, 1),)})
+    mapping = AsyncMapping(eval_fn=grow, read_set={1: ((1, 1),)})
     init = BlockVector(np.zeros((2, 1)))
     sched = AsyncSchedule(seed=0, delay_bound=0, max_events=50)
     with pytest.raises(HorizonExhausted) as exc_info:
@@ -351,6 +350,11 @@ def test_version_value_reconstruction(heat_setups):
         trace.version_value(1, -1)
     with pytest.raises(IndexError):
         trace.state_after(len(trace.events))
+    # -1 is the start; events[-2] is an event, so state_after(-2) is no state
+    assert np.array_equal(trace.state_after(-1).data, trace.initial.data)
+    with pytest.raises(IndexError):
+        trace.state_after(-2)
+    assert trace.n_updatable == 4
 
 
 @settings(deadline=None, max_examples=40)
@@ -390,8 +394,7 @@ def _two_sampled_slots_mapping(p):
         return 0.5 * (first + second) + 0.25 * (first - kept)
 
     read_set = {i: ((i - 1, 1), (i - 1, 2), (i - 1, 3)) for i in range(1, p + 1)}
-    mapping = AsyncMapping(n_updatable=p, arity=3, eval_fn=eval_fn,
-                           read_set=read_set, persistent_slots={3: 1})
+    mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set, persistent_slots={3: 1})
     init = BlockVector(np.vstack([np.ones((1, 2)), np.zeros((p, 2))]))
     return mapping, init
 
@@ -439,8 +442,7 @@ def test_engine_views_match_side_table_replay(heat_setups, kind, policy,
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_value_rejected(bad):
-    mapping = AsyncMapping(n_updatable=1, arity=1,
-                           eval_fn=lambda i, reads: np.array([bad]),
+    mapping = AsyncMapping(eval_fn=lambda i, reads: np.array([bad]),
                            read_set={1: ((0, 1),)})
     with pytest.raises(ValueError, match="non-finite"):
         simulate_async(mapping, BlockVector(np.zeros((2, 1))),
@@ -455,8 +457,7 @@ def test_log_keeps_a_copy_of_each_value():
         out[0] = reads[(1, 1)][0] + 1.0
         return out
 
-    mapping = AsyncMapping(n_updatable=1, arity=1, eval_fn=count_up,
-                           read_set={1: ((1, 1),)})
+    mapping = AsyncMapping(eval_fn=count_up, read_set={1: ((1, 1),)})
     trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
                            AsyncSchedule(seed=0, delay_bound=0),
                            stop=lambda view: view.k >= 4)
@@ -484,8 +485,7 @@ def _recording_mapping(p, dim):
         return out
 
     read_set = {i: ((i - 1, 1), (i - 1, 2), (i, 3)) for i in range(1, p + 1)}
-    mapping = AsyncMapping(n_updatable=p, arity=3, eval_fn=eval_fn,
-                           read_set=read_set, persistent_slots={2: 1})
+    mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set, persistent_slots={2: 1})
     init = BlockVector(-np.arange(1.0, (p + 1) * dim + 1).reshape(p + 1, dim))
     return mapping, init, seen
 

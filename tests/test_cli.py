@@ -86,6 +86,21 @@ def read_summary(out: Path):
                                      "polcy": "round-robin"}),
     lambda c: c["schedules"].append({"delay_bound": 0}),
     lambda c: c["schedules"].append([3, 0]),
+    # problem parameters are JSON numbers, never strings or booleans
+    lambda c: c.update(problem={"name": "heat1d", "t_final": "0.2"}),
+    lambda c: c.update(problem={"name": "heat1d", "initial_temp": "30"}),
+    lambda c: c.update(problem={"name": "heat1d", "length": True}),
+    lambda c: c.update(problem={"name": "heat1d", "boundary_left": False}),
+    lambda c: c.update(problem={"name": "heat1d", "n_interior": 8.0}),
+    lambda c: c.update(problem={"name": "heat1d", "n_interior": True}),
+    lambda c: c["problem"].update(rate=True),
+    lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": ["1"], "T": 2.0}),
+    lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [1.0], "T": "2"}),
+    lambda c: c.update(problem={"A": [[True]], "c": [0.0], "u0": [1.0], "T": 2.0}),
+    lambda c: c.update(problem={"A": [-1.0], "c": [0.0], "u0": [1.0], "T": 2.0}),
+    lambda c: c.update(problem={"A": [[-1.0]], "c": [False], "u0": [1.0], "T": 2.0}),
+    lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [1.0], "T": 2.0,
+                                "label": 7}),
 ])
 def test_invalid_configs_rejected(mutate):
     cfg = base_config()
@@ -240,14 +255,42 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_benchmark_tracer_names_resolve():
+TRACED_RUN = """
+import importlib.util, json, sys
+from pintlab.cli import parse_config, run_experiment
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+config = parse_config(json.loads(sys.argv[2]))
+tracer.span("cli.run_experiment", run_experiment, config, sys.argv[3], True)
+print(json.dumps(tracer.per_layer(0)))
+"""
+
+
+def test_benchmark_tracer_names_resolve(tmp_path):
     # the benchmark's per-layer tracer swaps pintlab names for timing wrappers
     # by (module, attribute); a rename under src/ must fail here, not in a
     # traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    root = Path(__file__).resolve().parents[1]
+    path = root / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     for name, (module, attr) in {**tracing.SPANS, **tracing.LEAVES}.items():
         assert callable(getattr(module, attr, None)), (name, module.__name__, attr)
     assert "stop" in inspect.signature(simulate_async).parameters
+    # install() also wraps PROPAGATOR_RULES values and BlockVector.copy and
+    # reads the traces it counts: one traced run exercises every hook, in a
+    # child process because the wrappers stay for the life of the process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(path), json.dumps(base_config(p=4)),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True)
+    per_layer = json.loads(proc.stdout)
+    for name in ("model.fold_s", "async_engine.events", "parareal.sweeps"):
+        assert per_layer[name] > 0, name
