@@ -154,18 +154,12 @@ def compare_factors(report: ContractionReport) -> RateComparison:
 def _row_results(trace: AsyncTrace, per_rows) -> Iterator[tuple[int, object]]:
     """(component, result) per event in order, walking the value column.
 
-    ``per_rows(rows, fired)`` gets a run of produced values and the
-    components that produced them, and returns one result per row. Runs of a
-    few hundred rows keep its temporaries small.
+    ``per_rows(rows, fired)`` gets one chunk of produced values and the
+    components that produced them, and returns one result per row; a row's
+    result must not depend on the rows batched with it.
     """
-    comps = trace.component
-    k = 0
-    for chunk in trace.value_blocks():
-        for lo in range(0, len(chunk), 256):
-            rows = chunk[lo:lo + 256]
-            fired = comps[k:k + len(rows)]
-            k += len(rows)
-            yield from zip(fired, per_rows(rows, fired).tolist())
+    for fired, rows in trace.value_blocks():
+        yield from zip(fired, per_rows(rows, fired).tolist())
 
 
 def async_error_envelope(trace: AsyncTrace, report: ContractionReport,

@@ -37,6 +37,7 @@ POLICIES = (POLICY_ROUND_ROBIN, POLICY_RANDOM_FAIR, POLICY_ADVERSARIAL)
 
 STOP_PREDICATE = "stop-predicate"
 STOP_QUIESCENCE = "quiescence"
+STOP_HORIZON = "horizon"
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ class AsyncSchedule:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.delay_bound < 0:
             raise ValueError(f"delay bound must be >= 0, got {self.delay_bound}")
         if self.policy not in POLICIES:
@@ -130,7 +133,6 @@ class UpdateRecord:
 
     component: int
     reads: tuple[tuple[int, int, int], ...]  # (source, slot, version)
-    digest: str                              # short hash of the produced value
     delta: float                             # max-abs change against prior value
 
 
@@ -142,8 +144,7 @@ class EngineView(NamedTuple):
     drained: bool            # every sampled edge has consumed the newest version
 
 
-CHUNK_BYTES = 256 * 1024  # target size of one chunk of the value column
-MIN_CHUNK_ROWS = 4        # rows per chunk however wide a value is
+CHUNK_ROWS = 256  # rows per chunk of the value column
 
 
 class _LogView(Sequence):
@@ -180,14 +181,14 @@ class AsyncTrace:
     The log is columnar. Per event k it keeps ``component[k]``, the component
     that fired, ``delta[k]``, and its reads as flat (source, slot, version)
     triples, ``reads_flat[read_offsets[k]:read_offsets[k + 1]]``. The values
-    produced fill fixed-size 2-D chunks of about CHUNK_BYTES, so the log grows
-    without copying and holds at most one chunk of slack.
+    produced fill 2-D chunks of CHUNK_ROWS rows, so the log grows without
+    copying and holds at most one chunk of slack.
 
-    ``events[k]`` builds the UpdateRecord of event k on access, its digest
-    derived from the value, and ``values[k]`` is a read-only row view of the
-    value event k wrote. Version v >= 1 of a component is the value of its
-    v-th event, version 0 its block of ``initial``; every state is derived
-    from the log and ``initial``, one block per component.
+    ``events[k]`` builds the UpdateRecord of event k on access, and
+    ``values[k]`` is a read-only row view of the value event k wrote.
+    Version v >= 1 of a component is the value of its v-th event, version 0
+    its block of ``initial``; every state is derived from the log and
+    ``initial``, one block per component.
     """
 
     def __init__(self, initial: BlockVector, schedule: AsyncSchedule,
@@ -202,7 +203,6 @@ class AsyncTrace:
         self.read_offsets = array("q", [0])
         # component -> index of the event that produced each of its versions
         self._event_index = [array("q") for _ in range(initial.n_blocks)]
-        self._chunk_rows = max(MIN_CHUNK_ROWS, CHUNK_BYTES // (8 * max(initial.block_dim, 1)))
         self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
         self._tail: np.ndarray | None = None  # the last chunk, writable
 
@@ -213,16 +213,18 @@ class AsyncTrace:
                      stop_reason: str = "") -> "AsyncTrace":
         """Pack records and the values they produced into a trace.
 
-        A record's digest is not kept: the log derives it from the value.
+        Components and read sources must lie in 0..n_updatable.
         """
         trace = cls(initial, schedule, dict(persistent_slots or {}), stop_reason)
         for record, value in zip(records, values, strict=True):
+            flat = [x for read in record.reads for x in read]
+            if not all(0 <= c < initial.n_blocks for c in [record.component, *flat[::3]]):
+                raise DimensionError(f"{record}: components lie in 0..{trace.n_updatable}")
             value = np.asarray(value, dtype=float)
             if value.shape != (initial.block_dim,):
                 raise DimensionError(
                     f"value of shape {value.shape} for blocks of dim {initial.block_dim}")
-            trace.append(record.component, [x for read in record.reads for x in read],
-                         record.delta, value)
+            trace.append(record.component, flat, record.delta, value)
         return trace
 
     @property
@@ -246,9 +248,9 @@ class AsyncTrace:
         """Log one event: its flat (source, slot, version) reads, its delta
         and a copy of the value it produced, which has the block shape."""
         k = len(self.component)
-        row = k % self._chunk_rows
+        row = k % CHUNK_ROWS
         if row == 0:
-            self._tail = np.empty((self._chunk_rows, self.initial.block_dim))
+            self._tail = np.empty((CHUNK_ROWS, self.initial.block_dim))
             view = self._tail.view()
             view.flags.writeable = False
             self._chunks.append(view)
@@ -260,7 +262,7 @@ class AsyncTrace:
         self._event_index[component].append(k)
 
     def _value(self, k: int) -> np.ndarray:
-        chunk, row = divmod(k, self._chunk_rows)
+        chunk, row = divmod(k, CHUNK_ROWS)
         return self._chunks[chunk][row]
 
     def reads_of(self, k: int) -> tuple[tuple[int, int, int], ...]:
@@ -270,13 +272,14 @@ class AsyncTrace:
 
     def _record(self, k: int) -> UpdateRecord:
         return UpdateRecord(component=self.component[k], reads=self.reads_of(k),
-                            digest=_value_digest(self._value(k)), delta=self.delta[k])
+                            delta=self.delta[k])
 
-    def value_blocks(self) -> Iterator[np.ndarray]:
-        """The value column in event order, as read-only 2-D runs of rows."""
-        n = self.n_events
-        for q, chunk in enumerate(self._chunks):
-            yield chunk[:n - q * self._chunk_rows]
+    def value_blocks(self) -> Iterator[tuple[array, np.ndarray]]:
+        """The value column in event order, chunk by chunk: the components
+        that fired and the read-only 2-D rows they produced."""
+        for lo, chunk in zip(range(0, self.n_events, CHUNK_ROWS), self._chunks):
+            fired = self.component[lo:lo + CHUNK_ROWS]
+            yield fired, chunk[:len(fired)]
 
     def version_value(self, component: int, version: int) -> np.ndarray:
         """The value a (component, version) stamp refers to."""
@@ -300,19 +303,15 @@ class AsyncTrace:
 
     def to_jsonl(self) -> str:
         lines = []
-        for k, ev in enumerate(self.events):
+        for k in range(self.n_events):
             lines.append(json.dumps({
                 "k": k,
-                "component": ev.component,
-                "reads": [list(r) for r in ev.reads],
-                "digest": ev.digest,
-                "delta": ev.delta,
+                "component": self.component[k],
+                "reads": [list(r) for r in self.reads_of(k)],
+                "digest": hashlib.sha256(self._value(k).tobytes()).hexdigest()[:16],
+                "delta": self.delta[k],
             }, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _value_digest(value: np.ndarray) -> str:
-    return hashlib.sha256(value.tobytes()).hexdigest()[:16]
 
 
 class _ScheduleDriver:
@@ -360,9 +359,10 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     """Run the event loop until a stop condition fires.
 
     Halts when the caller's stop predicate returns True, or at exact
-    quiescence. Hitting max_events first raises HorizonExhausted carrying
-    the partial trace. Every read is served from the trace being built, so
-    the returned log is exactly what each event consumed.
+    quiescence. Hitting max_events first sets stop_reason to STOP_HORIZON
+    and raises HorizonExhausted carrying the partial trace. Every read is
+    served from the trace being built, so the returned log is exactly what
+    each event consumed.
 
     Quiescence means no admissible pending read could change any component.
     A single fair window of bitwise-unchanged values is not enough to
@@ -443,6 +443,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
             trace.stop_reason = STOP_PREDICATE
             return trace
 
+    trace.stop_reason = STOP_HORIZON
     raise HorizonExhausted(
         f"no stop condition met within {schedule.max_events} events", trace
     )
@@ -490,23 +491,21 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     versions = [0] * (p + 1)
     last_fired = [-1] * (p + 1)
     unfair_from: dict[int, int] = {}   # component -> its first offending window
-    prev_base_read: dict[tuple[int, int], int] = {}
+    sampled: dict[tuple[int, int], int] = {}  # (component, slot) -> version last read
     for k, comp in enumerate(trace.component):
-        fresh_this_event: dict[int, int] = {}
-        for source, slot, version in trace.reads_of(k):
+        reads = trace.reads_of(k)
+        for source, slot, version in reads:
             if slot in persistent:
-                base = persistent[slot]
-                expected = prev_base_read.get((comp, base), 0)
-                if version != expected:
+                if version != sampled.get((comp, persistent[slot]), 0):
                     provenance.append((k, slot, version))
             else:
                 oldest = max(versions[source] - bound, 0)
                 if version < oldest or version > versions[source]:
                     staleness.append((k, source, version, oldest))
-                fresh_this_event[slot] = version
-        for base_slot, version in fresh_this_event.items():
-            if base_slot in persistent.values():
-                prev_base_read[(comp, base_slot)] = version
+        # after the checks: a persisted read replays the previous event's
+        for _source, slot, version in reads:
+            if slot not in persistent:
+                sampled[comp, slot] = version
         versions[comp] += 1
         if k - last_fired[comp] > win:
             unfair_from.setdefault(comp, last_fired[comp] + 1)

@@ -58,16 +58,18 @@ def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
                        epsilon: float | None = None) -> AsyncTrace:
     """Simulate the asynchronous iteration from the coarse initialization.
 
-    With epsilon given, stops once all per-worker last-update changes are
-    strictly below it and the read edges are drained; with epsilon None the
-    run continues to exact quiescence (a full fairness window without any
-    bitwise change), which the finite-termination property guarantees at
-    desk scale.
+    With a positive epsilon, stops once all per-worker last-update changes
+    are strictly below it and the read edges are drained; with epsilon None
+    or 0 the run continues to exact quiescence (a full fairness window
+    without any bitwise change), which the finite-termination property
+    guarantees at desk scale. A negative epsilon raises before the run.
     """
+    if epsilon is not None and epsilon < 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     mapping = async_parareal_mapping(coarse, fine, p)
     init = coarse_init(coarse, u0, p)
     stop = None
-    if epsilon is not None:
+    if epsilon:
         eps = float(epsilon)
 
         def stop(view: EngineView) -> bool:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -33,7 +34,7 @@ from .analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from .async_engine import AsyncSchedule, update_counts, validate_schedule
+from .async_engine import STOP_HORIZON, AsyncSchedule, update_counts, validate_schedule
 from .async_parareal import run_async_parareal
 from .errors import ConfigError, HorizonExhausted, UnfittableError
 from .linalg import BlockVector, NormKind, max_block_norm
@@ -120,6 +121,8 @@ def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
             f"{where}.{key}: expected {getattr(kinds, '__name__', 'number')}, "
             f"got {type(value).__name__}"
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 
 
@@ -258,29 +261,24 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
 
     The row holds only the per-run columns. The JSONL trace goes to
     traces_dir when one is given. The trace lives only in this frame, so it
-    is freed before the next schedule runs. A run that exhausts its event
-    horizon reports stop_reason "horizon".
+    is freed before the next schedule runs.
     """
     tag = _schedule_tag(sched)
-    eps = config.epsilon if config.epsilon > 0.0 else None
     try:
         trace = run_async_parareal(coarse, fine, config.ivp.u0, config.p, sched,
-                                   epsilon=eps)
-        horizon_hit = False
+                                   epsilon=config.epsilon)
     except HorizonExhausted as exc:
         trace = exc.trace
-        horizon_hit = True
         log.warning("schedule %s exhausted its event horizon", tag)
     counts, kappa = update_counts(trace)
     final = trace.state_after(len(trace.events) - 1)
     err = max_block_norm(final - oracle, NormKind.INFINITY)
     validation = validate_schedule(trace)
-    stop_reason = "horizon" if horizon_hit else trace.stop_reason
     run_entry = {
         "mode": "async", "schedule": sched.to_dict(), "tag": tag,
         "events": len(trace.events), "kappa": kappa,
         "per_component_counts": counts.tolist(),
-        "stop_reason": stop_reason,
+        "stop_reason": trace.stop_reason,
         "model_cost": async_cost(replace(costs, kappa=kappa)),
         "error_vs_oracle": err,
         "schedule_valid": validation.ok,
@@ -293,14 +291,14 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
             None if sigmas[-1] == float("inf") else float(sigmas[-1])
         )
         run_entry["bound_final"] = float(bounds[-1])
-    if not horizon_hit and k <= kappa:
+    if trace.stop_reason != STOP_HORIZON and k <= kappa:
         ratio = speedup_bound(replace(costs, k=k, kappa=kappa))
         run_entry["speedup_bound"] = ratio.bound
         run_entry["speedup_achieved"] = ratio.achieved
     row = {"mode": "async", "policy": sched.policy, "seed": sched.seed,
            "delay_bound": sched.delay_bound, "iterations": kappa,
            "events": len(trace.events), "model_cost": run_entry["model_cost"],
-           "error_vs_oracle": err, "stop_reason": stop_reason}
+           "error_vs_oracle": err, "stop_reason": trace.stop_reason}
     if traces_dir is not None:
         name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
         (traces_dir / name).write_text(trace.to_jsonl(), encoding="utf-8")
@@ -389,7 +387,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         run_entry, row = _run_schedule(
             config, sched, coarse, fine, oracle, report_con, async_ok.holds,
             costs, k, traces_dir)
-        if run_entry["stop_reason"] == "horizon":
+        if run_entry["stop_reason"] == STOP_HORIZON:
             exit_code = 2
         runs.append(run_entry)
         rows.append({**shared, **row})
@@ -488,8 +486,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             if args.seed_override is not None:
-                config.schedules = [replace(s, seed=args.seed_override + i)
-                                    for i, s in enumerate(config.schedules)]
+                config.schedules = [
+                    _parse_schedule({**s.to_dict(), "seed": args.seed_override + i},
+                                    "--seed-override")
+                    for i, s in enumerate(config.schedules)]
             _report, code = run_experiment(config, args.out,
                                            write_traces=args.traces)
             if code != 0:

@@ -40,9 +40,11 @@ class LinearIVP:
         n = self.a_mat.shape[0]
         if self.forcing.shape[0] != n or self.u0.shape[0] != n:
             raise DimensionError("forcing and initial state must match the matrix size")
+        if not (np.all(np.isfinite(self.forcing)) and np.all(np.isfinite(self.u0))):
+            raise ValueError("forcing c and initial state u0 must be finite")
         self.t_final = float(self.t_final)
-        if not self.t_final > 0.0:
-            raise ValueError(f"final time must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < np.inf:
+            raise ValueError(f"final time T must be positive and finite, got {self.t_final}")
 
     @property
     def dim(self) -> int:

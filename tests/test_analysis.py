@@ -25,7 +25,7 @@ from pintlab.analysis import (
     sync_cost,
 )
 from pintlab.async_engine import (
-    CHUNK_BYTES,
+    CHUNK_ROWS,
     AsyncSchedule,
     AsyncTrace,
     POLICIES,
@@ -143,7 +143,7 @@ def test_check_result_is_tuple():
 
 def _envelope_event(comp, fresh_version, remembered_version):
     reads = ((comp - 1, 1, fresh_version), (comp - 1, 2, remembered_version))
-    return UpdateRecord(component=comp, reads=reads, digest="0" * 16, delta=0.0)
+    return UpdateRecord(component=comp, reads=reads, delta=0.0)
 
 
 def _envelope_trace(events, p):
@@ -255,7 +255,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
     version = data.draw(st.sampled_from([-1, reached + 1]))
     comp = data.draw(st.integers(1, p))
     bad = UpdateRecord(component=comp, reads=((comp - 1, 1, 0), (source, 2, version)),
-                       digest="0" * 16, delta=0.0)
+                       delta=0.0)
     tampered = AsyncTrace.from_records(
         trace.events[:at] + [bad] + trace.events[at:],
         trace.values[:at] + [trace.values[0]] + trace.values[at:],
@@ -286,18 +286,18 @@ def test_envelope_errors_match_state_norms(heat_setups, policy, delay_bound, p, 
 
 
 def test_envelope_errors_across_chunk_boundaries():
-    # blocks this wide leave four rows per chunk, so 14 events span four
-    # chunks; random values move the largest block error up and down
-    dim = CHUNK_BYTES // 32 + 1
-    p, n_events = 3, 14
+    # four full chunks and three rows, so the walk crosses four seams;
+    # random values move the largest block error up and down
+    dim = 5
+    p, n_events = 3, 4 * CHUNK_ROWS + 3
     rng = np.random.default_rng(7)
-    events = [UpdateRecord(component=int(c), reads=(), digest="", delta=0.0)
+    events = [UpdateRecord(component=int(c), reads=(), delta=0.0)
               for c in rng.integers(1, p + 1, size=n_events)]
     trace = AsyncTrace.from_records(
         events, rng.standard_normal((n_events, dim)) * rng.uniform(0.5, 2.0, (n_events, 1)),
         initial=BlockVector(rng.standard_normal((p + 1, dim))),
         schedule=AsyncSchedule(seed=0, delay_bound=0))
-    assert len(list(trace.value_blocks())) > 2
+    assert [len(rows) for _, rows in trace.value_blocks()] == [CHUNK_ROWS] * 4 + [3]
     fixed = BlockVector(rng.standard_normal((p + 1, dim)))
     for kind in NormKind:
         report = factors_from_norms(0.3, 0.2, p=p, kind=kind)

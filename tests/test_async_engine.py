@@ -13,11 +13,12 @@ from pintlab.async_engine import (
     AsyncMapping,
     AsyncSchedule,
     AsyncTrace,
-    CHUNK_BYTES,
-    MIN_CHUNK_ROWS,
+    CHUNK_ROWS,
+    POLICIES,
     POLICY_ADVERSARIAL,
     POLICY_RANDOM_FAIR,
     POLICY_ROUND_ROBIN,
+    STOP_HORIZON,
     STOP_QUIESCENCE,
     UpdateRecord,
     _ScheduleDriver,
@@ -69,6 +70,9 @@ def test_schedule_validation_and_round_trip():
         AsyncSchedule(seed=1, delay_bound=False)
     with pytest.raises(ValueError):
         AsyncSchedule.from_dict({"seed": 1, "delay_bound": 2, "polcy": POLICY_ROUND_ROBIN})
+    # numpy's generator takes no negative seed
+    with pytest.raises(ValueError, match="seed"):
+        AsyncSchedule(seed=-1, delay_bound=0)
 
 
 def test_mapping_validation():
@@ -100,7 +104,7 @@ def test_identical_schedules_reproduce_bitwise(heat_setups):
     t2 = run_async_parareal(coarse, fine, ivp.u0, 5, sched)
     assert len(t1.events) == len(t2.events)
     for e1, e2 in zip(t1.events, t2.events):
-        assert e1 == e2  # frozen dataclass equality: reads, digest, delta
+        assert e1 == e2  # frozen dataclass equality: component, reads, delta
     assert len(t1.values) == len(t2.values) == len(t1.events)
     for v1, v2 in zip(t1.values, t2.values):
         assert np.array_equal(v1, v2)
@@ -161,7 +165,7 @@ def _handmade_trace(events, n_updatable, window_sched, persistent=None):
 
 
 def _ev(comp, reads=()):
-    return UpdateRecord(component=comp, reads=tuple(reads), digest="0" * 16, delta=1.0)
+    return UpdateRecord(component=comp, reads=tuple(reads), delta=1.0)
 
 
 def test_fairness_violation_detected():
@@ -270,7 +274,24 @@ def test_horizon_exhausted_carries_partial_trace():
         simulate_async(mapping, init, sched, stop=None)
     trace = exc_info.value.trace
     assert len(trace.events) == 50
-    assert trace.stop_reason == ""
+    assert trace.stop_reason == STOP_HORIZON == "horizon"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**16),
+       st.integers(min_value=1, max_value=60))
+def test_horizon_trace_names_its_stop(policy, delay_bound, p, seed, max_events):
+    # every value carries a running count, so no run quiesces: each one
+    # ends on its horizon, and the partial trace says so
+    mapping, init, _ = _recording_mapping(p, 2)
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy,
+                          max_events=max_events)
+    with pytest.raises(HorizonExhausted) as exc_info:
+        simulate_async(mapping, init, sched)
+    trace = exc_info.value.trace
+    assert trace.stop_reason == STOP_HORIZON
+    assert trace.n_events == len(trace.events) == max_events
 
 
 def test_engine_rejects_mismatched_init():
@@ -449,6 +470,18 @@ def test_non_finite_value_rejected(bad):
                        AsyncSchedule(seed=0, delay_bound=0))
 
 
+def test_records_name_components_of_the_trace():
+    # a negative index would wrap to component p in the log's tables
+    sched = AsyncSchedule(seed=0, delay_bound=0)
+    for events in ([_ev(-1)], [_ev(3)], [_ev(1, reads=[(-1, 1, 0)])],
+                   [_ev(1, reads=[(3, 1, 0)])]):
+        with pytest.raises(DimensionError):
+            _handmade_trace(events, 2, sched)
+    # versions are audited, not rejected
+    trace = _handmade_trace([_ev(1, reads=[(2, 1, -1)])], 2, sched)
+    assert validate_schedule(trace).staleness_violations == [(0, 2, -1, 0)]
+
+
 def test_log_keeps_a_copy_of_each_value():
     # an eval_fn that reuses one output buffer must not rewrite logged values
     out = np.zeros(1)
@@ -515,12 +548,12 @@ def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, s
             assert np.array_equal(trace.version_value(source, version),
                                   read_values[(source, slot)]), (k, source, slot)
         assert np.array_equal(trace.values[k], out)
-        assert ev.digest == hashlib.sha256(out.tobytes()).hexdigest()[:16]
         assert ev.delta == float(np.max(np.abs(out - latest[comp])))
         latest[comp] = out
+        digest = hashlib.sha256(out.tobytes()).hexdigest()[:16]
         assert json.loads(lines[k]) == {"k": k, "component": comp,
                                         "reads": [list(r) for r in ev.reads],
-                                        "digest": ev.digest, "delta": ev.delta}
+                                        "digest": digest, "delta": ev.delta}
     assert trace.events[-1] == trace.events[n_events - 1]
     assert trace.events[1:3] == [trace.events[k] for k in range(1, min(3, n_events))]
     with pytest.raises(IndexError):
@@ -530,17 +563,17 @@ def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, s
 
 
 def test_values_agree_across_chunk_boundaries():
-    # blocks this wide leave a chunk its minimum row count, so 18 events
-    # span five chunks; every view of the log must agree across the seams
-    dim = CHUNK_BYTES // (8 * MIN_CHUNK_ROWS) + 1
-    p, n_events = 3, 18
+    # four full chunks and two rows, so every view of the log crosses four
+    # seams; each must agree with what eval_fn returned
+    p, dim, n_events = 3, 3, 4 * CHUNK_ROWS + 2
     mapping, init, seen = _recording_mapping(p, dim)
     trace = simulate_async(mapping, init, AsyncSchedule(seed=5, delay_bound=1),
                            stop=lambda view: view.k + 1 >= n_events)
     blocks = list(trace.value_blocks())
-    assert len(blocks) > 2
-    assert [len(b) for b in blocks] == [MIN_CHUNK_ROWS] * 4 + [2]
-    assert np.array_equal(np.concatenate(blocks), np.stack([out for _, _, out in seen]))
+    assert [len(rows) for _, rows in blocks] == [CHUNK_ROWS] * 4 + [2]
+    assert [c for fired, _ in blocks for c in fired] == [c for c, _, _ in seen]
+    assert np.array_equal(np.concatenate([rows for _, rows in blocks]),
+                          np.stack([out for _, _, out in seen]))
     state = init.data.copy()
     versions = [0] * (p + 1)
     for k, (comp, _, out) in enumerate(seen):
@@ -571,4 +604,4 @@ def test_trace_memory_stays_columnar():
         tracemalloc.stop()
     events = len(trace.events)
     assert events > 1000
-    assert footprint <= events * (8 * dim + 96) + CHUNK_BYTES
+    assert footprint <= events * (8 * dim + 96) + CHUNK_ROWS * 8 * dim

@@ -3,6 +3,8 @@ the zero-delay reduction to the synchronous sweep."""
 import numpy as np
 import pytest
 
+import pintlab.async_parareal
+import pintlab.parareal
 from pintlab.async_engine import AsyncSchedule, POLICY_ROUND_ROBIN, update_counts
 from pintlab.async_parareal import (
     FRESH_SLOT,
@@ -148,3 +150,25 @@ def test_epsilon_none_means_quiescence_only(heat_setups):
     trace = run_async_parareal(coarse, fine, ivp.u0, 3,
                                AsyncSchedule(seed=2, delay_bound=1))
     assert trace.stop_reason == "quiescence"
+
+
+def test_epsilon_zero_means_no_threshold(heat_setups, monkeypatch):
+    # as in run_parareal, epsilon 0 sets no threshold: the run is the
+    # default one, bit for bit
+    ivp, coarse, fine = heat_setups[4]
+    sched = AsyncSchedule(seed=2, delay_bound=1)
+    default = run_async_parareal(coarse, fine, ivp.u0, 3, sched)
+    zero = run_async_parareal(coarse, fine, ivp.u0, 3, sched, epsilon=0.0)
+    assert zero.stop_reason == default.stop_reason == "quiescence"
+    assert zero.to_jsonl() == default.to_jsonl()
+    assert zero.state_after(zero.n_events - 1).data.tobytes() == \
+        default.state_after(default.n_events - 1).data.tobytes()
+    # a negative epsilon raises in both runners before anything runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(pintlab.async_parareal, "coarse_init", no_run)
+    monkeypatch.setattr(pintlab.parareal, "coarse_init", no_run)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_async_parareal(coarse, fine, ivp.u0, 3, sched, epsilon=-1e-9)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_parareal(coarse, fine, ivp.u0, 3, epsilon=-1e-9)

@@ -101,6 +101,15 @@ def read_summary(out: Path):
     lambda c: c.update(problem={"A": [[-1.0]], "c": [False], "u0": [1.0], "T": 2.0}),
     lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [1.0], "T": 2.0,
                                 "label": 7}),
+    # json.load reads NaN and Infinity; no field takes a non-finite number
+    lambda c: c.update(epsilon=float("nan")),
+    lambda c: c.update(costs={"overhead": float("nan")}),
+    lambda c: c.update(costs={"fine_cost": float("inf")}),
+    lambda c: c.update(problem={"name": "heat1d", "t_final": float("inf")}),
+    lambda c: c.update(problem={"name": "heat1d", "initial_temp": float("nan")}),
+    lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [float("nan")],
+                                "T": 2.0}),
+    lambda c: c["schedules"].append({"seed": -1, "delay_bound": 0}),
 ])
 def test_invalid_configs_rejected(mutate):
     cfg = base_config()
@@ -115,6 +124,18 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     rc, _ = run_cli(tmp_path, cfg)
     assert rc == 1
     assert "problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, extra", [
+    (base_config(epsilon=float("nan")), []),  # written as the JSON literal NaN
+    (base_config(schedules=[{"seed": -1, "delay_bound": 0}]), []),
+    (base_config(), ["--seed-override", "-3"]),
+])
+def test_rejected_values_exit_one(tmp_path, capsys, cfg, extra):
+    rc, out = run_cli(tmp_path, cfg, extra=extra)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "report.json").exists()
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):

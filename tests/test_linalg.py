@@ -13,6 +13,8 @@ from pintlab.linalg import (
     PIVOT_REL_TOL,
     BlockVector,
     NormKind,
+    block_norms,
+    blocks_match,
     lu_solve,
     max_block_norm,
     operator_norm,
@@ -214,6 +216,24 @@ def test_lu_solve_shape_errors():
 # Entries bounded away from zero unless exactly zero, so products never
 # underflow and a rank-one matrix stays rank one to working precision.
 _ENTRY = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-6)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data(), st.integers(min_value=1, max_value=600),
+       st.integers(min_value=1, max_value=40))
+def test_row_kernels_do_not_depend_on_the_batch(data, n, d):
+    # the post-hoc walks batch rows by chunk of the value column; a row's
+    # norm and match flag must have the same bits in any batch that holds it
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    ref = x * (1.0 + rng.choice([0.0, 5e-13, 2e-12], (n, d)))
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    for kind in NormKind:
+        whole = block_norms(x, kind)
+        assert block_norms(x[lo:hi], kind).tobytes() == whole[lo:hi].tobytes()
+        assert block_norms(x[lo:lo + 1], kind).tobytes() == whole[lo:lo + 1].tobytes()
+    assert blocks_match(x[lo:hi], ref[lo:hi]).tolist() == blocks_match(x, ref)[lo:hi].tolist()
 
 
 @settings(deadline=None, max_examples=60)

@@ -143,6 +143,13 @@ def test_ivp_validation_and_round_trip():
         LinearIVP(np.eye(2), np.zeros(3), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         LinearIVP(np.eye(2), np.zeros(2), np.zeros(2), 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinearIVP(np.eye(2), [0.0, bad], np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            LinearIVP(np.eye(2), np.zeros(2), [bad, 0.0], 1.0)
+        with pytest.raises(ValueError):
+            LinearIVP(np.eye(2), np.zeros(2), np.zeros(2), bad)
     ivp = heat1d_system(4, 2.0, 1.0, 3.0, 2.0, 0.5)
     back = LinearIVP.from_dict(ivp.to_dict())
     assert np.array_equal(back.a_mat, ivp.a_mat)
