@@ -15,7 +15,16 @@ between their outputs:
     python3 scripts/artifact_digests.py > b.txt   # in the other
     diff a.txt b.txt
 
-Usage: python3 scripts/artifact_digests.py [out_dir]
+``--manifest`` first prints two ``#`` lines naming the numpy version and
+the BLAS library, the platform the digests hold for. The golden manifest
+``tests/golden_digests.txt`` is that output:
+
+    python3 scripts/artifact_digests.py --manifest > tests/golden_digests.txt
+
+``--fast`` runs only the README demo in both norms and the sweep-small
+workload, the subset that ``tests/test_golden.py`` reruns.
+
+Usage: python3 scripts/artifact_digests.py [--manifest] [--fast] [out_dir]
 """
 import os
 
@@ -23,10 +32,13 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -52,18 +64,25 @@ README_DEMO = {
 }
 
 
-def configs() -> list[dict]:
-    """Every raw config, each under a distinct label."""
+def configs(workloads=sorted(WORKLOADS)) -> list[dict]:
+    """The README demo in both norms, then the configs of ``workloads``,
+    each under a distinct label."""
     raws = [{**README_DEMO, "label": f"demo-{norm}", "norm": norm}
             for norm in ("spectral", "infinity")]
-    for name in sorted(WORKLOADS):
+    for name in workloads:
         build, _write_traces = WORKLOADS[name]
         raws.extend(build(SEED))
     return raws
 
 
-def digest_runs(out: Path) -> None:
-    for raw in configs():
+def stamp() -> list[str]:
+    """The platform lines of a manifest: numpy's version and its BLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    return [f"# numpy {np.__version__}", f"# blas {blas}"]
+
+
+def digest_runs(out: Path, raws: list[dict]) -> None:
+    for raw in raws:
         run_experiment(parse_config(raw), out / raw["label"], write_traces=True)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -71,15 +90,25 @@ def digest_runs(out: Path) -> None:
 
 
 def main() -> int:
-    if len(sys.argv) < 2:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--manifest", action="store_true",
+                        help="print the numpy and BLAS stamp lines first")
+    parser.add_argument("--fast", action="store_true",
+                        help="only the README demo and sweep-small")
+    parser.add_argument("out_dir", nargs="?", type=Path)
+    args = parser.parse_args()
+    raws = configs(["sweep-small"]) if args.fast else configs()
+    if args.manifest:
+        print("\n".join(stamp()))
+    if args.out_dir is None:
         with tempfile.TemporaryDirectory() as tmp:
-            digest_runs(Path(tmp))
+            digest_runs(Path(tmp), raws)
         return 0
-    out = Path(sys.argv[1])
-    if out.exists() and any(out.iterdir()):
-        print(f"{out} is not empty; stale files would be digested too", file=sys.stderr)
+    if args.out_dir.exists() and any(args.out_dir.iterdir()):
+        print(f"{args.out_dir} is not empty; stale files would be digested too",
+              file=sys.stderr)
         return 1
-    digest_runs(out)
+    digest_runs(args.out_dir, raws)
     return 0
 
 

@@ -154,12 +154,14 @@ def compare_factors(report: ContractionReport) -> RateComparison:
 def _row_results(trace: AsyncTrace, per_rows) -> Iterator[tuple[int, object]]:
     """(component, result) per event in order, walking the value column.
 
-    ``per_rows(rows, fired)`` gets one chunk of produced values and the
-    components that produced them, and returns one result per row; a row's
-    result must not depend on the rows batched with it.
+    ``per_rows(rows, wrote)`` gets one chunk of distinct values and the
+    components that wrote them, and returns one result per row; a row's
+    result must not depend on the rows batched with it. Each row is
+    evaluated once, and every event that logged it shares its result.
     """
-    for fired, rows in trace.value_blocks():
-        yield from zip(fired, per_rows(rows, fired).tolist())
+    results = [result for wrote, rows in trace.value_blocks()
+               for result in per_rows(rows, wrote).tolist()]
+    return zip(trace.component, map(results.__getitem__, trace.row))
 
 
 def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
@@ -196,8 +198,8 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     kind = report.norm_kind
     block_error = block_norms((trace.initial - fixed_point).data, kind).tolist()
     errors = array("d", [max(block_error)])
-    for comp, error in _row_results(trace, lambda rows, fired:
-                                    block_norms(rows - fixed_point.data[fired], kind)):
+    for comp, error in _row_results(trace, lambda rows, wrote:
+                                    block_norms(rows - fixed_point.data[wrote], kind)):
         block_error[comp] = error
         errors.append(max(block_error))
     p = trace.n_updatable
@@ -257,7 +259,7 @@ def check_finite_termination(trace: AsyncTrace,
     mismatched = matched.count(False)
     if not mismatched:
         return 0
-    flags = _row_results(trace, lambda rows, fired: blocks_match(rows, ref[fired]))
+    flags = _row_results(trace, lambda rows, wrote: blocks_match(rows, ref[wrote]))
     for k, (comp, flag) in enumerate(flags, 1):
         mismatched += matched[comp] - flag
         matched[comp] = flag

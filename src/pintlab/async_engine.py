@@ -16,8 +16,8 @@ term without re-reading old data from the network.
 """
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 import operator
 from array import array
 from bisect import bisect_right
@@ -38,6 +38,8 @@ POLICIES = (POLICY_ROUND_ROBIN, POLICY_RANDOM_FAIR, POLICY_ADVERSARIAL)
 STOP_PREDICATE = "stop-predicate"
 STOP_QUIESCENCE = "quiescence"
 STOP_HORIZON = "horizon"
+
+INDEX_MAX = 2**31 - 1  # largest entry of the trace's 4-byte ("i") columns
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,9 @@ class AsyncSchedule:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if self.max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {self.max_events}")
+        if self.max_events > INDEX_MAX:
+            raise ValueError(f"max_events must be <= {INDEX_MAX}: the trace keeps "
+                             f"event indices in 4-byte columns; got {self.max_events}")
 
     def window(self, n_updatable: int) -> int:
         return n_updatable * (self.delay_bound + 1)
@@ -109,8 +114,8 @@ class AsyncMapping:
             for source, slot in reads:
                 if not 0 <= source <= p:
                     raise DimensionError(f"component {i} reads unknown source {source}")
-                if slot < 1:
-                    raise DimensionError(f"component {i} uses slot {slot} < 1")
+                if not 1 <= slot <= INDEX_MAX:
+                    raise DimensionError(f"component {i} uses slot {slot} outside 1..{INDEX_MAX}")
         for slot, base in self.persistent_slots.items():
             if base in self.persistent_slots:
                 raise ValueError(f"persistent slot {slot} chained onto persistent slot {base}")
@@ -179,10 +184,13 @@ class AsyncTrace:
     """Event log of one simulation, self-describing for offline checks.
 
     The log is columnar. Per event k it keeps ``component[k]``, the component
-    that fired, ``delta[k]``, and its reads as flat (source, slot, version)
-    triples, ``reads_flat[read_offsets[k]:read_offsets[k + 1]]``. The values
-    produced fill 2-D chunks of CHUNK_ROWS rows, so the log grows without
-    copying and holds at most one chunk of slack.
+    that fired, ``delta[k]``, its reads as flat (source, slot, version)
+    triples, ``reads_flat[read_offsets[k]:read_offsets[k + 1]]``, and the
+    ``row[k]`` of the value column it wrote. A value bitwise equal to its
+    component's current version reuses that row; any other fills a new row,
+    written by ``row_component[row]``. Rows fill 2-D chunks of CHUNK_ROWS
+    rows, so the log grows without copying and holds at most one chunk of
+    slack. Index columns are 4-byte ints.
 
     ``events[k]`` builds the UpdateRecord of event k on access, and
     ``values[k]`` is a read-only row view of the value event k wrote.
@@ -197,12 +205,14 @@ class AsyncTrace:
         self.schedule = schedule
         self.persistent_slots = persistent_slots
         self.stop_reason = stop_reason
-        self.component = array("q")
+        self.component = array("i")
         self.delta = array("d")
-        self.reads_flat = array("q")
+        self.reads_flat = array("i")
         self.read_offsets = array("q", [0])
+        self.row = array("i")
+        self.row_component = array("i")
         # component -> index of the event that produced each of its versions
-        self._event_index = [array("q") for _ in range(initial.n_blocks)]
+        self._event_index = [array("i") for _ in range(initial.n_blocks)]
         self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
         self._tail: np.ndarray | None = None  # the last chunk, writable
 
@@ -247,22 +257,28 @@ class AsyncTrace:
                value: np.ndarray) -> None:
         """Log one event: its flat (source, slot, version) reads, its delta
         and a copy of the value it produced, which has the block shape."""
-        k = len(self.component)
-        row = k % CHUNK_ROWS
-        if row == 0:
-            self._tail = np.empty((CHUNK_ROWS, self.initial.block_dim))
-            view = self._tail.view()
-            view.flags.writeable = False
-            self._chunks.append(view)
-        self._tail[row] = value
+        index = self._event_index[component]
+        # bytes, not ==, so that -0.0 after 0.0 gets its own row and digest
+        if index and self._value(index[-1]).tobytes() == value.tobytes():
+            row = self.row[index[-1]]
+        else:
+            row = len(self.row_component)
+            if row % CHUNK_ROWS == 0:
+                self._tail = np.empty((CHUNK_ROWS, self.initial.block_dim))
+                view = self._tail.view()
+                view.flags.writeable = False
+                self._chunks.append(view)
+            self._tail[row % CHUNK_ROWS] = value
+            self.row_component.append(component)
+        index.append(len(self.component))
+        self.row.append(row)
         self.component.append(component)
         self.delta.append(delta)
         self.reads_flat.extend(reads)
         self.read_offsets.append(len(self.reads_flat))
-        self._event_index[component].append(k)
 
     def _value(self, k: int) -> np.ndarray:
-        chunk, row = divmod(k, CHUNK_ROWS)
+        chunk, row = divmod(self.row[k], CHUNK_ROWS)
         return self._chunks[chunk][row]
 
     def reads_of(self, k: int) -> tuple[tuple[int, int, int], ...]:
@@ -275,11 +291,11 @@ class AsyncTrace:
                             delta=self.delta[k])
 
     def value_blocks(self) -> Iterator[tuple[array, np.ndarray]]:
-        """The value column in event order, chunk by chunk: the components
-        that fired and the read-only 2-D rows they produced."""
-        for lo, chunk in zip(range(0, self.n_events, CHUNK_ROWS), self._chunks):
-            fired = self.component[lo:lo + CHUNK_ROWS]
-            yield fired, chunk[:len(fired)]
+        """The value column in row order, chunk by chunk: the components
+        that wrote the rows and the read-only 2-D rows themselves."""
+        for lo, chunk in zip(range(0, len(self.row_component), CHUNK_ROWS), self._chunks):
+            wrote = self.row_component[lo:lo + CHUNK_ROWS]
+            yield wrote, chunk[:len(wrote)]
 
     def version_value(self, component: int, version: int) -> np.ndarray:
         """The value a (component, version) stamp refers to."""
@@ -302,13 +318,17 @@ class AsyncTrace:
         return BlockVector(data)
 
     def to_jsonl(self) -> str:
+        import hashlib  # loads OpenSSL, which only a written trace needs
+
+        digests = [hashlib.sha256(row.tobytes()).hexdigest()[:16]
+                   for _, rows in self.value_blocks() for row in rows]
         lines = []
         for k in range(self.n_events):
             lines.append(json.dumps({
                 "k": k,
                 "component": self.component[k],
                 "reads": [list(r) for r in self.reads_of(k)],
-                "digest": hashlib.sha256(self._value(k).tobytes()).hexdigest()[:16],
+                "digest": digests[self.row[k]],
                 "delta": self.delta[k],
             }, sort_keys=True))
         return "\n".join(lines) + ("\n" if lines else "")
@@ -429,9 +449,10 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
                 f"component {comp} produced shape {new_value.shape}, "
                 f"expected {previous.shape}"
             )
-        if not np.all(np.isfinite(new_value)):
-            raise ValueError(f"component {comp} produced a non-finite value at event {k}")
         delta = float(np.max(np.abs(new_value - previous))) if new_value.size else 0.0
+        # a NaN or inf in new_value makes delta non-finite: only then look closer
+        if not math.isfinite(delta) and not np.isfinite(new_value).all():
+            raise ValueError(f"component {comp} produced a non-finite value at event {k}")
         last_deltas[comp] = delta
         trace.append(comp, reads, delta, new_value)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pintlab.analysis import async_error_envelope, check_finite_termination, factors_from_norms
 from pintlab.async_engine import (
     AsyncMapping,
     AsyncSchedule,
@@ -30,7 +31,7 @@ from pintlab.async_engine import (
 )
 from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
 from pintlab.errors import DimensionError, HorizonExhausted
-from pintlab.linalg import BlockVector
+from pintlab.linalg import BlockVector, NormKind
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import coarse_init
 
@@ -470,6 +471,33 @@ def test_non_finite_value_rejected(bad):
                        AsyncSchedule(seed=0, delay_bound=0))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_value_rejected_at_its_event(bad):
+    # finite values first; the bad entry sits in the middle of event 3's block
+    def eval_fn(i, reads):
+        out = reads[(1, 1)] + 1.0
+        if out[0] == 4.0:
+            out[1] = bad
+        return out
+
+    mapping = AsyncMapping(eval_fn=eval_fn, read_set={1: ((1, 1),)})
+    with pytest.raises(ValueError, match="component 1 produced a non-finite value at event 3$"):
+        simulate_async(mapping, BlockVector(np.zeros((2, 3))),
+                       AsyncSchedule(seed=0, delay_bound=0))
+
+
+def test_overflowing_delta_of_finite_values_is_logged():
+    # finite values whose difference overflows give delta inf, not an error
+    produce = iter([1e308, -1e308])
+    mapping = AsyncMapping(eval_fn=lambda i, reads: np.array([next(produce)]),
+                           read_set={1: ((0, 1),)})
+    with np.errstate(over="ignore"):
+        trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
+                               AsyncSchedule(seed=0, delay_bound=0),
+                               stop=lambda view: view.k >= 1)
+    assert list(trace.delta) == [1e308, np.inf]
+
+
 def test_records_name_components_of_the_trace():
     # a negative index would wrap to component p in the log's tables
     sched = AsyncSchedule(seed=0, delay_bound=0)
@@ -584,10 +612,150 @@ def test_values_agree_across_chunk_boundaries():
         assert np.array_equal(trace.state_after(k).data, state), k
 
 
+# ------------------------------------------------------------ compact log
+
+def _assert_log_matches_outputs(trace, outs, fixed):
+    """Check every view of the log against ``outs``, the (component, value)
+    each event produced, replayed one event at a time.
+
+    Values are compared by bytes, so a signed zero must keep its sign. An
+    event adds a row exactly when its value's bytes differ from its
+    component's current version (a component's first event always adds one).
+    The envelope's measured errors and the termination index are checked
+    against the states replayed here, for both norms.
+    """
+    assert trace.n_events == len(outs)
+    lines = trace.to_jsonl().splitlines()
+    produced = [[] for _ in range(trace.initial.n_blocks)]
+    state = trace.initial.data.copy()
+    states = [state.copy()]
+    new_rows = 0
+    for k, (comp, out) in enumerate(outs):
+        new_rows += not produced[comp] or produced[comp][-1].tobytes() != out.tobytes()
+        produced[comp].append(out)
+        state[comp] = out
+        states.append(state.copy())
+        assert trace.values[k].tobytes() == out.tobytes(), k
+        assert trace.version_value(comp, len(produced[comp])).tobytes() == out.tobytes(), k
+        assert trace.state_after(k).data.tobytes() == state.tobytes(), k
+        assert json.loads(lines[k])["digest"] == hashlib.sha256(out.tobytes()).hexdigest()[:16]
+    assert len(trace.row_component) == new_rows
+    assert sorted(set(trace.row)) == list(range(new_rows))
+    for comp, versions in enumerate(produced):
+        for version, out in enumerate(versions, 1):
+            assert trace.version_value(comp, version).tobytes() == out.tobytes()
+    for kind in NormKind:
+        report = factors_from_norms(0.3, 0.2, p=trace.n_updatable, kind=kind)
+        diffs = [st - fixed.data for st in states]
+        want = [np.max(np.abs(d)) if kind is NormKind.INFINITY
+                else np.max(np.linalg.norm(d, axis=1)) for d in diffs]
+        assert async_error_envelope(trace, report, fixed)[2].tolist() == want
+    match = next((k for k, st in enumerate(states)
+                  if np.allclose(st, fixed.data, rtol=1e-12, atol=0.0)), None)
+    assert check_finite_termination(trace, fixed) == match
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(POLICIES),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**16))
+def test_compact_log_matches_per_event_outputs(policy, delay_bound, p, seed):
+    # run to quiescence, so most events repeat their component's value and
+    # share its row; every view must still read as if each event had one
+    ivp = heat1d_system(n_interior=3, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=0.2)
+    coarse = backward_euler_propagator(ivp, 0.2, 1)
+    fine = trapezoidal_propagator(ivp, 0.2, 20)
+    inner = async_parareal_mapping(coarse, fine, p)
+    outs = []
+
+    def eval_fn(i, reads):
+        out = inner.eval_fn(i, reads)
+        outs.append((i, out.copy()))
+        return out
+
+    mapping = AsyncMapping(eval_fn, inner.read_set, inner.persistent_slots)
+    init = coarse_init(coarse, ivp.u0, p)
+    trace = simulate_async(mapping, init, AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                                        policy=policy))
+    assert trace.stop_reason == STOP_QUIESCENCE
+    assert len(trace.row_component) < trace.n_events
+    _assert_log_matches_outputs(trace, outs, trace.state_after(trace.n_events - 1))
+
+
+def test_signed_zeros_keep_their_own_rows():
+    # 0.0 == -0.0, so delta is 0, but the bytes and the digest differ
+    produce = iter([0.0, -0.0, -0.0, 0.0])
+    mapping = AsyncMapping(eval_fn=lambda i, reads: np.array([next(produce)]),
+                           read_set={1: ((0, 1),)})
+    trace = simulate_async(mapping, BlockVector(np.ones((2, 1))),
+                           AsyncSchedule(seed=0, delay_bound=0))
+    assert trace.n_events == 4
+    assert list(trace.delta) == [1.0, 0.0, 0.0, 0.0]
+    assert list(trace.row) == [0, 1, 1, 2]
+    assert list(trace.row_component) == [1, 1, 1]
+    digests = [json.loads(line)["digest"] for line in trace.to_jsonl().splitlines()]
+    assert digests[0] == digests[3] != digests[1] == digests[2]
+    assert [bool(np.signbit(v[0])) for v in trace.values] == [False, True, True, False]
+    assert np.signbit(trace.version_value(1, 2)[0])
+
+
+def test_repeats_and_new_rows_across_chunk_boundaries():
+    # about half the events repeat their component's current value; the
+    # others write a fresh value, an older version of their component, or
+    # their initial block, and each of those takes a new row. The rows fill
+    # more than four chunks, so the event -> row map crosses four seams.
+    p, dim = 3, 4
+    rng = np.random.default_rng(11)
+    initial = BlockVector(rng.standard_normal((p + 1, dim)))
+    produced = [[] for _ in range(p + 1)]
+    outs = []
+    new_rows = 0
+    while new_rows < 4 * CHUNK_ROWS + 5:
+        comp = int(rng.integers(1, p + 1))
+        history = produced[comp]
+        pick = rng.random()
+        if history and pick < 0.5:
+            out = history[-1]
+        elif len(history) > 1 and pick < 0.6:
+            out = history[int(rng.integers(0, len(history) - 1))]
+        elif pick < 0.65:
+            out = initial[comp].copy()
+        else:
+            out = rng.standard_normal(dim)
+        new_rows += not history or history[-1].tobytes() != out.tobytes()
+        history.append(out)
+        outs.append((comp, out))
+    trace = AsyncTrace.from_records(
+        [UpdateRecord(component=comp, reads=(), delta=0.0) for comp, _ in outs],
+        [out for _, out in outs], initial=initial,
+        schedule=AsyncSchedule(seed=0, delay_bound=0))
+    assert [len(rows) for _, rows in trace.value_blocks()] == [CHUNK_ROWS] * 4 + [5]
+    assert trace.n_events > 8 * CHUNK_ROWS
+    _assert_log_matches_outputs(trace, outs, BlockVector(rng.standard_normal((p + 1, dim))))
+
+
+def test_index_columns_are_four_bytes():
+    trace = AsyncTrace.from_records([_ev(1, reads=[(0, 1, 0)])], [np.zeros(1)],
+                                    initial=BlockVector(np.zeros((2, 1))),
+                                    schedule=AsyncSchedule(seed=0, delay_bound=0))
+    columns = (trace.component, trace.reads_flat, trace.row, trace.row_component,
+               *trace._event_index)
+    assert {column.itemsize for column in columns} == {4}
+    # a horizon or a slot past the columns' range fails before the run
+    AsyncSchedule(seed=0, delay_bound=0, max_events=2**31 - 1)
+    with pytest.raises(ValueError, match="4-byte"):
+        AsyncSchedule(seed=0, delay_bound=0, max_events=2**31)
+    AsyncMapping(eval_fn=lambda i, reads: reads[(0, 2**31 - 1)], read_set={1: ((0, 2**31 - 1),)})
+    with pytest.raises(DimensionError, match="slot"):
+        AsyncMapping(eval_fn=lambda i, reads: reads[(0, 2**31)], read_set={1: ((0, 2**31),)})
+
+
 def test_trace_memory_stays_columnar():
-    # the log's footprint is the d floats of each value plus a few typed
-    # integers per event, and at most one chunk of slack; one Python record
-    # and one ndarray per event would cost about 700 B each
+    # the log's footprint is the d floats of each distinct value plus a few
+    # typed integers per event, and at most one chunk of slack; one Python
+    # record and one ndarray per event would cost about 700 B each
     p = dim = 16
     ivp = heat1d_system(n_interior=dim, length=1.0, boundary_left=23.0,
                         boundary_right=23.0, initial_temp=30.0, t_final=0.2 * p)
@@ -602,6 +770,10 @@ def test_trace_memory_stays_columnar():
         footprint = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    events = len(trace.events)
+    events, rows = len(trace.events), len(trace.row_component)
     assert events > 1000
-    assert footprint <= events * (8 * dim + 96) + CHUNK_ROWS * 8 * dim
+    # a row is d floats plus its writer (4 B); an event is delta and read
+    # offset (8 B each) plus component, row, version index and two
+    # (source, slot, version) reads (4 B each): 52 B, and 20 B of headroom
+    # for array growth and the run's fixed allocations
+    assert footprint <= rows * (8 * dim + 4) + events * 72 + CHUNK_ROWS * 8 * dim

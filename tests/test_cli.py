@@ -276,6 +276,29 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+OPENSSL_PROBE = """
+import json, sys
+from pintlab.cli import main
+rc = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--traces"])
+print(json.dumps([rc, "hashlib" in sys.modules]))
+"""
+
+
+def test_sync_run_leaves_openssl_unloaded(tmp_path):
+    # hashlib pulls in OpenSSL, and only an async JSONL trace needs it (an
+    # async run loads it anyway, through numpy.random's use of secrets)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path, {k: v for k, v in base_config(p=4).items()
+                                  if k != "schedules"})
+    proc = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, str(cfg),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert list((tmp_path / "out" / "traces").iterdir())
+
+
 TRACED_RUN = """
 import importlib.util, json, sys
 from pintlab.cli import parse_config, run_experiment
