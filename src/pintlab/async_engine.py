@@ -7,8 +7,8 @@ Component 0 is pinned (it models a constant source such as the initial
 state) and is never scheduled. Every value produced goes into the trace's
 event log, and every read is served from that log.
 
-Read slots come in two flavors. A sampled slot draws a staleness in
-{0..delay_bound} from the schedule's generator and reads that many source
+Read slots come in two flavors. A sampled slot takes a staleness in
+{0..delay_bound} from the schedule's script and reads that many source
 updates behind the newest value. A persisted slot replays whichever version
 this component consumed through its base slot at its previous event - the
 "remembered input" pattern that lets a worker cancel its own stale coarse
@@ -76,6 +76,46 @@ class AsyncSchedule:
 
     def window(self, n_updatable: int) -> int:
         return n_updatable * (self.delay_bound + 1)
+
+    def script(self, mapping: "AsyncMapping") -> Iterator[tuple[int, list[int]]]:
+        """Yield this schedule's events over ``mapping``, at most max_events.
+
+        An event is (component, lags): who fires, and the staleness of each
+        of its sampled reads in read_set order. Per event, one generator
+        seeded with ``seed`` draws the component (random-fair only), then one
+        lag in 0..delay_bound per sampled read (none if delay_bound is 0 or
+        under adversarial-stale, whose lags are all delay_bound).
+        """
+        p = mapping.n_updatable
+        rng = np.random.default_rng(self.seed)
+        bound, window = self.delay_bound, self.window(p)
+        n_sampled = {i: sum(slot not in mapping.persistent_slots for _, slot in reads)
+                     for i, reads in mapping.read_set.items()}
+        # Virtual staggered history: pretend a full round just finished, so
+        # deadlines are distinct and the first window stays fair.
+        last_fired = {i: i - 1 - p for i in range(1, p + 1)}
+        for k in range(self.max_events):
+            if self.policy == POLICY_ROUND_ROBIN:
+                comp = 1 + k % p
+            elif self.policy == POLICY_ADVERSARIAL:
+                comp = p - k % p
+            else:
+                # Random pick unless some component is close to missing its
+                # fairness deadline. The least recently fired component has
+                # the earliest deadline, so it is critical whenever any
+                # component is; last_fired values are distinct, so it is unique.
+                oldest = min(last_fired, key=last_fired.__getitem__)
+                if last_fired[oldest] + window - k < p:
+                    comp = oldest
+                else:
+                    comp = int(rng.integers(1, p + 1))
+                last_fired[comp] = k
+            # lists: each tuple() of a generator would park a 1-tuple in CPython's free list
+            if self.policy == POLICY_ADVERSARIAL or bound == 0:
+                lags = [bound] * n_sampled[comp]
+            else:
+                lags = [int(rng.integers(0, bound + 1)) for _ in range(n_sampled[comp])]
+            yield comp, lags
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -334,55 +374,16 @@ class AsyncTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _ScheduleDriver:
-    """Materializes a schedule: activation order plus per-read staleness."""
-
-    def __init__(self, schedule: AsyncSchedule, n_updatable: int):
-        self.rng = np.random.default_rng(schedule.seed)
-        self.n = n_updatable
-        self.bound = schedule.delay_bound
-        self.policy = schedule.policy
-        self.window = schedule.window(n_updatable)
-        # Virtual staggered history: pretend a full round just finished, so
-        # deadlines are distinct and the first window stays fair.
-        self.last_fired = {i: i - 1 - n_updatable for i in range(1, n_updatable + 1)}
-
-    def next_component(self, k: int) -> int:
-        if self.policy == POLICY_ROUND_ROBIN:
-            choice = 1 + k % self.n
-        elif self.policy == POLICY_ADVERSARIAL:
-            choice = self.n - k % self.n
-        else:
-            # Random pick unless some component is close to missing its
-            # fairness deadline. The least recently fired component has the
-            # earliest deadline, so it is critical whenever any component
-            # is; last_fired values are distinct, so it is unique.
-            oldest = min(self.last_fired, key=self.last_fired.__getitem__)
-            if self.last_fired[oldest] + self.window - k < self.n:
-                choice = oldest
-            else:
-                choice = int(self.rng.integers(1, self.n + 1))
-        self.last_fired[choice] = k
-        return choice
-
-    def sample_staleness(self) -> int:
-        if self.policy == POLICY_ADVERSARIAL:
-            return self.bound
-        if self.bound == 0:
-            return 0
-        return int(self.rng.integers(0, self.bound + 1))
-
-
 def simulate_async(mapping: AsyncMapping, init: BlockVector,
                    schedule: AsyncSchedule,
                    stop: Callable[[EngineView], bool] | None = None) -> AsyncTrace:
     """Run the event loop until a stop condition fires.
 
     Halts when the caller's stop predicate returns True, or at exact
-    quiescence. Hitting max_events first sets stop_reason to STOP_HORIZON
-    and raises HorizonExhausted carrying the partial trace. Every read is
-    served from the trace being built, so the returned log is exactly what
-    each event consumed.
+    quiescence. Exhausting the schedule's script (max_events events) first
+    sets stop_reason to STOP_HORIZON and raises HorizonExhausted carrying
+    the partial trace. Every read is served from the trace being built, so
+    the returned log is exactly what each event consumed.
 
     Quiescence means no admissible pending read could change any component.
     A single fair window of bitwise-unchanged values is not enough to
@@ -396,8 +397,6 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     p = mapping.n_updatable
     if init.n_blocks != p + 1:
         raise DimensionError(f"init has {init.n_blocks} blocks, expected {p + 1}")
-    window = schedule.window(p)
-    driver = _ScheduleDriver(schedule, p)
     trace = AsyncTrace(init.copy(), schedule, dict(mapping.persistent_slots))
 
     persistent = mapping.persistent_slots
@@ -407,7 +406,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
     zero_streak = 0
-    quiescent_streak = (schedule.delay_bound + 3) * window
+    quiescent_streak = (schedule.delay_bound + 3) * schedule.window(p)
 
     def latest_reads(comp: int) -> tuple[tuple[int, int, int], ...]:
         return trace.reads_of(index[comp][-1]) if index[comp] else ()
@@ -426,9 +425,9 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
                 return False
         return True
 
-    for k in range(schedule.max_events):
-        comp = driver.next_component(k)
+    for k, (comp, lags) in enumerate(schedule.script(mapping)):
         previous_reads = latest_reads(comp)
+        lag = iter(lags)
         reads: list[int] = []
         read_values: dict[tuple[int, int], np.ndarray] = {}
         for source, slot in mapping.read_set[comp]:
@@ -437,7 +436,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
                 base = persistent[slot]
                 version = next((v for _, sl, v in reversed(previous_reads) if sl == base), 0)
             else:
-                version = max(len(index[source]) - driver.sample_staleness(), 0)
+                version = max(len(index[source]) - next(lag), 0)
             reads += (source, slot, version)
             read_values[(source, slot)] = trace.version_value(source, version)
 
@@ -466,7 +465,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
 
     trace.stop_reason = STOP_HORIZON
     raise HorizonExhausted(
-        f"no stop condition met within {schedule.max_events} events", trace
+        f"no stop condition met within {trace.n_events} events", trace
     )
 
 

@@ -47,7 +47,7 @@ def async_parareal_mapping(coarse: AffinePropagator, fine: AffinePropagator,
 def async_stop_check(worker_deltas, epsilon: float, drained: bool) -> bool:
     """Thresholded stop: every worker's last change strictly below epsilon
     and no newer version still unseen by its consumer."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN compares False both ways
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     deltas = np.asarray(worker_deltas, dtype=float)
     return bool(drained and float(np.max(deltas)) < epsilon)
@@ -62,9 +62,9 @@ def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
     are strictly below it and the read edges are drained; with epsilon None
     or 0 the run continues to exact quiescence (a full fairness window
     without any bitwise change), which the finite-termination property
-    guarantees at desk scale. A negative epsilon raises before the run.
+    guarantees at desk scale. A negative or NaN epsilon raises before the run.
     """
-    if epsilon is not None and epsilon < 0.0:
+    if epsilon is not None and not epsilon >= 0.0:  # NaN compares False both ways
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     mapping = async_parareal_mapping(coarse, fine, p)
     init = coarse_init(coarse, u0, p)

@@ -271,12 +271,12 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         trace = exc.trace
         log.warning("schedule %s exhausted its event horizon", tag)
     counts, kappa = update_counts(trace)
-    final = trace.state_after(len(trace.events) - 1)
+    final = trace.state_after(trace.n_events - 1)
     err = max_block_norm(final - oracle, NormKind.INFINITY)
     validation = validate_schedule(trace)
     run_entry = {
         "mode": "async", "schedule": sched.to_dict(), "tag": tag,
-        "events": len(trace.events), "kappa": kappa,
+        "events": trace.n_events, "kappa": kappa,
         "per_component_counts": counts.tolist(),
         "stop_reason": trace.stop_reason,
         "model_cost": async_cost(replace(costs, kappa=kappa)),
@@ -297,7 +297,7 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         run_entry["speedup_achieved"] = ratio.achieved
     row = {"mode": "async", "policy": sched.policy, "seed": sched.seed,
            "delay_bound": sched.delay_bound, "iterations": kappa,
-           "events": len(trace.events), "model_cost": run_entry["model_cost"],
+           "events": trace.n_events, "model_cost": run_entry["model_cost"],
            "error_vs_oracle": err, "stop_reason": trace.stop_reason}
     if traces_dir is not None:
         name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"

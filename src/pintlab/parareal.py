@@ -118,7 +118,7 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     epsilon and k_max only choose when to stop: the iterate after sweep j is
     the same, bitwise, in every run that gets that far.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # NaN compares False both ways
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cap = p if k_max is None else min(int(k_max), p)
     if cap < 1:

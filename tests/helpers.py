@@ -14,6 +14,8 @@ afterwards, as a reference for the streaming loop.
 ``replay_engine_views`` and ``scan_activation_order`` are references for the
 async engine: the stop-predicate views by side tables kept next to the log,
 and the random-fair activation order by a full deadline scan per event.
+``ReplaySchedule`` turns a trace back into the script that produced it, so
+re-executing it audits the engine against its own log.
 ``sliding_window_fairness``, ``replay_envelope``, ``state_errors`` and
 ``scan_finite_termination`` are references for the post-hoc audits: the
 fairness check by a count per sliding window, the depth envelope by a
@@ -24,9 +26,11 @@ rebuilt by ``state_after``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from pintlab.async_engine import AsyncSchedule
 from pintlab.linalg import NormKind, max_block_norm
 from pintlab.parareal import (
     STOP_EXACT,
@@ -232,6 +236,39 @@ def scan_activation_order(seed: int, p: int, delay_bound: int, n_events: int,
             if delay_bound:
                 rng.integers(0, delay_bound + 1)
     return order
+
+
+def replay_script(trace) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """A trace's events as a schedule script: per event, its component and,
+    for each sampled read in the order logged (read_set order), the source's
+    version count at that event minus the version read."""
+    persistent = trace.persistent_slots
+    versions = [0] * (trace.n_updatable + 1)
+    script = []
+    for ev in trace.events:
+        script.append((ev.component, tuple(versions[source] - version
+                                           for source, slot, version in ev.reads
+                                           if slot not in persistent)))
+        versions[ev.component] += 1
+    return tuple(script)
+
+
+@dataclass(frozen=True)
+class ReplaySchedule(AsyncSchedule):
+    """A recorded trace's schedule whose script is the trace's own events.
+
+    It keeps the trace's seed, delay bound, policy and horizon, so
+    ``validate_schedule`` audits a replay against the same (D, W).
+    """
+
+    events: tuple = ()
+
+    @classmethod
+    def of(cls, trace) -> "ReplaySchedule":
+        return cls(**{**trace.schedule.to_dict(), "events": replay_script(trace)})
+
+    def script(self, mapping):
+        return iter(self.events)
 
 
 def sliding_window_fairness(trace) -> list[tuple[int, int]]:

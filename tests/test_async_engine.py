@@ -22,7 +22,6 @@ from pintlab.async_engine import (
     STOP_HORIZON,
     STOP_QUIESCENCE,
     UpdateRecord,
-    _ScheduleDriver,
     linear_relaxation_mapping,
     relaxation_solution,
     simulate_async,
@@ -128,15 +127,20 @@ def test_different_seeds_differ(heat_setups):
 @example(64, 3, 1, 1)
 def test_deadline_pick_matches_full_scan(p, delay_bound, seed, draws):
     # one min over last_fired picks what the per-event scan of every
-    # component's deadline picks, staleness draws interleaved
-    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound)
-    driver = _ScheduleDriver(sched, p)
-    n_events = 20 * sched.window(p)
-    order = []
-    for k in range(n_events):
-        order.append(driver.next_component(k))
-        for _ in range(draws):
-            driver.sample_staleness()
+    # component's deadline picks, staleness draws interleaved: each
+    # component has `draws` sampled slots, and a persisted one that draws
+    # nothing
+    persistent = {draws + 1: 1} if draws else {}
+    read_set = {i: tuple((i - 1, slot) for slot in [*range(1, draws + 1), *persistent])
+                for i in range(1, p + 1)}
+    mapping = AsyncMapping(eval_fn=lambda i, reads: np.zeros(1), read_set=read_set,
+                           persistent_slots=persistent)
+    n_events = 20 * p * (delay_bound + 1)  # 20 fairness windows
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, max_events=n_events)
+    script = list(sched.script(mapping))
+    assert all(len(lags) == draws and all(0 <= lag <= delay_bound for lag in lags)
+               for _, lags in script)
+    order = [comp for comp, _ in script]
     assert order == scan_activation_order(seed, p, delay_bound, n_events, draws)
 
 

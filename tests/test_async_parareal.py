@@ -1,11 +1,24 @@
-"""Asynchronous time-parallel runs: replay fidelity, exactness cascade, and
-the zero-delay reduction to the synchronous sweep."""
+"""Asynchronous time-parallel runs: replay fidelity, exactness cascade, the
+zero-delay reduction to the synchronous sweep, and replay by re-execution."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pintlab.async_parareal
 import pintlab.parareal
-from pintlab.async_engine import AsyncSchedule, POLICY_ROUND_ROBIN, update_counts
+from pintlab.async_engine import (
+    POLICIES,
+    POLICY_ADVERSARIAL,
+    POLICY_RANDOM_FAIR,
+    POLICY_ROUND_ROBIN,
+    STOP_HORIZON,
+    AsyncSchedule,
+    update_counts,
+    validate_schedule,
+)
 from pintlab.async_parareal import (
     FRESH_SLOT,
     REMEMBERED_SLOT,
@@ -13,6 +26,7 @@ from pintlab.async_parareal import (
     async_stop_check,
     run_async_parareal,
 )
+from pintlab.errors import HorizonExhausted
 from pintlab.model import (
     backward_euler_propagator,
     scalar_decay_system,
@@ -25,7 +39,7 @@ from pintlab.parareal import (
     sequential_fine_solve,
 )
 
-from helpers import nth_iterate
+from helpers import ReplaySchedule, nth_iterate
 
 
 def _read_values(trace, ev):
@@ -172,3 +186,45 @@ def test_epsilon_zero_means_no_threshold(heat_setups, monkeypatch):
         run_async_parareal(coarse, fine, ivp.u0, 3, sched, epsilon=-1e-9)
     with pytest.raises(ValueError, match="epsilon"):
         run_parareal(coarse, fine, ivp.u0, 3, epsilon=-1e-9)
+
+
+@pytest.mark.parametrize("run", [
+    lambda coarse, fine, u0: run_parareal(coarse, fine, u0, 3, epsilon=math.nan),
+    lambda coarse, fine, u0: run_async_parareal(
+        coarse, fine, u0, 3, AsyncSchedule(seed=2, delay_bound=1), epsilon=math.nan),
+    lambda coarse, fine, u0: async_stop_check([0.0], epsilon=math.nan, drained=True),
+], ids=["run_parareal", "run_async_parareal", "async_stop_check"])
+def test_nan_epsilon_raises(heat_setups, run):
+    # NaN fails every comparison, so a sign test alone lets it through
+    ivp, coarse, fine = heat_setups[4]
+    with pytest.raises(ValueError, match="epsilon"):
+        run(coarse, fine, ivp.u0)
+
+
+def _async_run(coarse, fine, u0, p, schedule, epsilon):
+    try:
+        return run_async_parareal(coarse, fine, u0, p, schedule, epsilon=epsilon)
+    except HorizonExhausted as exc:
+        return exc.trace
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([0.0, 1e-9]),
+       st.one_of(st.just(20_000), st.integers(min_value=1, max_value=60)))
+@example(POLICY_RANDOM_FAIR, 3, 8, 1, 1e-9, 20_000)
+@example(POLICY_ADVERSARIAL, 2, 8, 1, 0.0, 37)
+def test_replay_reexecution_reproduces_trace(heat_setups, policy, delay_bound, p, seed,
+                                             epsilon, max_events):
+    # feeding a trace's components and read lags back as the script must
+    # reproduce every logged byte and the stop, horizon stops included
+    ivp, coarse, fine = heat_setups[4]
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy,
+                          max_events=max_events)
+    trace = _async_run(coarse, fine, ivp.u0, p, sched, epsilon)
+    replayed = _async_run(coarse, fine, ivp.u0, p, ReplaySchedule.of(trace), epsilon)
+    assert replayed.to_jsonl() == trace.to_jsonl()
+    assert replayed.stop_reason == trace.stop_reason
+    assert trace.stop_reason != STOP_HORIZON or trace.n_events == max_events
+    assert validate_schedule(replayed).ok
