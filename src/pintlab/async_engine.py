@@ -73,6 +73,9 @@ class AsyncSchedule:
         if self.max_events > INDEX_MAX:
             raise ValueError(f"max_events must be <= {INDEX_MAX}: the trace keeps "
                              f"event indices in 4-byte columns; got {self.max_events}")
+        if self.delay_bound > INDEX_MAX:
+            raise ValueError(f"delay bound must be <= {INDEX_MAX}, the largest 4-byte "
+                             f"event index; got {self.delay_bound}")
 
     def window(self, n_updatable: int) -> int:
         return n_updatable * (self.delay_bound + 1)
@@ -86,11 +89,11 @@ class AsyncSchedule:
         lag in 0..delay_bound per sampled read (none if delay_bound is 0 or
         under adversarial-stale, whose lags are all delay_bound).
         """
+        from ._pcg64 import PCG64  # only a drawn schedule needs it, so sync runs skip it
         p = mapping.n_updatable
-        rng = np.random.default_rng(self.seed)
+        rng = PCG64(self.seed)
         bound, window = self.delay_bound, self.window(p)
-        n_sampled = {i: sum(slot not in mapping.persistent_slots for _, slot in reads)
-                     for i, reads in mapping.read_set.items()}
+        n_sampled = mapping.sampled_counts()
         # Virtual staggered history: pretend a full round just finished, so
         # deadlines are distinct and the first window stays fair.
         last_fired = {i: i - 1 - p for i in range(1, p + 1)}
@@ -108,13 +111,13 @@ class AsyncSchedule:
                 if last_fired[oldest] + window - k < p:
                     comp = oldest
                 else:
-                    comp = int(rng.integers(1, p + 1))
+                    comp = rng.integers(1, p + 1)
                 last_fired[comp] = k
             # lists: each tuple() of a generator would park a 1-tuple in CPython's free list
             if self.policy == POLICY_ADVERSARIAL or bound == 0:
                 lags = [bound] * n_sampled[comp]
             else:
-                lags = [int(rng.integers(0, bound + 1)) for _ in range(n_sampled[comp])]
+                lags = [rng.integers(0, bound + 1) for _ in range(n_sampled[comp])]
             yield comp, lags
 
     def to_dict(self) -> dict:
@@ -145,6 +148,11 @@ class AsyncMapping:
     @property
     def n_updatable(self) -> int:
         return len(self.read_set)
+
+    def sampled_counts(self) -> dict[int, int]:
+        """Per component, how many of its reads take a lag from the script."""
+        return {i: sum(slot not in self.persistent_slots for _, slot in reads)
+                for i, reads in self.read_set.items()}
 
     def __post_init__(self):
         p = self.n_updatable
@@ -323,8 +331,10 @@ class AsyncTrace:
 
     def reads_of(self, k: int) -> tuple[tuple[int, int, int], ...]:
         """The (source, slot, version) reads of event k."""
-        it = iter(self.reads_flat[self.read_offsets[k]:self.read_offsets[k + 1]])
-        return tuple(zip(it, it, it))
+        flat = self.reads_flat
+        # a fixed-size tuple of a list: tuple(zip(...)) parks a spare tuple per call
+        return tuple([(flat[i], flat[i + 1], flat[i + 2])
+                      for i in range(self.read_offsets[k], self.read_offsets[k + 1], 3)])
 
     def _record(self, k: int) -> UpdateRecord:
         return UpdateRecord(component=self.component[k], reads=self.reads_of(k),
@@ -400,6 +410,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     trace = AsyncTrace(init.copy(), schedule, dict(mapping.persistent_slots))
 
     persistent = mapping.persistent_slots
+    n_sampled = mapping.sampled_counts()
     # The log is the only record of versions: a component's version is the
     # number of events it has logged.
     index = trace._event_index
@@ -426,6 +437,9 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         return True
 
     for k, (comp, lags) in enumerate(schedule.script(mapping)):
+        if len(lags) != n_sampled[comp]:
+            raise ValueError(f"event {k}: component {comp} has {n_sampled[comp]} "
+                             f"sampled reads, but the script gave {len(lags)} lags")
         previous_reads = latest_reads(comp)
         lag = iter(lags)
         reads: list[int] = []

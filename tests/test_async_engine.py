@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pintlab._pcg64 import PCG64
 from pintlab.analysis import async_error_envelope, check_finite_termination, factors_from_norms
 from pintlab.async_engine import (
     AsyncMapping,
     AsyncSchedule,
     AsyncTrace,
     CHUNK_ROWS,
+    INDEX_MAX,
     POLICIES,
     POLICY_ADVERSARIAL,
     POLICY_RANDOM_FAIR,
@@ -34,7 +36,12 @@ from pintlab.linalg import BlockVector, NormKind
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import coarse_init
 
-from helpers import replay_engine_views, scan_activation_order, sliding_window_fairness
+from helpers import (
+    ReplaySchedule,
+    replay_engine_views,
+    scan_activation_order,
+    sliding_window_fairness,
+)
 
 JACOBI_A = np.array([[2.0, 1.0], [1.0, 2.0]])
 JACOBI_B = np.array([1.0, 2.0])
@@ -70,7 +77,7 @@ def test_schedule_validation_and_round_trip():
         AsyncSchedule(seed=1, delay_bound=False)
     with pytest.raises(ValueError):
         AsyncSchedule.from_dict({"seed": 1, "delay_bound": 2, "polcy": POLICY_ROUND_ROBIN})
-    # numpy's generator takes no negative seed
+    # SeedSequence takes no negative seed
     with pytest.raises(ValueError, match="seed"):
         AsyncSchedule(seed=-1, delay_bound=0)
 
@@ -142,6 +149,24 @@ def test_deadline_pick_matches_full_scan(p, delay_bound, seed, draws):
                for _, lags in script)
     order = [comp for comp, _ in script]
     assert order == scan_activation_order(seed, p, delay_bound, n_events, draws)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.integers(min_value=0, max_value=2**96),
+                 st.integers(min_value=2**128, max_value=2**200)),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2**31),
+                          st.one_of(st.integers(min_value=1, max_value=3),
+                                    st.integers(min_value=1, max_value=INDEX_MAX + 1))),
+                min_size=1, max_size=25).filter(lambda draws: len(draws) % 2))
+# a range of 2**32 // 3 + 2 rejects a third of its 32-bit draws
+@example(0, [(0, 2**32 // 3 + 2)] * 5)
+@example(2**96, [(1, 1), (0, INDEX_MAX + 1), (1, 1)])
+def test_generator_matches_numpy_draw_for_draw(seed, draws):
+    # interleaved ranges, ranges of one that draw nothing, and odd counts of
+    # draws, so that the high half of a 64-bit output crosses calls
+    ours, numpy_rng = PCG64(seed), np.random.default_rng(seed)
+    for lo, span in draws:
+        assert ours.integers(lo, lo + span) == numpy_rng.integers(lo, lo + span)
 
 
 # ----------------------------------------------------------- schedule audit
@@ -304,6 +329,17 @@ def test_engine_rejects_mismatched_init():
     with pytest.raises(DimensionError):
         simulate_async(mapping, BlockVector(np.zeros((5, 1))),
                        AsyncSchedule(seed=0, delay_bound=0))
+
+
+@pytest.mark.parametrize("lags", [(), (1, 0)])
+def test_engine_rejects_script_with_wrong_lag_count(lags):
+    # slot 2 persists slot 1, so component 1 takes one lag per event
+    mapping = AsyncMapping(eval_fn=lambda i, reads: reads[(0, 1)] + 1.0,
+                           read_set={1: ((0, 1), (0, 2))}, persistent_slots={2: 1})
+    sched = ReplaySchedule(seed=0, delay_bound=1, events=((1, (0,)), (1, lags)))
+    with pytest.raises(ValueError, match=f"event 1: component 1 has 1 sampled reads, "
+                                         f"but the script gave {len(lags)} lags"):
+        simulate_async(mapping, BlockVector(np.zeros((2, 1))), sched)
 
 
 # ------------------------------------------------------------ relaxation demo
@@ -751,6 +787,9 @@ def test_index_columns_are_four_bytes():
     AsyncSchedule(seed=0, delay_bound=0, max_events=2**31 - 1)
     with pytest.raises(ValueError, match="4-byte"):
         AsyncSchedule(seed=0, delay_bound=0, max_events=2**31)
+    AsyncSchedule(seed=0, delay_bound=2**31 - 1)
+    with pytest.raises(ValueError, match="4-byte"):
+        AsyncSchedule(seed=0, delay_bound=2**31)
     AsyncMapping(eval_fn=lambda i, reads: reads[(0, 2**31 - 1)], read_set={1: ((0, 2**31 - 1),)})
     with pytest.raises(DimensionError, match="slot"):
         AsyncMapping(eval_fn=lambda i, reads: reads[(0, 2**31)], read_set={1: ((0, 2**31),)})

@@ -279,24 +279,36 @@ def test_cli_import_leaves_scipy_unloaded():
 OPENSSL_PROBE = """
 import json, sys
 from pintlab.cli import main
-rc = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--traces"])
-print(json.dumps([rc, "hashlib" in sys.modules]))
+rc = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[3:]])
+print(json.dumps([rc, "hashlib" in sys.modules, "numpy.random" in sys.modules]))
 """
 
 
 def test_sync_run_leaves_openssl_unloaded(tmp_path):
-    # hashlib pulls in OpenSSL, and only an async JSONL trace needs it (an
-    # async run loads it anyway, through numpy.random's use of secrets)
+    # hashlib pulls in OpenSSL, and only an async JSONL trace needs it
+    cfg = write_config(tmp_path, {k: v for k, v in base_config(p=4).items()
+                                  if k != "schedules"})
+    assert run_probe(OPENSSL_PROBE, cfg, tmp_path / "out", "--traces") == [0, False, False]
+    assert list((tmp_path / "out" / "traces").iterdir())
+
+
+def test_async_run_leaves_numpy_random_and_openssl_unloaded(tmp_path):
+    # the schedules draw from pintlab's own PCG64, so numpy.random (whose
+    # secrets import loads OpenSSL) stays out of an untraced async run
+    cfg = write_config(tmp_path, base_config(p=4))
+    assert run_probe(OPENSSL_PROBE, cfg, tmp_path / "out") == [0, False, False]
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def run_probe(code, *args):
+    """Run ``code`` in a fresh interpreter on this checkout's src; its last
+    stdout line, parsed as JSON."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cfg = write_config(tmp_path, {k: v for k, v in base_config(p=4).items()
-                                  if k != "schedules"})
-    proc = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, str(cfg),
-                           str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
-    assert list((tmp_path / "out" / "traces").iterdir())
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 TRACED_RUN = """
