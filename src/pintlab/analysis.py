@@ -151,16 +151,19 @@ def compare_factors(report: ContractionReport) -> RateComparison:
     return RateComparison(True, report.sync_factor, report.async_factor, gap)
 
 
-def _row_results(trace: AsyncTrace, per_rows) -> Iterator[tuple[int, object]]:
+def _row_results(trace: AsyncTrace, per_rows, typecode: str) -> Iterator[tuple[int, object]]:
     """(component, result) per event in order, walking the value column.
 
     ``per_rows(rows, wrote)`` gets one chunk of distinct values and the
-    components that wrote them, and returns one result per row; a row's
-    result must not depend on the rows batched with it. Each row is
-    evaluated once, and every event that logged it shares its result.
+    components that wrote them, and returns an ndarray of one result per
+    row whose bytes are ``array(typecode)`` items (a bool array's are "B"
+    0s and 1s); a row's result must not depend on the rows batched with it.
+    Each row is evaluated once, into one typed buffer, and every event that
+    logged it shares its result.
     """
-    results = [result for wrote, rows in trace.value_blocks()
-               for result in per_rows(rows, wrote).tolist()]
+    results = array(typecode)
+    for wrote, rows in trace.value_blocks():
+        results.frombytes(per_rows(rows, wrote).tobytes())
     return zip(trace.component, map(results.__getitem__, trace.row))
 
 
@@ -199,7 +202,7 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     block_error = block_norms((trace.initial - fixed_point).data, kind).tolist()
     errors = array("d", [max(block_error)])
     for comp, error in _row_results(trace, lambda rows, wrote:
-                                    block_norms(rows - fixed_point.data[wrote], kind)):
+                                    block_norms(rows - fixed_point.data[wrote], kind), "d"):
         block_error[comp] = error
         errors.append(max(block_error))
     p = trace.n_updatable
@@ -210,9 +213,9 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     live = {0.0: p}  # depth -> how many of components 1..p sit at it
     lowest = 0.0
     depths = array("d", [lowest])
-    for k, comp in enumerate(trace.component):
+    for comp, reads in zip(trace.component, trace.all_reads()):
         shallowest = math.inf
-        for source, _slot, version in trace.reads_of(k):
+        for source, _slot, version in reads:
             table = depth_of[source]
             if not 0 <= version < len(table):
                 raise KeyError(f"component {source} never reached version {version}")
@@ -259,7 +262,7 @@ def check_finite_termination(trace: AsyncTrace,
     mismatched = matched.count(False)
     if not mismatched:
         return 0
-    flags = _row_results(trace, lambda rows, wrote: blocks_match(rows, ref[wrote]))
+    flags = _row_results(trace, lambda rows, wrote: blocks_match(rows, ref[wrote]), "B")
     for k, (comp, flag) in enumerate(flags, 1):
         mismatched += matched[comp] - flag
         matched[comp] = flag

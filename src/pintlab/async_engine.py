@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple
@@ -232,13 +232,14 @@ class AsyncTrace:
     """Event log of one simulation, self-describing for offline checks.
 
     The log is columnar. Per event k it keeps ``component[k]``, the component
-    that fired, ``delta[k]``, its reads as flat (source, slot, version)
-    triples, ``reads_flat[read_offsets[k]:read_offsets[k + 1]]``, and the
-    ``row[k]`` of the value column it wrote. A value bitwise equal to its
+    that fired, ``delta[k]``, the ``row[k]`` of the value column it wrote,
+    and the r versions it read: each event of a component reads the r
+    (source, slot) pairs of ``read_set[component]``, so its versions go to
+    ``read_versions[component]`` in that order. A value bitwise equal to its
     component's current version reuses that row; any other fills a new row,
     written by ``row_component[row]``. Rows fill 2-D chunks of CHUNK_ROWS
     rows, so the log grows without copying and holds at most one chunk of
-    slack. Index columns are 4-byte ints.
+    slack. Index and version columns are 4-byte ints.
 
     ``events[k]`` builds the UpdateRecord of event k on access, and
     ``values[k]`` is a read-only row view of the value event k wrote.
@@ -248,19 +249,20 @@ class AsyncTrace:
     """
 
     def __init__(self, initial: BlockVector, schedule: AsyncSchedule,
+                 read_set: dict[int, tuple[tuple[int, int], ...]],
                  persistent_slots: dict[int, int], stop_reason: str = ""):
         self.initial = initial
         self.schedule = schedule
+        self.read_set = read_set
         self.persistent_slots = persistent_slots
         self.stop_reason = stop_reason
         self.component = array("i")
         self.delta = array("d")
-        self.reads_flat = array("i")
-        self.read_offsets = array("q", [0])
         self.row = array("i")
         self.row_component = array("i")
         # component -> index of the event that produced each of its versions
         self._event_index = [array("i") for _ in range(initial.n_blocks)]
+        self.read_versions = [array("i") for _ in range(initial.n_blocks)]
         self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
         self._tail: np.ndarray | None = None  # the last chunk, writable
 
@@ -271,18 +273,22 @@ class AsyncTrace:
                      stop_reason: str = "") -> "AsyncTrace":
         """Pack records and the values they produced into a trace.
 
-        Components and read sources must lie in 0..n_updatable.
+        Components and read sources must lie in 0..n_updatable, and every
+        record of a component must read the (source, slot) pairs of its first.
         """
-        trace = cls(initial, schedule, dict(persistent_slots or {}), stop_reason)
-        for record, value in zip(records, values, strict=True):
-            flat = [x for read in record.reads for x in read]
-            if not all(0 <= c < initial.n_blocks for c in [record.component, *flat[::3]]):
+        trace = cls(initial, schedule, {}, dict(persistent_slots or {}), stop_reason)
+        for k, (record, value) in enumerate(zip(records, values, strict=True)):
+            comp, pattern = record.component, tuple([(s, slot) for s, slot, _ in record.reads])
+            if not all(0 <= c < initial.n_blocks for c in [comp, *(s for s, _ in pattern)]):
                 raise DimensionError(f"{record}: components lie in 0..{trace.n_updatable}")
+            if trace.read_set.setdefault(comp, pattern) != pattern:
+                raise ValueError(f"event {k}: component {comp} reads {pattern}, but its "
+                                 f"earlier events read {trace.read_set[comp]}")
             value = np.asarray(value, dtype=float)
             if value.shape != (initial.block_dim,):
                 raise DimensionError(
                     f"value of shape {value.shape} for blocks of dim {initial.block_dim}")
-            trace.append(record.component, flat, record.delta, value)
+            trace.append(comp, [version for *_, version in record.reads], record.delta, value)
         return trace
 
     @property
@@ -301,9 +307,9 @@ class AsyncTrace:
     def values(self) -> Sequence[np.ndarray]:
         return _LogView(self, AsyncTrace._value)
 
-    def append(self, component: int, reads: Iterable[int], delta: float,
+    def append(self, component: int, versions: Iterable[int], delta: float,
                value: np.ndarray) -> None:
-        """Log one event: its flat (source, slot, version) reads, its delta
+        """Log one event: the versions it read in read_set order, its delta
         and a copy of the value it produced, which has the block shape."""
         index = self._event_index[component]
         # bytes, not ==, so that -0.0 after 0.0 gets its own row and digest
@@ -322,8 +328,7 @@ class AsyncTrace:
         self.row.append(row)
         self.component.append(component)
         self.delta.append(delta)
-        self.reads_flat.extend(reads)
-        self.read_offsets.append(len(self.reads_flat))
+        self.read_versions[component].extend(versions)
 
     def _value(self, k: int) -> np.ndarray:
         chunk, row = divmod(self.row[k], CHUNK_ROWS)
@@ -331,10 +336,20 @@ class AsyncTrace:
 
     def reads_of(self, k: int) -> tuple[tuple[int, int, int], ...]:
         """The (source, slot, version) reads of event k."""
-        flat = self.reads_flat
+        k = range(self.n_events)[k]  # a negative k counts from the end, as in events
+        comp = self.component[k]
+        pattern = self.read_set[comp]
+        at = bisect_left(self._event_index[comp], k) * len(pattern)
+        versions = self.read_versions[comp][at:at + len(pattern)]
         # a fixed-size tuple of a list: tuple(zip(...)) parks a spare tuple per call
-        return tuple([(flat[i], flat[i + 1], flat[i + 2])
-                      for i in range(self.read_offsets[k], self.read_offsets[k + 1], 3)])
+        return tuple([(source, slot, v) for (source, slot), v in zip(pattern, versions)])
+
+    def all_reads(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
+        """Every event's reads in order, as ``reads_of`` gives them, taken by
+        one cursor per component instead of a search per event."""
+        cursors = [iter(versions) for versions in self.read_versions]
+        return (tuple([(source, slot, next(cursors[comp]))
+                       for source, slot in self.read_set[comp]]) for comp in self.component)
 
     def _record(self, k: int) -> UpdateRecord:
         return UpdateRecord(component=self.component[k], reads=self.reads_of(k),
@@ -372,16 +387,13 @@ class AsyncTrace:
 
         digests = [hashlib.sha256(row.tobytes()).hexdigest()[:16]
                    for _, rows in self.value_blocks() for row in rows]
-        lines = []
-        for k in range(self.n_events):
-            lines.append(json.dumps({
-                "k": k,
-                "component": self.component[k],
-                "reads": [list(r) for r in self.reads_of(k)],
-                "digest": digests[self.row[k]],
-                "delta": self.delta[k],
-            }, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps({
+            "k": k,
+            "component": self.component[k],
+            "reads": [list(r) for r in reads],
+            "digest": digests[self.row[k]],
+            "delta": self.delta[k],
+        }, sort_keys=True) + "\n" for k, reads in enumerate(self.all_reads()))
 
 
 def simulate_async(mapping: AsyncMapping, init: BlockVector,
@@ -407,29 +419,27 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     p = mapping.n_updatable
     if init.n_blocks != p + 1:
         raise DimensionError(f"init has {init.n_blocks} blocks, expected {p + 1}")
-    trace = AsyncTrace(init.copy(), schedule, dict(mapping.persistent_slots))
+    trace = AsyncTrace(init.copy(), schedule, dict(mapping.read_set),
+                       dict(mapping.persistent_slots))
 
-    persistent = mapping.persistent_slots
+    read_set, persistent = mapping.read_set, mapping.persistent_slots
     n_sampled = mapping.sampled_counts()
     # The log is the only record of versions: a component's version is the
     # number of events it has logged.
-    index = trace._event_index
+    index, logged = trace._event_index, trace.read_versions
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
     zero_streak = 0
     quiescent_streak = (schedule.delay_bound + 3) * schedule.window(p)
-
-    def latest_reads(comp: int) -> tuple[tuple[int, int, int], ...]:
-        return trace.reads_of(index[comp][-1]) if index[comp] else ()
 
     def drained() -> bool:
         # Each component's latest sampled reads must have seen the newest
         # version of their sources, the freshest slot counting per source; a
         # component that never fired stands as having read version -1.
         for i in range(1, p + 1):
-            reads = latest_reads(i) or [(src, slot, -1) for src, slot in mapping.read_set[i]]
+            latest = logged[i][-len(read_set[i]):] or [-1] * len(read_set[i])
             consumed: dict[int, int] = {}
-            for source, slot, version in reads:
+            for (source, slot), version in zip(read_set[i], latest):
                 if slot not in persistent:
                     consumed[source] = max(consumed.get(source, -1), version)
             if any(version != len(index[src]) for src, version in consumed.items()):
@@ -440,34 +450,34 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         if len(lags) != n_sampled[comp]:
             raise ValueError(f"event {k}: component {comp} has {n_sampled[comp]} "
                              f"sampled reads, but the script gave {len(lags)} lags")
-        previous_reads = latest_reads(comp)
+        reads = read_set[comp]
+        # slot -> the version its last read took at the previous event, from
+        # the last r logged versions (none before the first; r = 0 logs none)
+        replay = dict(zip([slot for _, slot in reads], logged[comp][-len(reads):]))
         lag = iter(lags)
-        reads: list[int] = []
+        versions: list[int] = []
         read_values: dict[tuple[int, int], np.ndarray] = {}
-        for source, slot in mapping.read_set[comp]:
+        for source, slot in reads:
             if slot in persistent:
                 # Replay what the base slot read at this component's previous event.
-                base = persistent[slot]
-                version = next((v for _, sl, v in reversed(previous_reads) if sl == base), 0)
+                version = replay.get(persistent[slot], 0)
             else:
                 version = max(len(index[source]) - next(lag), 0)
-            reads += (source, slot, version)
+            versions.append(version)
             read_values[(source, slot)] = trace.version_value(source, version)
 
         # eval_fn may reuse its output buffer: the log keeps a copy.
         new_value = np.asarray(mapping.eval_fn(comp, read_values), dtype=float)
         previous = trace.version_value(comp, len(index[comp]))
         if new_value.shape != previous.shape:
-            raise DimensionError(
-                f"component {comp} produced shape {new_value.shape}, "
-                f"expected {previous.shape}"
-            )
+            raise DimensionError(f"component {comp} produced shape {new_value.shape}, "
+                                 f"expected {previous.shape}")
         delta = float(np.max(np.abs(new_value - previous))) if new_value.size else 0.0
         # a NaN or inf in new_value makes delta non-finite: only then look closer
         if not math.isfinite(delta) and not np.isfinite(new_value).all():
             raise ValueError(f"component {comp} produced a non-finite value at event {k}")
         last_deltas[comp] = delta
-        trace.append(comp, reads, delta, new_value)
+        trace.append(comp, versions, delta, new_value)
 
         zero_streak = zero_streak + 1 if delta == 0.0 else 0
         if zero_streak >= quiescent_streak:
@@ -478,9 +488,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
             return trace
 
     trace.stop_reason = STOP_HORIZON
-    raise HorizonExhausted(
-        f"no stop condition met within {trace.n_events} events", trace
-    )
+    raise HorizonExhausted(f"no stop condition met within {trace.n_events} events", trace)
 
 
 @dataclass
@@ -526,8 +534,7 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     last_fired = [-1] * (p + 1)
     unfair_from: dict[int, int] = {}   # component -> its first offending window
     sampled: dict[tuple[int, int], int] = {}  # (component, slot) -> version last read
-    for k, comp in enumerate(trace.component):
-        reads = trace.reads_of(k)
+    for k, (comp, reads) in enumerate(zip(trace.component, trace.all_reads())):
         for source, slot, version in reads:
             if slot in persistent:
                 if version != sampled.get((comp, persistent[slot]), 0):
@@ -551,11 +558,7 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     # The pinned component 0 owes no firings.
     fairness = sorted((start, comp) for comp, start in unfair_from.items() if comp)
 
-    return ScheduleValidation(
-        fairness_violations=fairness,
-        staleness_violations=staleness,
-        provenance_violations=provenance,
-    )
+    return ScheduleValidation(fairness, staleness, provenance)
 
 
 def update_counts(trace: AsyncTrace) -> tuple[np.ndarray, int]:

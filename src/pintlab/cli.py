@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -47,8 +45,7 @@ from .model import (
 )
 from .parareal import STOP_KMAX, run_parareal, sequential_fine_solve
 
-log = logging.getLogger("pintlab")
-
+FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
 MODE_ORDER = {"sequential": 0, "sync": 1, "async": 2}
 
 SUMMARY_COLUMNS = [
@@ -123,6 +120,8 @@ def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
         )
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+    if kinds == (int, float) and isinstance(value, int) and abs(value) >= FLOAT_END:
+        raise ConfigError(f"{where}.{key}: integer too large for a float")
     return value
 
 
@@ -158,7 +157,7 @@ def _parse_problem(raw, where: str) -> LinearIVP:
             raise ConfigError(f"{where}: bad parameter for '{name}': {exc}") from exc
     try:
         return LinearIVP.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: invalid inline system: {exc}") from exc
 
 
@@ -243,13 +242,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError, or an integer past int()'s digit limit
+    except ValueError as exc:
         raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
     return parse_config(raw)
-
-
-def _schedule_tag(sched: AsyncSchedule) -> str:
-    return f"{sched.policy}/s{sched.seed}/D{sched.delay_bound}"
 
 
 def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
@@ -263,19 +259,18 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
     traces_dir when one is given. The trace lives only in this frame, so it
     is freed before the next schedule runs.
     """
-    tag = _schedule_tag(sched)
     try:
         trace = run_async_parareal(coarse, fine, config.ivp.u0, config.p, sched,
                                    epsilon=config.epsilon)
     except HorizonExhausted as exc:
         trace = exc.trace
-        log.warning("schedule %s exhausted its event horizon", tag)
     counts, kappa = update_counts(trace)
     final = trace.state_after(trace.n_events - 1)
     err = max_block_norm(final - oracle, NormKind.INFINITY)
     validation = validate_schedule(trace)
     run_entry = {
-        "mode": "async", "schedule": sched.to_dict(), "tag": tag,
+        "mode": "async", "schedule": sched.to_dict(),
+        "tag": f"{sched.policy}/s{sched.seed}/D{sched.delay_bound}",
         "events": trace.n_events, "kappa": kappa,
         "per_component_counts": counts.tolist(),
         "stop_reason": trace.stop_reason,
@@ -325,7 +320,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     coarse_rule = PROPAGATOR_RULES[config.coarse.rule]
     fine = fine_rule(ivp, span, config.fine.steps)
     coarse = coarse_rule(ivp, span, config.coarse.steps)
-    log.info("problem %s: dim=%d p=%d span=%g", ivp.label, ivp.dim, p, span)
 
     fine_cost = config.fine_cost if config.fine_cost is not None else fine.cost_units
     coarse_cost = (
@@ -478,9 +472,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("PINTLAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = build_arg_parser().parse_args(argv)
     try:
         if args.command == "run":
@@ -490,11 +481,11 @@ def main(argv: list[str] | None = None) -> int:
                     _parse_schedule({**s.to_dict(), "seed": args.seed_override + i},
                                     "--seed-override")
                     for i, s in enumerate(config.schedules)]
-            _report, code = run_experiment(config, args.out,
-                                           write_traces=args.traces)
-            if code != 0:
-                print("warning: at least one run stopped before converging",
-                      file=sys.stderr)
+            report, code = run_experiment(config, args.out, write_traces=args.traces)
+            stopped = [f"{run.get('tag', run['mode'])} ({run['stop_reason']})" for run in
+                       report["runs"] if run["stop_reason"] in (STOP_HORIZON, STOP_KMAX)]
+            if stopped:
+                print("warning: stopped before converging:", ", ".join(stopped), file=sys.stderr)
             return code
         emit_table(args.in_path, args.out)
         return 0

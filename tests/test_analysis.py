@@ -249,12 +249,13 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
+    # the tampered record keeps its component's (source, slot) pattern:
+    # from_records rejects any other before the envelope sees it
     at = data.draw(st.integers(0, len(trace.events)))
-    source = data.draw(st.integers(0, p))
-    reached = sum(ev.component == source for ev in trace.events[:at])
-    version = data.draw(st.sampled_from([-1, reached + 1]))
     comp = data.draw(st.integers(1, p))
-    bad = UpdateRecord(component=comp, reads=((comp - 1, 1, 0), (source, 2, version)),
+    reached = sum(ev.component == comp - 1 for ev in trace.events[:at])
+    version = data.draw(st.sampled_from([-1, reached + 1]))
+    bad = UpdateRecord(component=comp, reads=((comp - 1, 1, 0), (comp - 1, 2, version)),
                        delta=0.0)
     tampered = AsyncTrace.from_records(
         trace.events[:at] + [bad] + trace.events[at:],

@@ -550,6 +550,45 @@ def test_records_name_components_of_the_trace():
     assert validate_schedule(trace).staleness_violations == [(0, 2, -1, 0)]
 
 
+def test_records_keep_their_components_read_pattern():
+    # the log keeps one (source, slot) pattern per component and only the
+    # versions per event, so a record that reads other pairs is refused
+    sched = AsyncSchedule(seed=0, delay_bound=0)
+    first = _ev(2, reads=[(1, 1, 0), (1, 2, 0)])
+    for other in ([], [(1, 1, 0)], [(1, 1, 0), (1, 3, 0)], [(0, 1, 0), (1, 2, 0)],
+                  [(1, 2, 0), (1, 1, 0)], [(1, 1, 0), (1, 2, 0), (1, 2, 0)]):
+        with pytest.raises(ValueError, match="event 2: component 2"):
+            _handmade_trace([first, _ev(1), _ev(2, reads=other)], 2, sched)
+    trace = _handmade_trace([first, _ev(1), _ev(2, reads=[(1, 1, 1), (1, 2, 0)])], 2, sched)
+    assert trace.read_set == {2: ((1, 1), (1, 2)), 1: ()}
+    assert [list(v) for v in trace.read_versions] == [[], [], [0, 0, 1, 0]]
+    assert trace.reads_of(2) == ((1, 1, 1), (1, 2, 0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16))
+def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, seed):
+    # an engine trace's records and values, packed again, give back every
+    # event's reads and the JSONL trace byte for byte; the cursor walk and
+    # the per-event search agree on both
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    packed = AsyncTrace.from_records(trace.events, trace.values, initial=trace.initial,
+                                     schedule=trace.schedule,
+                                     persistent_slots=trace.persistent_slots,
+                                     stop_reason=trace.stop_reason)
+    reads = [trace.reads_of(k) for k in range(trace.n_events)]
+    assert [packed.reads_of(k) for k in range(packed.n_events)] == reads
+    assert packed.reads_of(-1) == reads[-1] == packed.events[-1].reads
+    assert list(trace.all_reads()) == list(packed.all_reads()) == reads
+    assert packed.to_jsonl().encode() == trace.to_jsonl().encode()
+    fired = set(trace.component)
+    assert packed.read_set == {i: r for i, r in trace.read_set.items() if i in fired}
+
+
 def test_log_keeps_a_copy_of_each_value():
     # an eval_fn that reuses one output buffer must not rewrite logged values
     out = np.zeros(1)
@@ -780,8 +819,8 @@ def test_index_columns_are_four_bytes():
     trace = AsyncTrace.from_records([_ev(1, reads=[(0, 1, 0)])], [np.zeros(1)],
                                     initial=BlockVector(np.zeros((2, 1))),
                                     schedule=AsyncSchedule(seed=0, delay_bound=0))
-    columns = (trace.component, trace.reads_flat, trace.row, trace.row_component,
-               *trace._event_index)
+    columns = (trace.component, trace.row, trace.row_component, *trace._event_index,
+               *trace.read_versions)
     assert {column.itemsize for column in columns} == {4}
     # a horizon or a slot past the columns' range fails before the run
     AsyncSchedule(seed=0, delay_bound=0, max_events=2**31 - 1)
@@ -815,8 +854,8 @@ def test_trace_memory_stays_columnar():
         tracemalloc.stop()
     events, rows = len(trace.events), len(trace.row_component)
     assert events > 1000
-    # a row is d floats plus its writer (4 B); an event is delta and read
-    # offset (8 B each) plus component, row, version index and two
-    # (source, slot, version) reads (4 B each): 52 B, and 20 B of headroom
-    # for array growth and the run's fixed allocations
-    assert footprint <= rows * (8 * dim + 4) + events * 72 + CHUNK_ROWS * 8 * dim
+    # a row is d floats plus its writer (4 B); an event is its delta (8 B)
+    # plus component, row, version index and the two versions it read (4 B
+    # each): 28 B, and 20 B of headroom for array growth and the run's fixed
+    # allocations
+    assert footprint <= rows * (8 * dim + 4) + events * 48 + CHUNK_ROWS * 8 * dim

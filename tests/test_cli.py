@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from pintlab.async_parareal import simulate_async
-from pintlab.cli import load_config, main, parse_config
+from pintlab.cli import FLOAT_END, load_config, main, parse_config
 from pintlab.errors import ConfigError
 
 
@@ -146,6 +146,51 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate, field", [
+    (lambda c: c.update(epsilon=10**400), "config.epsilon"),
+    (lambda c: c.update(epsilon=-10**309), "config.epsilon"),
+    (lambda c: c.update(costs={"fine_cost": 10**400}), "config.costs.fine_cost"),
+    (lambda c: c.update(costs={"overhead": 10**309}), "config.costs.overhead"),
+    (lambda c: c.update(problem={"name": "heat1d", "t_final": 10**400}),
+     "config.problem.t_final"),
+    (lambda c: c.update(problem={"name": "heat1d", "initial_temp": -10**400}),
+     "config.problem.initial_temp"),
+    (lambda c: c["problem"].update(rate=10**400), "config.problem.rate"),
+    (lambda c: c.update(problem={"A": [[-10**400]], "c": [0.0], "u0": [1.0], "T": 2.0}),
+     "config.problem"),
+])
+def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
+    # a JSON integer past the float range is a config error naming its field
+    cfg = base_config()
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        parse_config(cfg)
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+    assert not (out / "report.json").exists()
+
+
+def test_float_range_ends_where_float_overflows():
+    # float() rounds an int to the nearest float: one below FLOAT_END rounds
+    # down to the largest float, FLOAT_END itself overflows
+    float(FLOAT_END - 1)
+    with pytest.raises(OverflowError):
+        float(FLOAT_END)
+    assert parse_config(base_config(epsilon=FLOAT_END - 1)).epsilon == sys.float_info.max
+    with pytest.raises(ConfigError, match="config.epsilon"):
+        parse_config(base_config(epsilon=FLOAT_END))
+
+
+def test_overlong_integer_literal_exits_one(tmp_path, capsys):
+    # json refuses to convert an integer literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"epsilon": ' + "9" * 5000 + "}", encoding="utf-8")
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o")])
@@ -206,12 +251,27 @@ def test_threshold_iteration_count_monotone_in_epsilon(tmp_path):
     assert ks[1e-5] == 7
 
 
-def test_kmax_capped_run_exits_two(tmp_path, caplog):
+def test_kmax_capped_run_exits_two(tmp_path, capsys):
     cfg = base_config(epsilon=1e-13, k_max=2, schedules=[])
     rc, out = run_cli(tmp_path, cfg)
     assert rc == 2
     sync = [r for r in read_summary(out) if r["mode"] == "sync"][0]
     assert sync["stop_reason"] == "k_max"
+    assert capsys.readouterr().err == "warning: stopped before converging: sync (k_max)\n"
+
+
+def test_horizon_stop_warning_names_its_runs(tmp_path, capsys):
+    # only the run whose schedule ran out of events is named, by its tag
+    cfg = base_config()
+    cfg["schedules"].append({"seed": 3, "delay_bound": 1, "max_events": 5})
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 2
+    stops = [r["stop_reason"] for r in read_summary(out)]
+    assert stops[-1] == "horizon" and not {"horizon", "k_max"} & set(stops[:-1])
+    assert capsys.readouterr().err == (
+        "warning: stopped before converging: random-fair/s3/D1 (horizon)\n")
+    rc, _ = run_cli(tmp_path, base_config(), out_name="clean")
+    assert rc == 0 and capsys.readouterr().err == ""
 
 
 def test_seed_override_renumbers_schedules(tmp_path):
