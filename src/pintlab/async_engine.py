@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from array import array
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple
 
@@ -200,34 +199,6 @@ class EngineView(NamedTuple):
 CHUNK_ROWS = 256  # rows per chunk of the value column
 
 
-class _LogView(Sequence):
-    """Read-only sequence over a trace's events; item k is built on access."""
-
-    __slots__ = ("_trace", "_item")
-
-    def __init__(self, trace: "AsyncTrace", item: Callable[["AsyncTrace", int], object]):
-        self._trace = trace
-        self._item = item
-
-    def __len__(self) -> int:
-        return self._trace.n_events
-
-    def __getitem__(self, k):
-        n = len(self)
-        if isinstance(k, slice):
-            return [self._item(self._trace, i) for i in range(*k.indices(n))]
-        i = operator.index(k)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"trace has no event {k}")
-        return self._item(self._trace, i)
-
-    def __iter__(self):
-        trace, item = self._trace, self._item
-        return (item(trace, i) for i in range(len(self)))
-
-
 class AsyncTrace:
     """Event log of one simulation, self-describing for offline checks.
 
@@ -241,8 +212,8 @@ class AsyncTrace:
     rows, so the log grows without copying and holds at most one chunk of
     slack. Index and version columns are 4-byte ints.
 
-    ``events[k]`` builds the UpdateRecord of event k on access, and
-    ``values[k]`` is a read-only row view of the value event k wrote.
+    ``events`` (UpdateRecords) and ``values`` (read-only row views) are
+    lists built on each read by one walk of the columns.
     Version v >= 1 of a component is the value of its v-th event, version 0
     its block of ``initial``; every state is derived from the log and
     ``initial``, one block per component.
@@ -300,12 +271,12 @@ class AsyncTrace:
         return len(self.component)
 
     @property
-    def events(self) -> Sequence[UpdateRecord]:
-        return _LogView(self, AsyncTrace._record)
+    def events(self) -> list[UpdateRecord]:
+        return list(map(UpdateRecord, self.component, self.all_reads(), self.delta))
 
     @property
-    def values(self) -> Sequence[np.ndarray]:
-        return _LogView(self, AsyncTrace._value)
+    def values(self) -> list[np.ndarray]:
+        return list(map(self._value, range(self.n_events)))
 
     def append(self, component: int, versions: Iterable[int], delta: float,
                value: np.ndarray) -> None:
@@ -334,26 +305,12 @@ class AsyncTrace:
         chunk, row = divmod(self.row[k], CHUNK_ROWS)
         return self._chunks[chunk][row]
 
-    def reads_of(self, k: int) -> tuple[tuple[int, int, int], ...]:
-        """The (source, slot, version) reads of event k."""
-        k = range(self.n_events)[k]  # a negative k counts from the end, as in events
-        comp = self.component[k]
-        pattern = self.read_set[comp]
-        at = bisect_left(self._event_index[comp], k) * len(pattern)
-        versions = self.read_versions[comp][at:at + len(pattern)]
-        # a fixed-size tuple of a list: tuple(zip(...)) parks a spare tuple per call
-        return tuple([(source, slot, v) for (source, slot), v in zip(pattern, versions)])
-
     def all_reads(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
-        """Every event's reads in order, as ``reads_of`` gives them, taken by
-        one cursor per component instead of a search per event."""
+        """Every event's (source, slot, version) reads in order, taken by one
+        cursor per component over its versions."""
         cursors = [iter(versions) for versions in self.read_versions]
         return (tuple([(source, slot, next(cursors[comp]))
                        for source, slot in self.read_set[comp]]) for comp in self.component)
-
-    def _record(self, k: int) -> UpdateRecord:
-        return UpdateRecord(component=self.component[k], reads=self.reads_of(k),
-                            delta=self.delta[k])
 
     def value_blocks(self) -> Iterator[tuple[array, np.ndarray]]:
         """The value column in row order, chunk by chunk: the components

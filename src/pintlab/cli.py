@@ -47,6 +47,8 @@ from .parareal import STOP_KMAX, run_parareal, sequential_fine_solve
 
 FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
 MODE_ORDER = {"sequential": 0, "sync": 1, "async": 2}
+STOPPED = (STOP_HORIZON, STOP_KMAX)  # stop reasons of a run that did not converge
+SCHEDULE_TAG = "{policy}/s{seed}/D{delay_bound}"
 
 SUMMARY_COLUMNS = [
     "label", "p", "mode", "policy", "seed", "delay_bound", "iterations",
@@ -120,7 +122,7 @@ def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
         )
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
-    if kinds == (int, float) and isinstance(value, int) and abs(value) >= FLOAT_END:
+    if isinstance(value, int) and abs(value) >= FLOAT_END:
         raise ConfigError(f"{where}.{key}: integer too large for a float")
     return value
 
@@ -252,12 +254,11 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
                   coarse: AffinePropagator, fine: AffinePropagator,
                   oracle: BlockVector, report_con: ContractionReport, envelope: bool,
                   costs: CostParams, k: int,
-                  traces_dir: Path | None) -> tuple[dict, dict]:
-    """Run one asynchronous schedule; return its report entry and summary row.
+                  traces_dir: Path | None) -> dict:
+    """Run one asynchronous schedule and return its report entry.
 
-    The row holds only the per-run columns. The JSONL trace goes to
-    traces_dir when one is given. The trace lives only in this frame, so it
-    is freed before the next schedule runs.
+    The JSONL trace goes to traces_dir when one is given. The trace lives
+    only in this frame, so it is freed before the next schedule runs.
     """
     try:
         trace = run_async_parareal(coarse, fine, config.ivp.u0, config.p, sched,
@@ -266,38 +267,34 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         trace = exc.trace
     counts, kappa = update_counts(trace)
     final = trace.state_after(trace.n_events - 1)
-    err = max_block_norm(final - oracle, NormKind.INFINITY)
     validation = validate_schedule(trace)
     run_entry = {
         "mode": "async", "schedule": sched.to_dict(),
-        "tag": f"{sched.policy}/s{sched.seed}/D{sched.delay_bound}",
+        "tag": SCHEDULE_TAG.format(**sched.to_dict()),
         "events": trace.n_events, "kappa": kappa,
         "per_component_counts": counts.tolist(),
         "stop_reason": trace.stop_reason,
         "model_cost": async_cost(replace(costs, kappa=kappa)),
-        "error_vs_oracle": err,
+        "error_vs_oracle": max_block_norm(final - oracle, NormKind.INFINITY),
         "schedule_valid": validation.ok,
         "finite_termination_index": check_finite_termination(trace, oracle),
     }
     if envelope:
         sigmas, bounds, errors = async_error_envelope(trace, report_con, oracle)
-        run_entry["envelope_ok"] = bool((errors <= bounds * (1.0 + 1e-10)).all())
         run_entry["sigma_final"] = (
             None if sigmas[-1] == float("inf") else float(sigmas[-1])
         )
         run_entry["bound_final"] = float(bounds[-1])
+        bounds *= 1.0 + 1e-10  # in place: a scaled copy would be one more column
+        run_entry["envelope_ok"] = bool((errors <= bounds).all())
     if trace.stop_reason != STOP_HORIZON and k <= kappa:
         ratio = speedup_bound(replace(costs, k=k, kappa=kappa))
         run_entry["speedup_bound"] = ratio.bound
         run_entry["speedup_achieved"] = ratio.achieved
-    row = {"mode": "async", "policy": sched.policy, "seed": sched.seed,
-           "delay_bound": sched.delay_bound, "iterations": kappa,
-           "events": trace.n_events, "model_cost": run_entry["model_cost"],
-           "error_vs_oracle": err, "stop_reason": trace.stop_reason}
     if traces_dir is not None:
         name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
         (traces_dir / name).write_text(trace.to_jsonl(), encoding="utf-8")
-    return run_entry, row
+    return run_entry
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path,
@@ -335,13 +332,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
 
     oracle = sequential_fine_solve(fine, ivp.u0, p)
 
-    exit_code = 0
     rows: list[dict] = []
     runs: list[dict] = []
 
     seq_cost = sequential_cost(costs)
-    # Columns every summary row repeats; the csv module writes floats with
-    # repr and leaves absent columns empty.
+    # Columns every summary row repeats; a run's row adds its report entry.
+    # The csv module writes floats with repr and leaves absent columns empty.
     shared = {
         "label": config.label, "p": p,
         "sync_factor": report_con.sync_factor,
@@ -359,32 +355,28 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         fitted = fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost)
     except UnfittableError:
         fitted = None
-    sync_err = max_block_norm(sync_trace.final - oracle, NormKind.INFINITY)
-    if sync_trace.stop_reason == STOP_KMAX:
-        exit_code = 2
-    rows.append({**shared, "mode": "sync", "iterations": k,
-                 "model_cost": sync_model_cost, "fitted_overhead": fitted,
-                 "error_vs_oracle": sync_err,
-                 "stop_reason": sync_trace.stop_reason})
-    runs.append({
+    sync_run = {
         "mode": "sync", "iterations": k, "stop_reason": sync_trace.stop_reason,
-        "model_cost": sync_model_cost, "error_vs_oracle": sync_err,
+        "model_cost": sync_model_cost,
+        "error_vs_oracle": max_block_norm(sync_trace.final - oracle, NormKind.INFINITY),
         "deltas": list(sync_trace.deltas),
         "finite_termination_index": sync_trace.finite_termination_index,
-    })
+    }
+    runs.append(sync_run)
+    rows.append({**shared, **sync_run, "fitted_overhead": fitted})
     if traces_dir is not None:
         (traces_dir / f"{config.label}-sync.json").write_text(
             sync_trace.to_json(), encoding="utf-8"
         )
 
     for sched in config.schedules:
-        run_entry, row = _run_schedule(
+        run_entry = _run_schedule(
             config, sched, coarse, fine, oracle, report_con, async_ok.holds,
             costs, k, traces_dir)
-        if run_entry["stop_reason"] == STOP_HORIZON:
-            exit_code = 2
         runs.append(run_entry)
-        rows.append({**shared, **row})
+        rows.append({**shared, **run_entry, **run_entry["schedule"],
+                     "iterations": run_entry["kappa"]})
+    exit_code = 2 if any(run["stop_reason"] in STOPPED for run in runs) else 0
 
     report = {
         "config": config.to_dict(),
@@ -403,7 +395,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     return report, exit_code
@@ -431,15 +423,11 @@ def emit_table(summary_path: str | Path, out_path: str | Path) -> None:
 
     out_rows = []
     for row in sorted(rows, key=sort_key):
-        if row["mode"] == "async":
-            schedule = f"{row['policy']}/s{row['seed']}/D{row['delay_bound']}"
-        else:
-            schedule = "-"
         fitted = row["fitted_overhead"]
         out_rows.append({
             "p": row["p"],
             "mode": row["mode"],
-            "schedule": schedule,
+            "schedule": SCHEDULE_TAG.format(**row) if row["mode"] == "async" else "-",
             "iterations": row["iterations"] or "-",
             "model_cost": f"{float(row['model_cost']):.6g}",
             "fitted_overhead": f"{float(fitted):.6g}" if fitted else "-",
@@ -483,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
                     for i, s in enumerate(config.schedules)]
             report, code = run_experiment(config, args.out, write_traces=args.traces)
             stopped = [f"{run.get('tag', run['mode'])} ({run['stop_reason']})" for run in
-                       report["runs"] if run["stop_reason"] in (STOP_HORIZON, STOP_KMAX)]
+                       report["runs"] if run["stop_reason"] in STOPPED]
             if stopped:
                 print("warning: stopped before converging:", ", ".join(stopped), file=sys.stderr)
             return code

@@ -400,10 +400,10 @@ def test_version_value_reconstruction(heat_setups):
     trace = run_async_parareal(coarse, fine, ivp.u0, 4,
                                AsyncSchedule(seed=8, delay_bound=2))
     versions = [0] * 5
-    for idx, ev in enumerate(trace.events):
+    for idx, (ev, value) in enumerate(zip(trace.events, trace.values)):
         versions[ev.component] += 1
         got = trace.version_value(ev.component, versions[ev.component])
-        assert np.shares_memory(got, trace.values[idx])
+        assert np.shares_memory(got, value)
         assert np.array_equal(got, trace.state_after(idx)[ev.component])
     assert np.array_equal(trace.version_value(1, 0), trace.initial[1])
     with pytest.raises(KeyError):
@@ -434,14 +434,14 @@ def test_event_log_views_agree(heat_setups, policy, delay_bound, p, seed):
     state = trace.initial.data.copy()
     assert np.array_equal(trace.state_after(-1).data, state)
     versions = [0] * (p + 1)
-    for k, ev in enumerate(trace.events):
+    for k, (ev, value) in enumerate(zip(trace.events, trace.values)):
         after = trace.state_after(k)
-        state[ev.component] = trace.values[k]
+        state[ev.component] = value
         assert np.array_equal(state, after.data), k
-        assert np.array_equal(trace.values[k], after[ev.component]), k
+        assert np.array_equal(value, after[ev.component]), k
         versions[ev.component] += 1
         assert np.shares_memory(trace.version_value(ev.component, versions[ev.component]),
-                                trace.values[k])
+                                value)
     assert update_counts(trace)[0].tolist() == versions
     for comp in range(p + 1):
         with pytest.raises(KeyError):
@@ -562,7 +562,7 @@ def test_records_keep_their_components_read_pattern():
     trace = _handmade_trace([first, _ev(1), _ev(2, reads=[(1, 1, 1), (1, 2, 0)])], 2, sched)
     assert trace.read_set == {2: ((1, 1), (1, 2)), 1: ()}
     assert [list(v) for v in trace.read_versions] == [[], [], [0, 0, 1, 0]]
-    assert trace.reads_of(2) == ((1, 1, 1), (1, 2, 0))
+    assert trace.events[2].reads == ((1, 1, 1), (1, 2, 0))
 
 
 @settings(deadline=None, max_examples=60)
@@ -570,8 +570,7 @@ def test_records_keep_their_components_read_pattern():
        st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16))
 def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, seed):
     # an engine trace's records and values, packed again, give back every
-    # event's reads and the JSONL trace byte for byte; the cursor walk and
-    # the per-event search agree on both
+    # event's reads and the JSONL trace byte for byte
     ivp, coarse, fine = heat_setups[4]
     trace = run_async_parareal(coarse, fine, ivp.u0, p,
                                AsyncSchedule(seed=seed, delay_bound=delay_bound,
@@ -580,9 +579,9 @@ def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, s
                                      schedule=trace.schedule,
                                      persistent_slots=trace.persistent_slots,
                                      stop_reason=trace.stop_reason)
-    reads = [trace.reads_of(k) for k in range(trace.n_events)]
-    assert [packed.reads_of(k) for k in range(packed.n_events)] == reads
-    assert packed.reads_of(-1) == reads[-1] == packed.events[-1].reads
+    reads = [ev.reads for ev in trace.events]
+    assert [ev.reads for ev in packed.events] == reads
+    assert packed.events[-1].reads == reads[-1]
     assert list(trace.all_reads()) == list(packed.all_reads()) == reads
     assert packed.to_jsonl().encode() == trace.to_jsonl().encode()
     fired = set(trace.component)
@@ -683,8 +682,9 @@ def test_values_agree_across_chunk_boundaries():
                           np.stack([out for _, _, out in seen]))
     state = init.data.copy()
     versions = [0] * (p + 1)
+    values = trace.values
     for k, (comp, _, out) in enumerate(seen):
-        assert np.array_equal(trace.values[k], out), k
+        assert np.array_equal(values[k], out), k
         versions[comp] += 1
         assert np.array_equal(trace.version_value(comp, versions[comp]), out), k
         state[comp] = out
@@ -709,12 +709,13 @@ def _assert_log_matches_outputs(trace, outs, fixed):
     state = trace.initial.data.copy()
     states = [state.copy()]
     new_rows = 0
+    values = trace.values
     for k, (comp, out) in enumerate(outs):
         new_rows += not produced[comp] or produced[comp][-1].tobytes() != out.tobytes()
         produced[comp].append(out)
         state[comp] = out
         states.append(state.copy())
-        assert trace.values[k].tobytes() == out.tobytes(), k
+        assert values[k].tobytes() == out.tobytes(), k
         assert trace.version_value(comp, len(produced[comp])).tobytes() == out.tobytes(), k
         assert trace.state_after(k).data.tobytes() == state.tobytes(), k
         assert json.loads(lines[k])["digest"] == hashlib.sha256(out.tobytes()).hexdigest()[:16]

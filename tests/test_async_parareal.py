@@ -70,11 +70,11 @@ def test_event_replay_matches_kernel(heat_setups, seed, delay_bound):
     ivp, coarse, fine = heat_setups[4]
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound)
     trace = run_async_parareal(coarse, fine, ivp.u0, 5, sched)
-    for idx, ev in enumerate(trace.events):
+    for idx, (ev, value) in enumerate(zip(trace.events, trace.values)):
         values = _read_values(trace, ev)
         want = parareal_update(coarse, fine, values[FRESH_SLOT],
                                values[REMEMBERED_SLOT])
-        assert np.array_equal(want, trace.values[idx]), idx
+        assert np.array_equal(want, value), idx
         assert np.array_equal(want, trace.state_after(idx)[ev.component]), idx
 
 

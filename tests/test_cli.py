@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from pintlab.async_parareal import simulate_async
-from pintlab.cli import FLOAT_END, load_config, main, parse_config
+from pintlab.cli import FLOAT_END, SUMMARY_COLUMNS, load_config, main, parse_config
 from pintlab.errors import ConfigError
 
 
@@ -158,6 +158,11 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     (lambda c: c["problem"].update(rate=10**400), "config.problem.rate"),
     (lambda c: c.update(problem={"A": [[-10**400]], "c": [0.0], "u0": [1.0], "T": 2.0}),
      "config.problem"),
+    (lambda c: c.update(p=10**400), "config.p"),
+    (lambda c: c["fine"].update(steps=10**400), "config.fine.steps"),
+    (lambda c: c.update(problem={"name": "heat1d", "n_interior": 10**400}),
+     "config.problem.n_interior"),
+    (lambda c: c.update(k_max=10**400), "config.k_max"),
 ])
 def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
     # a JSON integer past the float range is a config error naming its field
@@ -272,6 +277,46 @@ def test_horizon_stop_warning_names_its_runs(tmp_path, capsys):
         "warning: stopped before converging: random-fair/s3/D1 (horizon)\n")
     rc, _ = run_cli(tmp_path, base_config(), out_name="clean")
     assert rc == 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("overrides, horizon_events, stops", [
+    ({}, 5, ["threshold", "stop-predicate", "quiescence", "horizon"]),
+    ({"epsilon": 0.0, "k_max": 2, "schedules": [{"seed": 1, "delay_bound": 1}]}, None,
+     ["k_max", "quiescence"]),
+])
+def test_summary_rows_are_report_projections(tmp_path, overrides, horizon_events, stops):
+    # each summary row after the sequential one says what its run's report
+    # entry says, column by column, whatever stopped the run
+    cfg = base_config(**overrides)
+    if horizon_events is not None:
+        cfg["schedules"].append({"seed": 3, "delay_bound": 1, "max_events": horizon_events})
+    _, out = run_cli(tmp_path, cfg)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    rows = read_summary(out)
+    assert [run["stop_reason"] for run in report["runs"]] == stops
+    assert [row["mode"] for row in rows] == ["sequential"] + [r["mode"] for r in report["runs"]]
+    shared = {
+        "label": report["config"]["label"], "p": report["config"]["p"],
+        "sync_factor": report["contraction"]["sync_factor"],
+        "async_factor": report["contraction"]["async_factor"],
+        "sync_margin": report["sync_convergent"]["margin"],
+        "async_margin": report["async_convergent"]["margin"],
+    }
+    for row, run in zip(rows[1:], report["runs"]):
+        want = {**shared, "mode": run["mode"], "model_cost": run["model_cost"],
+                "error_vs_oracle": run["error_vs_oracle"], "stop_reason": run["stop_reason"]}
+        if run["mode"] == "async":
+            sched = run["schedule"]
+            want.update(policy=sched["policy"], seed=sched["seed"],
+                        delay_bound=sched["delay_bound"], iterations=run["kappa"],
+                        events=run["events"])
+        else:
+            want.update(iterations=run["iterations"])
+        # fitted_overhead is the one column the report does not hold
+        for col in SUMMARY_COLUMNS:
+            if col != "fitted_overhead":
+                assert row[col] == ("" if want.get(col) is None else str(want[col])), \
+                    (run["mode"], col)
 
 
 def test_seed_override_renumbers_schedules(tmp_path):
