@@ -339,18 +339,33 @@ class AsyncTrace:
                 data[comp] = self._value(index[version - 1])
         return BlockVector(data)
 
-    def to_jsonl(self) -> str:
+    def jsonl_lines(self) -> Iterator[str]:
+        """The JSONL trace, one line per event, to be written as a stream.
+
+        A line's digest is the first 16 hex digits of the sha256 of its
+        value's bytes. A component's first event writes a new row, and a
+        reused row is always its writer's current version, so one digest
+        per component is all the walk keeps: event k either writes the next
+        unseen row, whose digest becomes its component's, or repeats its
+        component's digest.
+        """
         import hashlib  # loads OpenSSL, which only a written trace needs
 
-        digests = [hashlib.sha256(row.tobytes()).hexdigest()[:16]
-                   for _, rows in self.value_blocks() for row in rows]
-        return "".join(json.dumps({
-            "k": k,
-            "component": self.component[k],
-            "reads": [list(r) for r in reads],
-            "digest": digests[self.row[k]],
-            "delta": self.delta[k],
-        }, sort_keys=True) + "\n" for k, reads in enumerate(self.all_reads()))
+        rows = (row for _, chunk in self.value_blocks() for row in chunk)
+        digests = [""] * self.initial.n_blocks
+        seen = 0
+        for k, (comp, reads, row, delta) in enumerate(
+                zip(self.component, self.all_reads(), self.row, self.delta)):
+            if row == seen:
+                digests[comp] = hashlib.sha256(next(rows).tobytes()).hexdigest()[:16]
+                seen += 1
+            yield json.dumps({
+                "k": k,
+                "component": comp,
+                "reads": [list(r) for r in reads],
+                "digest": digests[comp],
+                "delta": delta,
+            }, sort_keys=True) + "\n"
 
 
 def simulate_async(mapping: AsyncMapping, init: BlockVector,

@@ -32,7 +32,7 @@ def parareal_update(coarse: AffinePropagator, fine: AffinePropagator,
     the fine application is returned directly; that keeps already-converged
     states bitwise stable instead of accumulating rounding noise.
     """
-    if np.array_equal(fresh_prev, old_prev):
+    if (fresh_prev == old_prev).all():
         return fine.apply(old_prev)
     return (coarse.apply(fresh_prev) + fine.apply(old_prev)) - coarse.apply(old_prev)
 

@@ -389,7 +389,7 @@ def test_update_counts_and_jsonl(heat_setups):
     assert counts[0] == 0
     assert int(np.sum(counts)) == len(trace.events)
     assert kappa == int(np.max(counts[1:]))
-    lines = trace.to_jsonl().strip().split("\n")
+    lines = list(trace.jsonl_lines())
     assert len(lines) == len(trace.events)
     doc = json.loads(lines[0])
     assert set(doc) == {"k", "component", "reads", "digest", "delta"}
@@ -583,7 +583,7 @@ def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, s
     assert [ev.reads for ev in packed.events] == reads
     assert packed.events[-1].reads == reads[-1]
     assert list(trace.all_reads()) == list(packed.all_reads()) == reads
-    assert packed.to_jsonl().encode() == trace.to_jsonl().encode()
+    assert "".join(packed.jsonl_lines()) == "".join(trace.jsonl_lines())
     fired = set(trace.component)
     assert packed.read_set == {i: r for i, r in trace.read_set.items() if i in fired}
 
@@ -643,7 +643,7 @@ def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, s
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
     trace = simulate_async(mapping, init, sched, stop=lambda view: view.k + 1 >= n_events)
     assert len(trace.events) == len(trace.values) == len(seen) == n_events
-    lines = trace.to_jsonl().splitlines()
+    lines = list(trace.jsonl_lines())
     assert len(lines) == n_events
     latest = init.data.copy()
     for k, (comp, read_values, out) in enumerate(seen):
@@ -704,7 +704,7 @@ def _assert_log_matches_outputs(trace, outs, fixed):
     against the states replayed here, for both norms.
     """
     assert trace.n_events == len(outs)
-    lines = trace.to_jsonl().splitlines()
+    lines = list(trace.jsonl_lines())
     produced = [[] for _ in range(trace.initial.n_blocks)]
     state = trace.initial.data.copy()
     states = [state.copy()]
@@ -775,10 +775,64 @@ def test_signed_zeros_keep_their_own_rows():
     assert list(trace.delta) == [1.0, 0.0, 0.0, 0.0]
     assert list(trace.row) == [0, 1, 1, 2]
     assert list(trace.row_component) == [1, 1, 1]
-    digests = [json.loads(line)["digest"] for line in trace.to_jsonl().splitlines()]
+    digests = [json.loads(line)["digest"] for line in trace.jsonl_lines()]
     assert digests[0] == digests[3] != digests[1] == digests[2]
+    assert digests == [hashlib.sha256(v.tobytes()).hexdigest()[:16] for v in trace.values]
     assert [bool(np.signbit(v[0])) for v in trace.values] == [False, True, True, False]
     assert np.signbit(trace.version_value(1, 2)[0])
+
+
+def test_jsonl_digests_follow_each_components_current_row():
+    # the serializer keeps one digest per component, so every line's digest
+    # must still hash its own event's value when components repeat their
+    # current value (reused rows), go back to an older version or to their
+    # initial block, start on a value another component holds, or flip the
+    # sign of a zero (new rows)
+    initial = BlockVector(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
+    a, a_neg, b = np.array([5.0, 0.0]), np.array([5.0, -0.0]), np.array([7.0, 8.0])
+    outs = [(1, a), (2, a), (1, a), (1, b), (2, a), (1, a), (2, initial[2]), (1, a_neg),
+            (1, a), (2, initial[2]), (1, b)]
+    trace = AsyncTrace.from_records(
+        [UpdateRecord(component=comp, reads=((0, 1, 0),), delta=0.0) for comp, _ in outs],
+        [out for _, out in outs], initial=initial,
+        schedule=AsyncSchedule(seed=0, delay_bound=0))
+    assert list(trace.row) == [0, 1, 0, 2, 1, 3, 4, 5, 6, 4, 7]
+    lines = list(trace.jsonl_lines())
+    assert len(lines) == trace.n_events
+    for k, (line, value) in enumerate(zip(lines, trace.values, strict=True)):
+        assert json.loads(line)["digest"] == hashlib.sha256(value.tobytes()).hexdigest()[:16], k
+
+
+def test_jsonl_writing_memory_does_not_grow_with_events(tmp_path):
+    # writing a trace streams it line by line: the peak holds a line, one
+    # chunk's writers, the file buffers and one digest per component, never
+    # the file, so one bound serves any number of events
+    p = dim = 16
+    ivp = heat1d_system(n_interior=dim, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=0.2 * p)
+    coarse = backward_euler_propagator(ivp, 0.2, 1)
+    fine = trapezoidal_propagator(ivp, 0.2, 20)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=1, delay_bound=3, policy=POLICY_ADVERSARIAL))
+    path = tmp_path / "trace.jsonl"
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(trace.jsonl_lines())
+
+    write()  # first-call imports (hashlib) and caches
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 64 * 1024
+    assert trace.n_events > 1000
+    # holding the file once would already break the bound
+    assert path.stat().st_size > 2 * bound
+    assert peak <= bound
+    assert path.read_text(encoding="utf-8") == "".join(trace.jsonl_lines())
 
 
 def test_repeats_and_new_rows_across_chunk_boundaries():

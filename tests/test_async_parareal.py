@@ -174,7 +174,7 @@ def test_epsilon_zero_means_no_threshold(heat_setups, monkeypatch):
     default = run_async_parareal(coarse, fine, ivp.u0, 3, sched)
     zero = run_async_parareal(coarse, fine, ivp.u0, 3, sched, epsilon=0.0)
     assert zero.stop_reason == default.stop_reason == "quiescence"
-    assert zero.to_jsonl() == default.to_jsonl()
+    assert "".join(zero.jsonl_lines()) == "".join(default.jsonl_lines())
     assert zero.state_after(zero.n_events - 1).data.tobytes() == \
         default.state_after(default.n_events - 1).data.tobytes()
     # a negative epsilon raises in both runners before anything runs
@@ -224,7 +224,7 @@ def test_replay_reexecution_reproduces_trace(heat_setups, policy, delay_bound, p
                           max_events=max_events)
     trace = _async_run(coarse, fine, ivp.u0, p, sched, epsilon)
     replayed = _async_run(coarse, fine, ivp.u0, p, ReplaySchedule.of(trace), epsilon)
-    assert replayed.to_jsonl() == trace.to_jsonl()
+    assert "".join(replayed.jsonl_lines()) == "".join(trace.jsonl_lines())
     assert replayed.stop_reason == trace.stop_reason
     assert trace.stop_reason != STOP_HORIZON or trace.n_events == max_events
     assert validate_schedule(replayed).ok

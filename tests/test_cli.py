@@ -12,9 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from pintlab.async_parareal import simulate_async
-from pintlab.cli import FLOAT_END, SUMMARY_COLUMNS, load_config, main, parse_config
-from pintlab.errors import ConfigError
+from pintlab.async_parareal import run_async_parareal, simulate_async
+from pintlab.cli import (
+    FLOAT_END,
+    MAX_P,
+    MAX_STEPS,
+    SUMMARY_COLUMNS,
+    load_config,
+    main,
+    parse_config,
+)
+from pintlab.errors import ConfigError, HorizonExhausted
+from pintlab.model import PROPAGATOR_RULES
 
 
 def base_config(**overrides):
@@ -163,9 +172,16 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     (lambda c: c.update(problem={"name": "heat1d", "n_interior": 10**400}),
      "config.problem.n_interior"),
     (lambda c: c.update(k_max=10**400), "config.k_max"),
+    # a fold of more than MAX_STEPS steps, or iterates of more than MAX_P + 1 blocks
+    pytest.param(lambda c: c.update(p=MAX_P + 1), "config.p", id="cap-config.p"),
+    pytest.param(lambda c: c["fine"].update(steps=MAX_STEPS + 1), "config.fine.steps",
+                 id="cap-config.fine.steps"),
+    pytest.param(lambda c: c["coarse"].update(steps=10**15), "config.coarse.steps",
+                 id="cap-config.coarse.steps"),
 ])
 def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
-    # a JSON integer past the float range is a config error naming its field
+    # a JSON integer past its cap or the float range is a config error
+    # naming its field
     cfg = base_config()
     mutate(cfg)
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -174,6 +190,12 @@ def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}")
     assert not (out / "report.json").exists()
+
+
+def test_size_caps_are_inclusive():
+    config = parse_config(base_config(p=MAX_P, fine={"rule": "trapezoidal", "steps": MAX_STEPS},
+                                      coarse={"rule": "backward-euler", "steps": MAX_STEPS}))
+    assert (config.p, config.fine.steps, config.coarse.steps) == (MAX_P, MAX_STEPS, MAX_STEPS)
 
 
 def test_float_range_ends_where_float_overflows():
@@ -277,6 +299,26 @@ def test_horizon_stop_warning_names_its_runs(tmp_path, capsys):
         "warning: stopped before converging: random-fair/s3/D1 (horizon)\n")
     rc, _ = run_cli(tmp_path, base_config(), out_name="clean")
     assert rc == 0 and capsys.readouterr().err == ""
+
+
+def test_horizon_stopped_run_writes_its_partial_trace(tmp_path):
+    # a run that exhausts max_events still writes the trace it made, one
+    # line per event, as jsonl_lines gives it for HorizonExhausted's trace
+    cfg = base_config(schedules=[{"seed": 3, "delay_bound": 1, "max_events": 5}])
+    rc, out = run_cli(tmp_path, cfg, extra=["--traces"])
+    assert rc == 2
+    config = parse_config(cfg)
+    span = config.ivp.t_final / config.p
+    fine, coarse = (PROPAGATOR_RULES[spec.rule](config.ivp, span, spec.steps)
+                    for spec in (config.fine, config.coarse))
+    with pytest.raises(HorizonExhausted) as info:
+        run_async_parareal(coarse, fine, config.ivp.u0, config.p, config.schedules[0],
+                           epsilon=config.epsilon)
+    trace = info.value.trace
+    assert trace.n_events == 5
+    written = (out / "traces" / "demo-random-fair-s3-D1.jsonl").read_text(encoding="utf-8")
+    assert len(written.splitlines()) == trace.n_events
+    assert written == "".join(trace.jsonl_lines())
 
 
 @pytest.mark.parametrize("overrides, horizon_events, stops", [
