@@ -12,7 +12,8 @@ Read slots come in two flavors. A sampled slot takes a staleness in
 updates behind the newest value. A persisted slot replays whichever version
 this component consumed through its base slot at its previous event - the
 "remembered input" pattern that lets a worker cancel its own stale coarse
-term without re-reading old data from the network.
+term without re-reading old data from the network. ``read_plans`` is the
+one place that spells this rule out.
 """
 from __future__ import annotations
 
@@ -92,7 +93,7 @@ class AsyncSchedule:
         p = mapping.n_updatable
         rng = PCG64(self.seed)
         bound, window = self.delay_bound, self.window(p)
-        n_sampled = mapping.sampled_counts()
+        n_sampled = {i: sum(base is None for _, base in plan) for i, plan in mapping.plans.items()}
         # Virtual staggered history: pretend a full round just finished, so
         # deadlines are distinct and the first window stays fair.
         last_fired = {i: i - 1 - p for i in range(1, p + 1)}
@@ -132,26 +133,22 @@ class AsyncSchedule:
 
 @dataclass
 class AsyncMapping:
-    """Componentwise fixed-point map evaluated from slot-indexed readings.
+    """Componentwise fixed-point map evaluated from positional readings.
 
-    read_set[i] lists the (source, slot) pairs component i consumes; eval_fn
-    receives the component index and a dict keyed by those pairs. Slots named
-    in persistent_slots replay the version their base slot consumed at the
-    component's previous event.
+    read_set[i] lists the (source, slot) pairs component i consumes, and
+    eval_fn(i, values) receives the values they read, in that order. Slots
+    named in persistent_slots replay the version their base slot consumed at
+    the component's previous event; ``plans`` is read_plans of the two.
     """
 
-    eval_fn: Callable[[int, dict], np.ndarray]
+    eval_fn: Callable[[int, list[np.ndarray]], np.ndarray]
     read_set: dict[int, tuple[tuple[int, int], ...]]
     persistent_slots: dict[int, int] = field(default_factory=dict)
+    plans: dict[int, tuple[tuple[int, int | None], ...]] = field(init=False, repr=False)
 
     @property
     def n_updatable(self) -> int:
         return len(self.read_set)
-
-    def sampled_counts(self) -> dict[int, int]:
-        """Per component, how many of its reads take a lag from the script."""
-        return {i: sum(slot not in self.persistent_slots for _, slot in reads)
-                for i, reads in self.read_set.items()}
 
     def __post_init__(self):
         p = self.n_updatable
@@ -166,14 +163,32 @@ class AsyncMapping:
         for slot, base in self.persistent_slots.items():
             if base in self.persistent_slots:
                 raise ValueError(f"persistent slot {slot} chained onto persistent slot {base}")
-        for i, reads in self.read_set.items():
-            by_slot = {slot: src for src, slot in reads}
-            for slot, base in self.persistent_slots.items():
-                if slot in by_slot and by_slot.get(base) != by_slot[slot]:
-                    raise ValueError(
-                        f"component {i}: persistent slot {slot} must share its "
-                        f"source with base slot {base}"
-                    )
+        self.plans = read_plans(self.read_set, self.persistent_slots)
+
+
+def read_plans(read_set: dict[int, tuple[tuple[int, int], ...]],
+               persistent_slots: dict[int, int]) -> dict[int, tuple[tuple[int, int | None], ...]]:
+    """Per component, its reads in read_set order as (source, base).
+
+    base is None for a sampled slot, which takes a lag from the script. A
+    persisted slot replays the version read at position base of read_set[i]
+    at the component's previous event (0 before its first); its base slot
+    must be read from the same source, or ValueError.
+    """
+    plans = {}
+    for i, reads in read_set.items():
+        position = {slot: j for j, (_, slot) in enumerate(reads)}
+        plan = []
+        for source, slot in reads:
+            base = None
+            if slot in persistent_slots:
+                base = position.get(persistent_slots[slot])
+                if base is None or reads[base][0] != source:
+                    raise ValueError(f"component {i}: persistent slot {slot} must share its "
+                                     f"source with base slot {persistent_slots[slot]}")
+            plan.append((source, base))
+        plans[i] = tuple(plan)
+    return plans
 
 
 @dataclass(frozen=True)
@@ -394,8 +409,8 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     trace = AsyncTrace(init.copy(), schedule, dict(mapping.read_set),
                        dict(mapping.persistent_slots))
 
-    read_set, persistent = mapping.read_set, mapping.persistent_slots
-    n_sampled = mapping.sampled_counts()
+    plans = mapping.plans
+    n_sampled = {i: sum(base is None for _, base in plan) for i, plan in plans.items()}
     # The log is the only record of versions: a component's version is the
     # number of events it has logged.
     index, logged = trace._event_index, trace.read_versions
@@ -406,13 +421,13 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
 
     def drained() -> bool:
         # Each component's latest sampled reads must have seen the newest
-        # version of their sources, the freshest slot counting per source; a
+        # version of their sources, the freshest read counting per source; a
         # component that never fired stands as having read version -1.
-        for i in range(1, p + 1):
-            latest = logged[i][-len(read_set[i]):] or [-1] * len(read_set[i])
+        for i, plan in plans.items():
+            latest = logged[i][-len(plan):] or [-1] * len(plan)
             consumed: dict[int, int] = {}
-            for (source, slot), version in zip(read_set[i], latest):
-                if slot not in persistent:
+            for (source, base), version in zip(plan, latest):
+                if base is None:
                     consumed[source] = max(consumed.get(source, -1), version)
             if any(version != len(index[src]) for src, version in consumed.items()):
                 return False
@@ -422,29 +437,22 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         if len(lags) != n_sampled[comp]:
             raise ValueError(f"event {k}: component {comp} has {n_sampled[comp]} "
                              f"sampled reads, but the script gave {len(lags)} lags")
-        reads = read_set[comp]
-        # slot -> the version its last read took at the previous event, from
-        # the last r logged versions (none before the first; r = 0 logs none)
-        replay = dict(zip([slot for _, slot in reads], logged[comp][-len(reads):]))
+        plan = plans[comp]
+        # the versions this component read at its previous event, 0s before its first
+        previous = logged[comp][-len(plan):] or [0] * len(plan)
         lag = iter(lags)
-        versions: list[int] = []
-        read_values: dict[tuple[int, int], np.ndarray] = {}
-        for source, slot in reads:
-            if slot in persistent:
-                # Replay what the base slot read at this component's previous event.
-                version = replay.get(persistent[slot], 0)
-            else:
-                version = max(len(index[source]) - next(lag), 0)
-            versions.append(version)
-            read_values[(source, slot)] = trace.version_value(source, version)
+        versions = [max(len(index[source]) - next(lag), 0) if base is None else previous[base]
+                    for source, base in plan]
+        values = [trace.version_value(source, version)
+                  for (source, _), version in zip(plan, versions)]
 
         # eval_fn may reuse its output buffer: the log keeps a copy.
-        new_value = np.asarray(mapping.eval_fn(comp, read_values), dtype=float)
-        previous = trace.version_value(comp, len(index[comp]))
-        if new_value.shape != previous.shape:
+        new_value = np.asarray(mapping.eval_fn(comp, values), dtype=float)
+        current = trace.version_value(comp, len(index[comp]))
+        if new_value.shape != current.shape:
             raise DimensionError(f"component {comp} produced shape {new_value.shape}, "
-                                 f"expected {previous.shape}")
-        delta = float(np.max(np.abs(new_value - previous))) if new_value.size else 0.0
+                                 f"expected {current.shape}")
+        delta = float(np.max(np.abs(new_value - current))) if new_value.size else 0.0
         # a NaN or inf in new_value makes delta non-finite: only then look closer
         if not math.isfinite(delta) and not np.isfinite(new_value).all():
             raise ValueError(f"component {comp} produced a non-finite value at event {k}")
@@ -497,7 +505,7 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     bound = trace.schedule.delay_bound
     win = trace.schedule.window(trace.n_updatable)
     p = trace.n_updatable
-    persistent = trace.persistent_slots
+    plans = read_plans(trace.read_set, trace.persistent_slots)
 
     staleness: list[tuple[int, int, int, int]] = []
     provenance: list[tuple[int, int, int]] = []
@@ -505,20 +513,17 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     versions = [0] * (p + 1)
     last_fired = [-1] * (p + 1)
     unfair_from: dict[int, int] = {}   # component -> its first offending window
-    sampled: dict[tuple[int, int], int] = {}  # (component, slot) -> version last read
+    logged = trace.read_versions
     for k, (comp, reads) in enumerate(zip(trace.component, trace.all_reads())):
-        for source, slot, version in reads:
-            if slot in persistent:
-                if version != sampled.get((comp, persistent[slot]), 0):
+        prev = (versions[comp] - 1) * len(reads)  # where its previous event's versions start
+        for (source, slot, version), (_, base) in zip(reads, plans[comp]):
+            if base is not None:
+                if version != (logged[comp][prev + base] if prev >= 0 else 0):
                     provenance.append((k, slot, version))
             else:
                 oldest = max(versions[source] - bound, 0)
                 if version < oldest or version > versions[source]:
                     staleness.append((k, source, version, oldest))
-        # after the checks: a persisted read replays the previous event's
-        for _source, slot, version in reads:
-            if slot not in persistent:
-                sampled[comp, slot] = version
         versions[comp] += 1
         if k - last_fired[comp] > win:
             unfair_from.setdefault(comp, last_fired[comp] + 1)
@@ -560,13 +565,11 @@ def linear_relaxation_mapping(a_mat, m_diag, rhs) -> tuple[AsyncMapping, BlockVe
     if np.any(d == 0.0):
         raise ValueError("splitting diagonal must be invertible")
 
-    def eval_fn(i: int, read_values: dict) -> np.ndarray:
-        x = np.array([read_values[(j, 1)][0] for j in range(1, n + 1)])
+    def eval_fn(i: int, values: list) -> np.ndarray:
+        x = np.concatenate(values)
         return np.array([x[i - 1] + (b[i - 1] - a[i - 1] @ x) / d[i - 1]])
 
-    read_set = {
-        i: tuple((j, 1) for j in range(1, n + 1)) for i in range(1, n + 1)
-    }
+    read_set = {i: tuple((j, 1) for j in range(1, n + 1)) for i in range(1, n + 1)}
     mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set)
     init = BlockVector(np.zeros((n + 1, 1)))
     return mapping, init

@@ -31,15 +31,11 @@ def async_parareal_mapping(coarse: AffinePropagator, fine: AffinePropagator,
     if p < 1:
         raise ValueError(f"need p >= 1 subintervals, got {p}")
 
-    def eval_fn(i: int, read_values: dict) -> np.ndarray:
-        fresh = read_values[(i - 1, FRESH_SLOT)]
-        remembered = read_values[(i - 1, REMEMBERED_SLOT)]
+    def eval_fn(i: int, values: list) -> np.ndarray:
+        fresh, remembered = values
         return parareal_update(coarse, fine, fresh, remembered)
 
-    read_set = {
-        i: ((i - 1, FRESH_SLOT), (i - 1, REMEMBERED_SLOT))
-        for i in range(1, p + 1)
-    }
+    read_set = {i: ((i - 1, FRESH_SLOT), (i - 1, REMEMBERED_SLOT)) for i in range(1, p + 1)}
     return AsyncMapping(eval_fn=eval_fn, read_set=read_set,
                         persistent_slots={REMEMBERED_SLOT: FRESH_SLOT})
 

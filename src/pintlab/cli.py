@@ -258,8 +258,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    # JSONDecodeError, UnicodeDecodeError, or an integer past int()'s digit limit
-    except ValueError as exc:
+    # JSONDecodeError, UnicodeDecodeError, an integer past int()'s digit limit,
+    # or nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
@@ -418,12 +419,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
 
 
 def emit_table(summary_path: str | Path, out_path: str | Path) -> None:
-    """Condense a summary.csv into the short comparison table."""
+    """Condense a summary.csv into the short comparison table; a summary
+    that cannot be read, lacks a column or holds a malformed row raises
+    ConfigError naming the file."""
     try:
         with open(summary_path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read summary '{summary_path}': {exc}") from exc
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"summary '{summary_path}' is not a UTF-8 CSV file: {exc}") from exc
     for col in SUMMARY_COLUMNS:
         if rows and col not in rows[0]:
             raise ConfigError(f"summary '{summary_path}' lacks column '{col}'")
@@ -438,17 +443,21 @@ def emit_table(summary_path: str | Path, out_path: str | Path) -> None:
         )
 
     out_rows = []
-    for row in sorted(rows, key=sort_key):
-        fitted = row["fitted_overhead"]
-        out_rows.append({
-            "p": row["p"],
-            "mode": row["mode"],
-            "schedule": SCHEDULE_TAG.format(**row) if row["mode"] == "async" else "-",
-            "iterations": row["iterations"] or "-",
-            "model_cost": f"{float(row['model_cost']):.6g}",
-            "fitted_overhead": f"{float(fitted):.6g}" if fitted else "-",
-            "error_vs_oracle": f"{float(row['error_vs_oracle']):.2E}",
-        })
+    try:
+        for row in sorted(rows, key=sort_key):
+            fitted = row["fitted_overhead"]
+            out_rows.append({
+                "p": row["p"],
+                "mode": row["mode"],
+                "schedule": SCHEDULE_TAG.format(**row) if row["mode"] == "async" else "-",
+                "iterations": row["iterations"] or "-",
+                "model_cost": f"{float(row['model_cost']):.6g}",
+                "fitted_overhead": f"{float(fitted):.6g}" if fitted else "-",
+                "error_vs_oracle": f"{float(row['error_vs_oracle']):.2E}",
+            })
+    # a short row reads None (TypeError); a value such as p = "abc" (ValueError)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"summary '{summary_path}' has a malformed row: {exc}") from exc
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
         writer.writeheader()

@@ -42,11 +42,12 @@ def _propagate(prop: AffinePropagator, u0, p: int) -> BlockVector:
     if p < 1:
         raise ValueError(f"need p >= 1 subintervals, got {p}")
     state = np.asarray(u0, dtype=float).reshape(-1)
-    rows = [state]
-    for _ in range(p):
+    rows = np.empty((p + 1, state.shape[0]))
+    rows[0] = state
+    for j in range(1, p + 1):
         state = prop.apply(state)
-        rows.append(state)
-    return BlockVector(np.stack(rows))
+        rows[j] = state
+    return BlockVector(rows)
 
 
 def sequential_fine_solve(fine: AffinePropagator, u0, p: int) -> BlockVector:

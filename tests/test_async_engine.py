@@ -294,8 +294,8 @@ def test_quiescence_requires_buffers_to_flush():
 
 
 def test_horizon_exhausted_carries_partial_trace():
-    def grow(i, reads):
-        return reads[(1, 1)] + 1.0
+    def grow(i, values):
+        return values[0] + 1.0
 
     mapping = AsyncMapping(eval_fn=grow, read_set={1: ((1, 1),)})
     init = BlockVector(np.zeros((2, 1)))
@@ -334,7 +334,7 @@ def test_engine_rejects_mismatched_init():
 @pytest.mark.parametrize("lags", [(), (1, 0)])
 def test_engine_rejects_script_with_wrong_lag_count(lags):
     # slot 2 persists slot 1, so component 1 takes one lag per event
-    mapping = AsyncMapping(eval_fn=lambda i, reads: reads[(0, 1)] + 1.0,
+    mapping = AsyncMapping(eval_fn=lambda i, values: values[0] + 1.0,
                            read_set={1: ((0, 1), (0, 2))}, persistent_slots={2: 1})
     sched = ReplaySchedule(seed=0, delay_bound=1, events=((1, (0,)), (1, lags)))
     with pytest.raises(ValueError, match=f"event 1: component 1 has 1 sampled reads, "
@@ -451,8 +451,8 @@ def test_event_log_views_agree(heat_setups, policy, delay_bound, p, seed):
 def _two_sampled_slots_mapping(p):
     # slots 1 and 2 both sample the predecessor and slot 3 replays slot 1,
     # so drained takes the fresher of two sampled reads of one source
-    def eval_fn(i, reads):
-        first, second, kept = reads[(i - 1, 1)], reads[(i - 1, 2)], reads[(i - 1, 3)]
+    def eval_fn(i, values):
+        first, second, kept = values
         return 0.5 * (first + second) + 0.25 * (first - kept)
 
     read_set = {i: ((i - 1, 1), (i - 1, 2), (i - 1, 3)) for i in range(1, p + 1)}
@@ -514,8 +514,8 @@ def test_non_finite_value_rejected(bad):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_value_rejected_at_its_event(bad):
     # finite values first; the bad entry sits in the middle of event 3's block
-    def eval_fn(i, reads):
-        out = reads[(1, 1)] + 1.0
+    def eval_fn(i, values):
+        out = values[0] + 1.0
         if out[0] == 4.0:
             out[1] = bad
         return out
@@ -592,8 +592,8 @@ def test_log_keeps_a_copy_of_each_value():
     # an eval_fn that reuses one output buffer must not rewrite logged values
     out = np.zeros(1)
 
-    def count_up(i, reads):
-        out[0] = reads[(1, 1)][0] + 1.0
+    def count_up(i, values):
+        out[0] = values[0][0] + 1.0
         return out
 
     mapping = AsyncMapping(eval_fn=count_up, read_set={1: ((1, 1),)})
@@ -605,25 +605,33 @@ def test_log_keeps_a_copy_of_each_value():
 
 # ---------------------------------------------------------- columnar log
 
-def _recording_mapping(p, dim):
+# Read orders of the recording mapping. In both, the persisted slot 2 replays
+# its base slot 1; "base-last" puts the base after it, behind a sampled self
+# read at position 0.
+READ_LAYOUTS = {
+    "base-first": lambda i: ((i - 1, 1), (i - 1, 2), (i, 3)),
+    "base-last": lambda i: ((i, 3), (i - 1, 2), (i - 1, 1)),
+}
+
+
+def _recording_mapping(p, dim, layout="base-first"):
     """Mapping whose eval_fn records what each event read and produced.
 
     Component i reads its predecessor through a sampled slot 1 and a
-    persisted slot 2, and itself through a sampled slot 3. Entry 0 of every
-    value is a running event count, so each version is unique and a read
-    value pins the version it came from.
+    persisted slot 2, and itself through a sampled slot 3, in the order of
+    READ_LAYOUTS[layout]. Entry 0 of every value is a running event count, so
+    each version is unique and a read value pins the version it came from.
     """
     seen = []
 
-    def eval_fn(i, reads):
+    def eval_fn(i, values):
         out = np.empty(dim)
         out[0] = len(seen) + 1
-        out[1:] = (0.5 * reads[(i - 1, 1)][1:] + 0.25 * reads[(i - 1, 2)][1:]
-                   + 0.125 * reads[(i, 3)][1:] + i)
-        seen.append((i, {key: value.copy() for key, value in reads.items()}, out.copy()))
+        out[1:] = 0.5 * values[0][1:] + 0.25 * values[1][1:] + 0.125 * values[2][1:] + i
+        seen.append((i, [value.copy() for value in values], out.copy()))
         return out
 
-    read_set = {i: ((i - 1, 1), (i - 1, 2), (i, 3)) for i in range(1, p + 1)}
+    read_set = {i: READ_LAYOUTS[layout](i) for i in range(1, p + 1)}
     mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set, persistent_slots={2: 1})
     init = BlockVector(-np.arange(1.0, (p + 1) * dim + 1).reshape(p + 1, dim))
     return mapping, init, seen
@@ -634,38 +642,52 @@ def _recording_mapping(p, dim):
        st.integers(min_value=0, max_value=3),
        st.integers(min_value=1, max_value=8),
        st.integers(min_value=0, max_value=2**16),
-       st.integers(min_value=1, max_value=80))
+       st.integers(min_value=1, max_value=80),
+       st.sampled_from(sorted(READ_LAYOUTS)))
+@example(POLICY_RANDOM_FAIR, 2, 3, 1, 40, "base-last")
 def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, seed,
-                                                      n_events):
+                                                      n_events, layout):
     # events[k], values[k] and JSONL line k are built from the columns; they
-    # must say exactly what eval_fn saw and returned at event k
-    mapping, init, seen = _recording_mapping(p, 3)
+    # must say exactly what eval_fn saw and returned at event k, and the
+    # persisted slot must replay its base slot's previous read wherever the
+    # base sits in the read order
+    mapping, init, seen = _recording_mapping(p, 3, layout)
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
-    trace = simulate_async(mapping, init, sched, stop=lambda view: view.k + 1 >= n_events)
-    assert len(trace.events) == len(trace.values) == len(seen) == n_events
+    stop = lambda view: view.k + 1 >= n_events
+    trace = simulate_async(mapping, init, sched, stop=stop)
+    events, values = trace.events, trace.values
+    assert len(events) == len(values) == len(seen) == n_events
     lines = list(trace.jsonl_lines())
     assert len(lines) == n_events
     latest = init.data.copy()
+    remembered = [0] * (p + 1)  # per component, the version its last slot-1 read took
     for k, (comp, read_values, out) in enumerate(seen):
-        ev = trace.events[k]
+        ev = events[k]
         assert ev.component == comp
-        assert sorted((src, slot) for src, slot, _ in ev.reads) == sorted(read_values)
-        for source, slot, version in ev.reads:
-            assert np.array_equal(trace.version_value(source, version),
-                                  read_values[(source, slot)]), (k, source, slot)
-        assert np.array_equal(trace.values[k], out)
+        assert [(src, slot) for src, slot, _ in ev.reads] == list(mapping.read_set[comp])
+        for (source, slot, version), value in zip(ev.reads, read_values, strict=True):
+            assert np.array_equal(trace.version_value(source, version), value), (k, source, slot)
+        versions = {slot: version for _, slot, version in ev.reads}
+        assert versions[2] == remembered[comp], k
+        remembered[comp] = versions[1]
+        assert np.array_equal(values[k], out)
         assert ev.delta == float(np.max(np.abs(out - latest[comp])))
         latest[comp] = out
         digest = hashlib.sha256(out.tobytes()).hexdigest()[:16]
         assert json.loads(lines[k]) == {"k": k, "component": comp,
                                         "reads": [list(r) for r in ev.reads],
                                         "digest": digest, "delta": ev.delta}
-    assert trace.events[-1] == trace.events[n_events - 1]
-    assert trace.events[1:3] == [trace.events[k] for k in range(1, min(3, n_events))]
+    assert trace.events[-1] == events[n_events - 1]
+    assert trace.events[1:3] == [events[k] for k in range(1, min(3, n_events))]
     with pytest.raises(IndexError):
         trace.events[n_events]
     with pytest.raises(ValueError):
         trace.values[0][0] = 0.0   # served read-only from the log
+    assert validate_schedule(trace).ok
+    # re-executing the trace's own script on a fresh mapping rewrites it byte for byte
+    fresh, _, _ = _recording_mapping(p, 3, layout)
+    replayed = simulate_async(fresh, init, ReplaySchedule.of(trace), stop=stop)
+    assert "".join(replayed.jsonl_lines()) == "".join(lines)
 
 
 def test_values_agree_across_chunk_boundaries():
@@ -750,8 +772,8 @@ def test_compact_log_matches_per_event_outputs(policy, delay_bound, p, seed):
     inner = async_parareal_mapping(coarse, fine, p)
     outs = []
 
-    def eval_fn(i, reads):
-        out = inner.eval_fn(i, reads)
+    def eval_fn(i, values):
+        out = inner.eval_fn(i, values)
         outs.append((i, out.copy()))
         return out
 
@@ -884,9 +906,9 @@ def test_index_columns_are_four_bytes():
     AsyncSchedule(seed=0, delay_bound=2**31 - 1)
     with pytest.raises(ValueError, match="4-byte"):
         AsyncSchedule(seed=0, delay_bound=2**31)
-    AsyncMapping(eval_fn=lambda i, reads: reads[(0, 2**31 - 1)], read_set={1: ((0, 2**31 - 1),)})
+    AsyncMapping(eval_fn=lambda i, values: values[0], read_set={1: ((0, 2**31 - 1),)})
     with pytest.raises(DimensionError, match="slot"):
-        AsyncMapping(eval_fn=lambda i, reads: reads[(0, 2**31)], read_set={1: ((0, 2**31),)})
+        AsyncMapping(eval_fn=lambda i, values: values[0], read_set={1: ((0, 2**31),)})
 
 
 def test_trace_memory_stays_columnar():

@@ -218,6 +218,15 @@ def test_overlong_integer_literal_exits_one(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_exits_one(tmp_path, capsys):
+    # json recurses once per level and gives up with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"label": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o")])
@@ -411,6 +420,20 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
     rc = main(["table", "--in", str(alien), "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     capsys.readouterr()
+    # every column present, but a value that is no number, a short row whose
+    # missing fields read None, and bytes that are not UTF-8
+    header = ",".join(SUMMARY_COLUMNS) + "\n"
+    fields = {"p": "abc", "mode": "sync", "model_cost": "10", "error_vs_oracle": "0.0"}
+    bad_p = ",".join(fields.get(col, "") for col in SUMMARY_COLUMNS)
+    for name, content in [("bad_value.csv", (header + bad_p + "\n").encode()),
+                          ("short_row.csv", (header + "demo,4,sync\n").encode()),
+                          ("latin1.csv", (header + "d\xe9mo,4\n").encode("latin-1"))]:
+        path = tmp_path / name
+        path.write_bytes(content)
+        rc = main(["table", "--in", str(path), "--out", str(tmp_path / "t.csv")])
+        assert rc == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err, (name, err)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -495,5 +518,8 @@ def test_benchmark_tracer_names_resolve(tmp_path):
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True)
     per_layer = json.loads(proc.stdout)
-    for name in ("model.fold_s", "async_engine.events", "parareal.sweeps"):
+    # the two update leaves must stay on the hot paths: a sweep or a mapping
+    # that stops calling the wrapped parareal_update would read 0 here
+    for name in ("model.fold_s", "async_engine.events", "parareal.sweeps",
+                 "async_parareal.eval_s", "parareal.update_s"):
         assert per_layer[name] > 0, name

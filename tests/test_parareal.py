@@ -180,6 +180,22 @@ def test_sweep_memory_does_not_grow_with_k():
     assert peak < 16 * (p + 1) * n * 8
 
 
+def test_propagated_iterate_is_built_in_place():
+    # the iterate fills one (p + 1) x d array; p + 1 row arrays stacked at
+    # the end peaked at about four times its size
+    p, n = 2**14, 16
+    ivp, coarse, fine = _heat_pair(n, p, 10)
+    sequential_fine_solve(fine, ivp.u0, 4)  # first-call caches
+    tracemalloc.start()
+    try:
+        oracle = sequential_fine_solve(fine, ivp.u0, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.data.shape == (p + 1, n)
+    assert peak <= 1.5 * oracle.data.nbytes
+
+
 def test_block_system_fixed_point_is_fine_trajectory(heat_setups):
     ivp, coarse, fine = heat_setups[4]
     p = 5
