@@ -84,12 +84,11 @@ def factors_from_norms(coarse_norm: float, defect_norm: float, p: int,
 
 
 def contraction_factors(coarse: AffinePropagator, fine: AffinePropagator, p: int,
-                        kind: NormKind = NormKind.SPECTRAL,
-                        theta: float | None = None) -> ContractionReport:
+                        kind: NormKind = NormKind.SPECTRAL) -> ContractionReport:
     """Measure the norms of actual propagators and derive both factors."""
     coarse_norm = operator_norm(coarse.matrix, kind)
     defect_norm = operator_norm(fine.matrix - coarse.matrix, kind)
-    return factors_from_norms(coarse_norm, defect_norm, p, kind=kind, theta=theta)
+    return factors_from_norms(coarse_norm, defect_norm, p, kind=kind)
 
 
 class CheckResult(NamedTuple):
@@ -164,7 +163,7 @@ def _row_results(trace: AsyncTrace, per_rows, typecode: str) -> Iterator[tuple[i
     results = array(typecode)
     for wrote, rows in trace.value_blocks():
         results.frombytes(per_rows(rows, wrote).tobytes())
-    return zip(trace.component, map(results.__getitem__, trace.row))
+    return zip(trace.component, map(results.__getitem__, trace.event_rows()))
 
 
 def async_error_envelope(trace: AsyncTrace, report: ContractionReport,

@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, HorizonExhausted
+from .errors import DimensionError, HorizonExhausted, echo
 from .linalg import BlockVector, lu_solve
 
 POLICY_ROUND_ROBIN = "round-robin"
@@ -61,21 +60,21 @@ class AsyncSchedule:
         for name in ("seed", "delay_bound", "max_events"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {value!r}")
+                raise TypeError(f"{name} must be an int, got {echo(value)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {echo(self.seed)}")
         if self.delay_bound < 0:
-            raise ValueError(f"delay bound must be >= 0, got {self.delay_bound}")
+            raise ValueError(f"delay bound must be >= 0, got {echo(self.delay_bound)}")
         if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
+            raise ValueError(f"unknown policy {echo(self.policy)}, expected one of {POLICIES}")
         if self.max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {self.max_events}")
+            raise ValueError(f"max_events must be >= 1, got {echo(self.max_events)}")
         if self.max_events > INDEX_MAX:
             raise ValueError(f"max_events must be <= {INDEX_MAX}: the trace keeps "
-                             f"event indices in 4-byte columns; got {self.max_events}")
+                             f"event indices in 4-byte columns; got {echo(self.max_events)}")
         if self.delay_bound > INDEX_MAX:
             raise ValueError(f"delay bound must be <= {INDEX_MAX}, the largest 4-byte "
-                             f"event index; got {self.delay_bound}")
+                             f"event index; got {echo(self.delay_bound)}")
 
     def window(self, n_updatable: int) -> int:
         return n_updatable * (self.delay_bound + 1)
@@ -127,7 +126,7 @@ class AsyncSchedule:
     def from_dict(cls, doc: dict) -> "AsyncSchedule":
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"unknown schedule fields: {', '.join(unknown)}")
+            raise ValueError(f"unknown schedule fields: {echo(unknown)}")
         return cls(**doc)
 
 
@@ -218,20 +217,19 @@ class AsyncTrace:
     """Event log of one simulation, self-describing for offline checks.
 
     The log is columnar. Per event k it keeps ``component[k]``, the component
-    that fired, ``delta[k]``, the ``row[k]`` of the value column it wrote,
-    and the r versions it read: each event of a component reads the r
-    (source, slot) pairs of ``read_set[component]``, so its versions go to
-    ``read_versions[component]`` in that order. A value bitwise equal to its
-    component's current version reuses that row; any other fills a new row,
-    written by ``row_component[row]``. Rows fill 2-D chunks of CHUNK_ROWS
-    rows, so the log grows without copying and holds at most one chunk of
-    slack. Index and version columns are 4-byte ints.
+    that fired, ``delta[k]`` and the r versions it read: each event of a
+    component reads the r (source, slot) pairs of ``read_set[component]``,
+    so its versions go to ``read_versions[component]`` in that order.
+    Version v >= 1 of component c is its v-th event's value, row
+    ``rows[c][v - 1]`` of the value column, and version 0 its block of
+    ``initial``; every state derives from these. A value bitwise equal to
+    its component's current version reuses that row; any other fills a new
+    row, written by ``row_component[row]``. Rows fill 2-D chunks of
+    CHUNK_ROWS rows, so the log grows without copying and holds at most one
+    chunk of slack. Index and version columns are 4-byte ints.
 
     ``events`` (UpdateRecords) and ``values`` (read-only row views) are
     lists built on each read by one walk of the columns.
-    Version v >= 1 of a component is the value of its v-th event, version 0
-    its block of ``initial``; every state is derived from the log and
-    ``initial``, one block per component.
     """
 
     def __init__(self, initial: BlockVector, schedule: AsyncSchedule,
@@ -244,10 +242,8 @@ class AsyncTrace:
         self.stop_reason = stop_reason
         self.component = array("i")
         self.delta = array("d")
-        self.row = array("i")
         self.row_component = array("i")
-        # component -> index of the event that produced each of its versions
-        self._event_index = [array("i") for _ in range(initial.n_blocks)]
+        self.rows = [array("i") for _ in range(initial.n_blocks)]  # per version v >= 1
         self.read_versions = [array("i") for _ in range(initial.n_blocks)]
         self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
         self._tail: np.ndarray | None = None  # the last chunk, writable
@@ -259,8 +255,9 @@ class AsyncTrace:
                      stop_reason: str = "") -> "AsyncTrace":
         """Pack records and the values they produced into a trace.
 
-        Components and read sources must lie in 0..n_updatable, and every
-        record of a component must read the (source, slot) pairs of its first.
+        Components and read sources must lie in 0..n_updatable, every record
+        of a component must read the (source, slot) pairs of its first, and
+        the persisted slots must pass read_plans.
         """
         trace = cls(initial, schedule, {}, dict(persistent_slots or {}), stop_reason)
         for k, (record, value) in enumerate(zip(records, values, strict=True)):
@@ -275,6 +272,7 @@ class AsyncTrace:
                 raise DimensionError(
                     f"value of shape {value.shape} for blocks of dim {initial.block_dim}")
             trace.append(comp, [version for *_, version in record.reads], record.delta, value)
+        read_plans(trace.read_set, trace.persistent_slots)
         return trace
 
     @property
@@ -291,16 +289,16 @@ class AsyncTrace:
 
     @property
     def values(self) -> list[np.ndarray]:
-        return list(map(self._value, range(self.n_events)))
+        return list(map(self._row, self.event_rows()))
 
     def append(self, component: int, versions: Iterable[int], delta: float,
                value: np.ndarray) -> None:
         """Log one event: the versions it read in read_set order, its delta
         and a copy of the value it produced, which has the block shape."""
-        index = self._event_index[component]
+        rows = self.rows[component]
         # bytes, not ==, so that -0.0 after 0.0 gets its own row and digest
-        if index and self._value(index[-1]).tobytes() == value.tobytes():
-            row = self.row[index[-1]]
+        if rows and self._row(rows[-1]).tobytes() == value.tobytes():
+            row = rows[-1]
         else:
             row = len(self.row_component)
             if row % CHUNK_ROWS == 0:
@@ -310,14 +308,13 @@ class AsyncTrace:
                 self._chunks.append(view)
             self._tail[row % CHUNK_ROWS] = value
             self.row_component.append(component)
-        index.append(len(self.component))
-        self.row.append(row)
+        rows.append(row)
         self.component.append(component)
         self.delta.append(delta)
         self.read_versions[component].extend(versions)
 
-    def _value(self, k: int) -> np.ndarray:
-        chunk, row = divmod(self.row[k], CHUNK_ROWS)
+    def _row(self, row: int) -> np.ndarray:
+        chunk, row = divmod(row, CHUNK_ROWS)
         return self._chunks[chunk][row]
 
     def all_reads(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
@@ -326,6 +323,11 @@ class AsyncTrace:
         cursors = [iter(versions) for versions in self.read_versions]
         return (tuple([(source, slot, next(cursors[comp]))
                        for source, slot in self.read_set[comp]]) for comp in self.component)
+
+    def event_rows(self) -> Iterator[int]:
+        """Every event's value row in order, by one cursor per component."""
+        cursors = [iter(rows) for rows in self.rows]
+        return (next(cursors[comp]) for comp in self.component)
 
     def value_blocks(self) -> Iterator[tuple[array, np.ndarray]]:
         """The value column in row order, chunk by chunk: the components
@@ -336,22 +338,19 @@ class AsyncTrace:
 
     def version_value(self, component: int, version: int) -> np.ndarray:
         """The value a (component, version) stamp refers to."""
-        if version == 0:
-            return self.initial[component]
-        index = self._event_index[component]
-        if not 1 <= version <= len(index):
+        rows = self.rows[component]
+        if not 0 <= version <= len(rows):
             raise KeyError(f"component {component} never reached version {version}")
-        return self._value(index[version - 1])
+        return self._row(rows[version - 1]) if version else self.initial[component]
 
     def state_after(self, event_index: int) -> BlockVector:
         """State once ``event_index + 1`` events have run; -1 gives the start."""
         if not -1 <= event_index < self.n_events:
             raise IndexError(f"trace has no event {event_index}")
         data = self.initial.data.copy()
-        for comp, index in enumerate(self._event_index):
-            version = bisect_right(index, event_index)
-            if version:
-                data[comp] = self._value(index[version - 1])
+        versions = np.bincount(self.component[:event_index + 1], minlength=len(data))
+        for comp in np.flatnonzero(versions):
+            data[comp] = self.version_value(comp, versions[comp])
         return BlockVector(data)
 
     def jsonl_lines(self) -> Iterator[str]:
@@ -366,13 +365,13 @@ class AsyncTrace:
         """
         import hashlib  # loads OpenSSL, which only a written trace needs
 
-        rows = (row for _, chunk in self.value_blocks() for row in chunk)
+        new_rows = (row for _, chunk in self.value_blocks() for row in chunk)
         digests = [""] * self.initial.n_blocks
         seen = 0
         for k, (comp, reads, row, delta) in enumerate(
-                zip(self.component, self.all_reads(), self.row, self.delta)):
+                zip(self.component, self.all_reads(), self.event_rows(), self.delta)):
             if row == seen:
-                digests[comp] = hashlib.sha256(next(rows).tobytes()).hexdigest()[:16]
+                digests[comp] = hashlib.sha256(next(new_rows).tobytes()).hexdigest()[:16]
                 seen += 1
             yield json.dumps({
                 "k": k,
@@ -413,7 +412,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     n_sampled = {i: sum(base is None for _, base in plan) for i, plan in plans.items()}
     # The log is the only record of versions: a component's version is the
     # number of events it has logged.
-    index, logged = trace._event_index, trace.read_versions
+    rows, logged = trace.rows, trace.read_versions
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
     zero_streak = 0
@@ -429,7 +428,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
             for (source, base), version in zip(plan, latest):
                 if base is None:
                     consumed[source] = max(consumed.get(source, -1), version)
-            if any(version != len(index[src]) for src, version in consumed.items()):
+            if any(version != len(rows[src]) for src, version in consumed.items()):
                 return False
         return True
 
@@ -441,14 +440,14 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         # the versions this component read at its previous event, 0s before its first
         previous = logged[comp][-len(plan):] or [0] * len(plan)
         lag = iter(lags)
-        versions = [max(len(index[source]) - next(lag), 0) if base is None else previous[base]
+        versions = [max(len(rows[source]) - next(lag), 0) if base is None else previous[base]
                     for source, base in plan]
         values = [trace.version_value(source, version)
                   for (source, _), version in zip(plan, versions)]
 
         # eval_fn may reuse its output buffer: the log keeps a copy.
         new_value = np.asarray(mapping.eval_fn(comp, values), dtype=float)
-        current = trace.version_value(comp, len(index[comp]))
+        current = trace.version_value(comp, len(rows[comp]))
         if new_value.shape != current.shape:
             raise DimensionError(f"component {comp} produced shape {new_value.shape}, "
                                  f"expected {current.shape}")
@@ -544,7 +543,7 @@ def update_counts(trace: AsyncTrace) -> tuple[np.ndarray, int]:
     The maximum is the per-worker iteration count that the asynchronous cost
     model charges; an empty trace gives zero.
     """
-    counts = np.array([len(index) for index in trace._event_index], dtype=int)
+    counts = np.array([len(rows) for rows in trace.rows], dtype=int)
     return counts, int(np.max(counts[1:], initial=0))
 
 

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .async_engine import STOP_HORIZON, AsyncSchedule, update_counts, validate_schedule
 from .async_parareal import run_async_parareal
-from .errors import ConfigError, HorizonExhausted, UnfittableError
+from .errors import ConfigError, HorizonExhausted, UnfittableError, echo
 from .linalg import BlockVector, NormKind, max_block_norm
 from .model import (
     AffinePropagator,
@@ -123,17 +123,15 @@ def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
             f"got {type(value).__name__}"
         )
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {echo(value)}")
     if isinstance(value, int) and abs(value) >= FLOAT_END:
         raise ConfigError(f"{where}.{key}: integer too large for a float")
     return value
 
 
-def _parse_problem(raw, where: str) -> LinearIVP:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: must be an object")
+def _parse_problem(raw: dict, where: str) -> LinearIVP:
     if "name" in raw:
-        name = raw["name"]
+        name = _expect(raw, "name", str, where)
         builders = {
             "heat1d": (heat1d_system, {
                 "n_interior": 8, "length": 1.0, "boundary_left": 23.0,
@@ -144,12 +142,12 @@ def _parse_problem(raw, where: str) -> LinearIVP:
             }),
         }
         if name not in builders:
-            raise ConfigError(f"{where}.name: unknown built-in problem '{name}'")
+            raise ConfigError(f"{where}.name: unknown built-in problem {echo(name)}")
         builder, defaults = builders[name]
         unknown = sorted(set(raw) - {"name"} - set(defaults))
         if unknown:
             raise ConfigError(
-                f"{where}: unknown parameters for '{name}': {', '.join(unknown)}"
+                f"{where}: unknown parameters for '{name}': {echo(unknown)}"
             )
         # an int default (n_interior) takes ints only
         kwargs = {k: _expect(raw, k, int if isinstance(v, int) else (int, float), where,
@@ -165,16 +163,14 @@ def _parse_problem(raw, where: str) -> LinearIVP:
         raise ConfigError(f"{where}: invalid inline system: {exc}") from exc
 
 
-def _parse_propagator(raw, where: str) -> PropagatorSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: must be an object")
+def _parse_propagator(raw: dict, where: str) -> PropagatorSpec:
     rule = _expect(raw, "rule", str, where)
     if rule not in PROPAGATOR_RULES:
         known = ", ".join(sorted(PROPAGATOR_RULES))
-        raise ConfigError(f"{where}.rule: unknown rule '{rule}' (known: {known})")
+        raise ConfigError(f"{where}.rule: unknown rule {echo(rule)} (known: {known})")
     steps = _expect(raw, "steps", int, where)
     if not 1 <= steps <= MAX_STEPS:
-        raise ConfigError(f"{where}.steps: need an integer in 1..{MAX_STEPS}, got {steps!r}")
+        raise ConfigError(f"{where}.steps: need an integer in 1..{MAX_STEPS}, got {echo(steps)}")
     return PropagatorSpec(rule=rule, steps=steps)
 
 
@@ -212,20 +208,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     ivp = _parse_problem(_expect(raw, "problem", dict, "config"), "config.problem")
     p = _expect(raw, "p", int, "config")
     if not 1 <= p <= MAX_P:
-        raise ConfigError(f"config.p: need an integer in 1..{MAX_P}, got {p!r}")
+        raise ConfigError(f"config.p: need an integer in 1..{MAX_P}, got {echo(p)}")
     fine = _parse_propagator(_expect(raw, "fine", dict, "config"), "config.fine")
     coarse = _parse_propagator(_expect(raw, "coarse", dict, "config"), "config.coarse")
     epsilon = _expect(raw, "epsilon", (int, float), "config", required=False, default=0.0)
     if epsilon < 0.0:
-        raise ConfigError(f"config.epsilon: need a number >= 0, got {epsilon!r}")
+        raise ConfigError(f"config.epsilon: need a number >= 0, got {echo(epsilon)}")
     k_max = _expect(raw, "k_max", int, "config", required=False)
     if k_max is not None and k_max < 1:
-        raise ConfigError(f"config.k_max: need a positive integer, got {k_max!r}")
+        raise ConfigError(f"config.k_max: need a positive integer, got {echo(k_max)}")
     norm_name = _expect(raw, "norm", str, "config", required=False, default="spectral")
     try:
         norm_kind = NormKind(norm_name)
     except ValueError as exc:
-        raise ConfigError(f"config.norm: unknown norm '{norm_name}'") from exc
+        raise ConfigError(f"config.norm: unknown norm {echo(norm_name)}") from exc
     raw_schedules = _expect(raw, "schedules", list, "config", required=False, default=[])
     schedules = [
         _parse_schedule(s, f"config.schedules[{i}]")
@@ -235,13 +231,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     def cost_field(key):
         v = _expect(costs, key, (int, float), "config.costs", required=False)
         if v is not None and v < 0.0:
-            raise ConfigError(f"config.costs.{key}: need a number >= 0, got {v!r}")
+            raise ConfigError(f"config.costs.{key}: need a number >= 0, got {echo(v)}")
         return None if v is None else float(v)
     known_top = {"label", "problem", "p", "fine", "coarse", "epsilon", "k_max",
                  "norm", "schedules", "costs"}
     unknown = sorted(set(raw) - known_top)
     if unknown:
-        raise ConfigError(f"config: unknown fields: {', '.join(unknown)}")
+        raise ConfigError(f"config: unknown fields: {echo(unknown)}")
     return ExperimentConfig(
         label=label, ivp=ivp, p=p, fine=fine, coarse=coarse,
         epsilon=float(epsilon), k_max=k_max, norm_kind=norm_kind,

@@ -2,9 +2,15 @@
 
 Errors that carry diagnostic payloads (a pivot, a partial trace) are
 distinct classes so callers can recover the payload instead of parsing
-messages.
+messages. A message that quotes an input value quotes ``echo(value)``.
 """
 from __future__ import annotations
+
+import reprlib
+
+# repr cut short: a string at 30 characters, an integer at 40 digits, a
+# container at a few items and 6 levels, so a message stays short whatever it quotes.
+echo = reprlib.Repr().repr
 
 
 class DimensionError(ValueError):

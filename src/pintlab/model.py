@@ -15,6 +15,7 @@ from .errors import (
     DimensionError,
     SingularMatrixError,
     SingularSystemError,
+    echo,
 )
 from .linalg import as_matrix, lu_solve
 
@@ -67,7 +68,7 @@ class LinearIVP:
             _require_numbers(doc[key], depth, key)
         label = doc.get("label", "ivp")
         if not isinstance(label, str):
-            raise TypeError(f"label: expected a string, got {label!r}")
+            raise TypeError(f"label: expected a string, got {echo(label)}")
         return cls(doc["A"], doc["c"], doc["u0"], doc["T"], label)
 
 
@@ -76,7 +77,7 @@ def _require_numbers(value, depth: int, where: str) -> None:
     kinds = list if depth else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"{where}: expected {'a list' if depth else 'a number'}, "
-                        f"got {value!r}")
+                        f"got {echo(value)}")
     for j, item in enumerate(value if depth else ()):
         _require_numbers(item, depth - 1, f"{where}[{j}]")
 
@@ -180,10 +181,10 @@ def heat1d_system(n_interior: int, length: float, boundary_left: float,
     """
     if n_interior < 1:
         raise DegenerateProblemError(
-            f"need at least one interior node, got {n_interior}"
+            f"need at least one interior node, got {echo(n_interior)}"
         )
     if not length > 0.0:
-        raise ValueError(f"rod length must be positive, got {length}")
+        raise ValueError(f"rod length must be positive, got {echo(length)}")
     h = length / (n_interior + 1)
     inv_h2 = 1.0 / (h * h)
     a_mat = inv_h2 * (
@@ -202,5 +203,5 @@ def scalar_decay_system(rate: float = 1.0, initial: float = 1.0,
                         t_final: float = 1.0) -> LinearIVP:
     """u' = -rate * u, the one-dimensional smoke-test problem."""
     if not rate > 0.0:
-        raise ValueError(f"decay rate must be positive, got {rate}")
+        raise ValueError(f"decay rate must be positive, got {echo(rate)}")
     return LinearIVP([[-rate]], [0.0], [initial], t_final, label="scalar-decay")

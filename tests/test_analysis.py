@@ -34,6 +34,7 @@ from pintlab.async_engine import (
 )
 from pintlab.async_parareal import run_async_parareal
 from pintlab.errors import (
+    DimensionError,
     EnvelopeUndefinedError,
     InvalidThetaError,
     UndefinedLimitError,
@@ -333,6 +334,10 @@ def test_finite_termination_async(heat_setups):
     match = lambda state: np.allclose(state.data, reference.data, rtol=1e-12, atol=0.0)
     assert match(trace.state_after(idx - 1))
     assert not match(trace.state_after(idx - 2))
+    # a reference is a state: p + 1 blocks of the trace's block dimension
+    for shape in [(p, reference.block_dim), (p + 1, reference.block_dim + 1)]:
+        with pytest.raises(DimensionError, match="reference of shape"):
+            check_finite_termination(trace, BlockVector(np.zeros(shape)))
 
 
 def _mixed_reference(trace, times, scale):

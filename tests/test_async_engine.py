@@ -526,6 +526,25 @@ def test_non_finite_value_rejected_at_its_event(bad):
                        AsyncSchedule(seed=0, delay_bound=0))
 
 
+def _pack_one_value(value):
+    return AsyncTrace.from_records([_ev(1)], [value], initial=BlockVector(np.zeros((2, 2))),
+                                   schedule=AsyncSchedule(seed=0, delay_bound=0))
+
+
+def _simulate_one_value(value):
+    mapping = AsyncMapping(eval_fn=lambda i, reads: value, read_set={1: ((0, 1),)})
+    return simulate_async(mapping, BlockVector(np.zeros((2, 2))),
+                          AsyncSchedule(seed=0, delay_bound=0))
+
+
+@pytest.mark.parametrize("log", [_pack_one_value, _simulate_one_value])
+@pytest.mark.parametrize("value", [np.zeros(3), np.zeros(1), np.zeros((1, 2)), 0.0])
+def test_values_of_another_shape_rejected(log, value):
+    # every logged value has the block shape, whether packed or produced
+    with pytest.raises(DimensionError, match="shape"):
+        log(value)
+
+
 def test_overflowing_delta_of_finite_values_is_logged():
     # finite values whose difference overflows give delta inf, not an error
     produce = iter([1e308, -1e308])
@@ -563,6 +582,11 @@ def test_records_keep_their_components_read_pattern():
     assert trace.read_set == {2: ((1, 1), (1, 2)), 1: ()}
     assert [list(v) for v in trace.read_versions] == [[], [], [0, 0, 1, 0]]
     assert trace.events[2].reads == ((1, 1, 1), (1, 2, 0))
+    # a persisted slot whose base slot is not read from its source is refused
+    # when packed, as the mapping would refuse it
+    with pytest.raises(ValueError, match="persistent slot 2 must share its source "
+                                         "with base slot 1"):
+        _handmade_trace([_ev(1, reads=[(0, 2, 0)])], 1, sched, persistent={2: 1})
 
 
 @settings(deadline=None, max_examples=60)
@@ -742,7 +766,7 @@ def _assert_log_matches_outputs(trace, outs, fixed):
         assert trace.state_after(k).data.tobytes() == state.tobytes(), k
         assert json.loads(lines[k])["digest"] == hashlib.sha256(out.tobytes()).hexdigest()[:16]
     assert len(trace.row_component) == new_rows
-    assert sorted(set(trace.row)) == list(range(new_rows))
+    assert sorted(set(trace.event_rows())) == list(range(new_rows))
     for comp, versions in enumerate(produced):
         for version, out in enumerate(versions, 1):
             assert trace.version_value(comp, version).tobytes() == out.tobytes()
@@ -795,7 +819,7 @@ def test_signed_zeros_keep_their_own_rows():
                            AsyncSchedule(seed=0, delay_bound=0))
     assert trace.n_events == 4
     assert list(trace.delta) == [1.0, 0.0, 0.0, 0.0]
-    assert list(trace.row) == [0, 1, 1, 2]
+    assert list(trace.event_rows()) == [0, 1, 1, 2]
     assert list(trace.row_component) == [1, 1, 1]
     digests = [json.loads(line)["digest"] for line in trace.jsonl_lines()]
     assert digests[0] == digests[3] != digests[1] == digests[2]
@@ -818,7 +842,7 @@ def test_jsonl_digests_follow_each_components_current_row():
         [UpdateRecord(component=comp, reads=((0, 1, 0),), delta=0.0) for comp, _ in outs],
         [out for _, out in outs], initial=initial,
         schedule=AsyncSchedule(seed=0, delay_bound=0))
-    assert list(trace.row) == [0, 1, 0, 2, 1, 3, 4, 5, 6, 4, 7]
+    assert list(trace.event_rows()) == [0, 1, 0, 2, 1, 3, 4, 5, 6, 4, 7]
     lines = list(trace.jsonl_lines())
     assert len(lines) == trace.n_events
     for k, (line, value) in enumerate(zip(lines, trace.values, strict=True)):
@@ -896,8 +920,7 @@ def test_index_columns_are_four_bytes():
     trace = AsyncTrace.from_records([_ev(1, reads=[(0, 1, 0)])], [np.zeros(1)],
                                     initial=BlockVector(np.zeros((2, 1))),
                                     schedule=AsyncSchedule(seed=0, delay_bound=0))
-    columns = (trace.component, trace.row, trace.row_component, *trace._event_index,
-               *trace.read_versions)
+    columns = (trace.component, trace.row_component, *trace.rows, *trace.read_versions)
     assert {column.itemsize for column in columns} == {4}
     # a horizon or a slot past the columns' range fails before the run
     AsyncSchedule(seed=0, delay_bound=0, max_events=2**31 - 1)
@@ -932,7 +955,7 @@ def test_trace_memory_stays_columnar():
     events, rows = len(trace.events), len(trace.row_component)
     assert events > 1000
     # a row is d floats plus its writer (4 B); an event is its delta (8 B)
-    # plus component, row, version index and the two versions it read (4 B
-    # each): 28 B, and 20 B of headroom for array growth and the run's fixed
-    # allocations
-    assert footprint <= rows * (8 * dim + 4) + events * 48 + CHUNK_ROWS * 8 * dim
+    # plus component, the row of the version it wrote and the two versions
+    # it read (4 B each): 24 B, and 20 B of headroom for array growth and the
+    # run's fixed allocations
+    assert footprint <= rows * (8 * dim + 4) + events * 44 + CHUNK_ROWS * 8 * dim

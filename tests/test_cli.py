@@ -72,6 +72,7 @@ def read_summary(out: Path):
     lambda c: c.update(norm="manhattan"),
     lambda c: c.update(mystery=1),
     lambda c: c["problem"].update(name="pendulum"),
+    lambda c: c["problem"].update(name=["heat1d"]),
     lambda c: c["problem"].update(viscosity=2.0),
     lambda c: c["fine"].update(rule="leapfrog"),
     lambda c: c["fine"].update(steps=0),
@@ -139,12 +140,41 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     (base_config(epsilon=float("nan")), []),  # written as the JSON literal NaN
     (base_config(schedules=[{"seed": -1, "delay_bound": 0}]), []),
     (base_config(), ["--seed-override", "-3"]),
+    (base_config(problem={"name": "heat1d", "length": -1}), []),  # a bad parameter
+    ([], []),  # a top level that is no object
 ])
 def test_rejected_values_exit_one(tmp_path, capsys, cfg, extra):
     rc, out = run_cli(tmp_path, cfg, extra=extra)
     assert rc == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not (out / "report.json").exists()
+
+
+def _nested(depth):
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda c: c["problem"].update(name="x" * 100_000), "config.problem.name"),
+    (lambda c: c["fine"].update(rule="r" * 50_000), "config.fine.rule"),
+    (lambda c: c.update({"f" * 30_000: 1}), "config: unknown fields"),
+    (lambda c: c.update(problem={"A": _nested(900), "c": [0.0], "u0": [1.0], "T": 1.0}),
+     "config.problem"),
+    (lambda c: c.update(p=10**300), "config.p"),
+])
+def test_config_errors_abridge_the_values_they_echo(mutate, field):
+    # a message names its field and quotes the offending value cut short,
+    # however long the value
+    cfg = base_config()
+    mutate(cfg)
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    message = str(info.value)
+    assert message.startswith(field)
+    assert len(message) <= 120, message
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):
@@ -334,6 +364,7 @@ def test_horizon_stopped_run_writes_its_partial_trace(tmp_path):
     ({}, 5, ["threshold", "stop-predicate", "quiescence", "horizon"]),
     ({"epsilon": 0.0, "k_max": 2, "schedules": [{"seed": 1, "delay_bound": 1}]}, None,
      ["k_max", "quiescence"]),
+    ({"p": 3}, None, ["exact", "stop-predicate", "stop-predicate"]),
 ])
 def test_summary_rows_are_report_projections(tmp_path, overrides, horizon_events, stops):
     # each summary row after the sequential one says what its run's report
@@ -363,6 +394,9 @@ def test_summary_rows_are_report_projections(tmp_path, overrides, horizon_events
                         events=run["events"])
         else:
             want.update(iterations=run["iterations"])
+            # the overhead fit needs k (p - 1) > k (k + 1) / 2; at p <= 3 it can fail
+            k, p = run["iterations"], report["config"]["p"]
+            assert (row["fitted_overhead"] == "") == (k * (p - 1) <= k * (k + 1) / 2)
         # fitted_overhead is the one column the report does not hold
         for col in SUMMARY_COLUMNS:
             if col != "fitted_overhead":
@@ -434,6 +468,9 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
         assert rc == 1, name
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(path) in err, (name, err)
+    absent = tmp_path / "absent.csv"
+    assert main(["table", "--in", str(absent), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read summary '{absent}'")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,6 +13,7 @@ from pintlab.linalg import (
     PIVOT_REL_TOL,
     BlockVector,
     NormKind,
+    as_matrix,
     block_norms,
     blocks_match,
     lu_solve,
@@ -59,6 +60,12 @@ def test_block_vector_validation():
         BlockVector([[np.nan, 1.0]])
     with pytest.raises(DimensionError):
         BlockVector.from_flat(np.ones(5), 2)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_as_matrix_takes_only_two_dimensions(shape):
+    with pytest.raises(DimensionError, match=f"ndim={len(shape)}"):
+        as_matrix(np.ones(shape))
 
 
 def test_max_block_norm_kinds():

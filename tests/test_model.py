@@ -167,6 +167,24 @@ def test_heat_degenerate_and_apply_dim_check():
         prop.apply(np.ones(3))
 
 
+def _map(dim):
+    return AffinePropagator(np.eye(dim), np.zeros(dim), 1.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: compose(_map(1), _map(2)), DimensionError, "different dimension"),
+    (lambda: fine_from_onestep(_map(1), 0), ValueError, "step count"),
+    (lambda: backward_euler_propagator(scalar_decay_system(), 1.0, 0), ValueError,
+     "step count"),
+    (lambda: trapezoidal_propagator(scalar_decay_system(), 0.0, 1), ValueError, "span"),
+    (lambda: heat1d_system(4, 0.0, 0.0, 0.0, 0.0, 1.0), ValueError, "rod length"),
+    (lambda: scalar_decay_system(rate=0.0), ValueError, "decay rate"),
+])
+def test_degenerate_arguments_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_propagator_registry_is_exactly_the_two_rules():
     assert set(PROPAGATOR_RULES) == {"backward-euler", "trapezoidal"}
 

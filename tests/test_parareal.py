@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pintlab.errors import DimensionError
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import (
     AffinePropagator,
@@ -239,6 +240,24 @@ def test_build_system_validates():
         build_parareal_system(coarse, fine2, ivp.u0, 3)
     with pytest.raises(ValueError):
         build_parareal_system(coarse, coarse, ivp.u0, 0)
+
+
+def _scalar_map(factor):
+    return AffinePropagator(np.array([[factor]]), np.zeros(1), 1.0)
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: sequential_fine_solve(_scalar_map(0.5), [1.0], 0), ValueError, "p >= 1"),
+    (lambda: coarse_init(_scalar_map(0.5), [1.0], 0), ValueError, "p >= 1"),
+    (lambda: build_parareal_system(_scalar_map(0.5), _scalar_map(0.5), [1.0, 2.0], 3),
+     DimensionError, "initial state has dim 2"),
+    # the fine map sends 10 past the float range in the first sweep
+    (lambda: run_parareal(_scalar_map(1.0), _scalar_map(1e308), [10.0], 2, 0.0),
+     ValueError, "must be finite"),
+])
+def test_malformed_runs_rejected(run, error, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
+        run()
 
 
 def test_sync_trace_json():
