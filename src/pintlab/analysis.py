@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .async_engine import AsyncTrace
 from .errors import (
     DimensionError,
     EnvelopeUndefinedError,
@@ -32,6 +31,9 @@ from .errors import (
 from .linalg import NormKind, block_norms, lu_solve, operator_norm
 from .linalg import BlockVector, blocks_match, spectral_radius
 from .model import AffinePropagator
+
+if TYPE_CHECKING:  # annotations only: sync runs never load the engine
+    from .async_engine import AsyncTrace
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ from .analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from .async_engine import STOP_HORIZON, AsyncSchedule, update_counts, validate_schedule
-from .async_parareal import run_async_parareal
 from .errors import ConfigError, HorizonExhausted, UnfittableError, echo
 from .linalg import BlockVector, NormKind, max_block_norm
 from .model import (
@@ -44,10 +42,12 @@ from .model import (
     scalar_decay_system,
 )
 from .parareal import STOP_KMAX, run_parareal, sequential_fine_solve
+from .schedule import STOP_HORIZON, AsyncSchedule
 
 FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
 MAX_STEPS = 10**6  # largest fine/coarse "steps"; see parse_config
 MAX_P = 2**16      # largest "p"; see parse_config
+MAX_N = 2**10      # largest heat1d "n_interior"; see parse_config
 MODE_ORDER = {"sequential": 0, "sync": 1, "async": 2}
 STOPPED = (STOP_HORIZON, STOP_KMAX)  # stop reasons of a run that did not converge
 SCHEDULE_TAG = "{policy}/s{seed}/D{delay_bound}"
@@ -129,6 +129,12 @@ def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
     return value
 
 
+def _reject_unknown(raw: dict, known, where: str) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields: {echo(unknown)}")
+
+
 def _parse_problem(raw: dict, where: str) -> LinearIVP:
     if "name" in raw:
         name = _expect(raw, "name", str, where)
@@ -153,6 +159,9 @@ def _parse_problem(raw: dict, where: str) -> LinearIVP:
         kwargs = {k: _expect(raw, k, int if isinstance(v, int) else (int, float), where,
                              required=False, default=v)
                   for k, v in defaults.items()}
+        n = kwargs.get("n_interior", 1)  # scalar-decay has none
+        if not 1 <= n <= MAX_N:
+            raise ConfigError(f"{where}.n_interior: need an integer in 1..{MAX_N}, got {echo(n)}")
         try:
             return builder(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -164,6 +173,7 @@ def _parse_problem(raw: dict, where: str) -> LinearIVP:
 
 
 def _parse_propagator(raw: dict, where: str) -> PropagatorSpec:
+    _reject_unknown(raw, ("rule", "steps"), where)
     rule = _expect(raw, "rule", str, where)
     if rule not in PROPAGATOR_RULES:
         known = ", ".join(sorted(PROPAGATOR_RULES))
@@ -189,9 +199,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     Schema (top level): label, problem, p, fine, coarse, epsilon,
     optional k_max, optional norm ("spectral"|"infinity"), optional
     schedules (list), optional costs {fine_cost, coarse_cost, overhead}.
+    An unknown field at any level is a ConfigError.
 
-    Two sizes are capped so that a config cannot ask for a fold that runs
-    for years or for iterates that do not fit in memory (measured on a
+    Three sizes are capped so that a config cannot ask for a fold that runs
+    for years or for arrays that do not fit in memory (measured on a
     2-core x86-64 host, Python 3.11, numpy 2.4, single-threaded BLAS):
 
     - ``steps`` <= MAX_STEPS = 10**6. Each propagator folds its ``steps``
@@ -201,6 +212,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     - ``p`` <= MAX_P = 2**16. Every iterate holds (p + 1) x d floats: at the
       cap one heat1d iterate with 16 unknowns is 8 MiB, and building the
       sequential oracle peaks at 34 MiB and takes 0.7 s.
+    - heat1d ``n_interior`` <= MAX_N = 2**10. Its matrices are dense n x n:
+      at the cap one is 8 MiB, building a trapezoidal step takes 0.6 s and
+      peaks at 40 MiB, and every further step of the fold takes 48 ms.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -228,16 +242,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for i, s in enumerate(raw_schedules)
     ]
     costs = _expect(raw, "costs", dict, "config", required=False, default={})
+    _reject_unknown(costs, ("fine_cost", "coarse_cost", "overhead"), "config.costs")
     def cost_field(key):
         v = _expect(costs, key, (int, float), "config.costs", required=False)
         if v is not None and v < 0.0:
             raise ConfigError(f"config.costs.{key}: need a number >= 0, got {echo(v)}")
         return None if v is None else float(v)
-    known_top = {"label", "problem", "p", "fine", "coarse", "epsilon", "k_max",
-                 "norm", "schedules", "costs"}
-    unknown = sorted(set(raw) - known_top)
-    if unknown:
-        raise ConfigError(f"config: unknown fields: {echo(unknown)}")
+    _reject_unknown(raw, ("label", "problem", "p", "fine", "coarse", "epsilon", "k_max",
+                          "norm", "schedules", "costs"), "config")
     return ExperimentConfig(
         label=label, ivp=ivp, p=p, fine=fine, coarse=coarse,
         epsilon=float(epsilon), k_max=k_max, norm_kind=norm_kind,
@@ -261,6 +273,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
+def _bind_async_engine() -> None:
+    """Bind run_async_parareal, update_counts and validate_schedule as module
+    globals, keeping any name already bound (to a tracing wrapper, say): the
+    engine loads with the first async run, so a sync-only run never loads it."""
+    from . import async_engine, async_parareal
+    names = globals()
+    names.setdefault("run_async_parareal", async_parareal.run_async_parareal)
+    names.setdefault("update_counts", async_engine.update_counts)
+    names.setdefault("validate_schedule", async_engine.validate_schedule)
+
+
+def __getattr__(name: str):  # PEP 562: the engine's names resolve before its first run
+    if name not in ("run_async_parareal", "update_counts", "validate_schedule"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_async_engine()
+    return globals()[name]
+
+
 def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
                   coarse: AffinePropagator, fine: AffinePropagator,
                   oracle: BlockVector, report_con: ContractionReport, envelope: bool,
@@ -272,6 +302,7 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
     given. The trace lives only in this frame, so it is freed before the
     next schedule runs.
     """
+    _bind_async_engine()
     try:
         trace = run_async_parareal(coarse, fine, config.ivp.u0, config.p, sched,
                                    epsilon=config.epsilon)

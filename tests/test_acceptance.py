@@ -24,9 +24,6 @@ from pintlab.analysis import (
 )
 from pintlab.async_engine import (
     AsyncSchedule,
-    POLICY_ADVERSARIAL,
-    POLICY_RANDOM_FAIR,
-    POLICY_ROUND_ROBIN,
     linear_relaxation_mapping,
     relaxation_solution,
     simulate_async,
@@ -50,6 +47,7 @@ from pintlab.parareal import (
     run_parareal,
     sequential_fine_solve,
 )
+from pintlab.schedule import POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
 
 from helpers import nth_iterate
 

@@ -28,8 +28,6 @@ from pintlab.async_engine import (
     CHUNK_ROWS,
     AsyncSchedule,
     AsyncTrace,
-    POLICIES,
-    POLICY_ADVERSARIAL,
     UpdateRecord,
 )
 from pintlab.async_parareal import run_async_parareal
@@ -43,6 +41,7 @@ from pintlab.errors import (
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
+from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL
 
 from helpers import replay_envelope, scan_finite_termination, state_errors
 

@@ -17,10 +17,6 @@ from pintlab.async_engine import (
     AsyncTrace,
     CHUNK_ROWS,
     INDEX_MAX,
-    POLICIES,
-    POLICY_ADVERSARIAL,
-    POLICY_RANDOM_FAIR,
-    POLICY_ROUND_ROBIN,
     STOP_HORIZON,
     STOP_QUIESCENCE,
     UpdateRecord,
@@ -35,6 +31,7 @@ from pintlab.errors import DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector, NormKind
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import coarse_init
+from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
 
 from helpers import (
     ReplaySchedule,

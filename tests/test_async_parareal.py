@@ -10,10 +10,6 @@ from hypothesis import strategies as st
 import pintlab.async_parareal
 import pintlab.parareal
 from pintlab.async_engine import (
-    POLICIES,
-    POLICY_ADVERSARIAL,
-    POLICY_RANDOM_FAIR,
-    POLICY_ROUND_ROBIN,
     STOP_HORIZON,
     AsyncSchedule,
     update_counts,
@@ -38,6 +34,7 @@ from pintlab.parareal import (
     run_parareal,
     sequential_fine_solve,
 )
+from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
 
 from helpers import ReplaySchedule, nth_iterate
 

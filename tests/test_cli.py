@@ -15,6 +15,7 @@ import pytest
 from pintlab.async_parareal import run_async_parareal, simulate_async
 from pintlab.cli import (
     FLOAT_END,
+    MAX_N,
     MAX_P,
     MAX_STEPS,
     SUMMARY_COLUMNS,
@@ -120,6 +121,11 @@ def read_summary(out: Path):
     lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [float("nan")],
                                 "T": 2.0}),
     lambda c: c["schedules"].append({"seed": -1, "delay_bound": 0}),
+    # a typo inside fine, coarse or costs must not fall back to the default
+    lambda c: c["fine"].update(stepz=3),
+    lambda c: c["coarse"].update(theta=0.5),
+    lambda c: c.update(costs={"fine_cots": 2.0}),
+    lambda c: c.update(problem={"name": "heat1d", "n_interior": 0}),
 ])
 def test_invalid_configs_rejected(mutate):
     cfg = base_config()
@@ -142,6 +148,8 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     (base_config(), ["--seed-override", "-3"]),
     (base_config(problem={"name": "heat1d", "length": -1}), []),  # a bad parameter
     ([], []),  # a top level that is no object
+    (base_config(fine={"rule": "trapezoidal", "steps": 2, "stepz": 3}), []),  # a typo
+    (base_config(costs={"fine_cots": 2.0}), []),
 ])
 def test_rejected_values_exit_one(tmp_path, capsys, cfg, extra):
     rc, out = run_cli(tmp_path, cfg, extra=extra)
@@ -161,6 +169,8 @@ def _nested(depth):
     (lambda c: c["problem"].update(name="x" * 100_000), "config.problem.name"),
     (lambda c: c["fine"].update(rule="r" * 50_000), "config.fine.rule"),
     (lambda c: c.update({"f" * 30_000: 1}), "config: unknown fields"),
+    (lambda c: c["coarse"].update({"s" * 30_000: 1}), "config.coarse: unknown fields"),
+    (lambda c: c.update(costs={"c" * 30_000: 1}), "config.costs: unknown fields"),
     (lambda c: c.update(problem={"A": _nested(900), "c": [0.0], "u0": [1.0], "T": 1.0}),
      "config.problem"),
     (lambda c: c.update(p=10**300), "config.p"),
@@ -202,12 +212,17 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     (lambda c: c.update(problem={"name": "heat1d", "n_interior": 10**400}),
      "config.problem.n_interior"),
     (lambda c: c.update(k_max=10**400), "config.k_max"),
-    # a fold of more than MAX_STEPS steps, or iterates of more than MAX_P + 1 blocks
+    pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": 10**300}),
+                 "config.problem.n_interior", id="huge-config.problem.n_interior"),
+    # a fold of more than MAX_STEPS steps, iterates of more than MAX_P + 1
+    # blocks, or heat1d matrices of more than MAX_N x MAX_N
     pytest.param(lambda c: c.update(p=MAX_P + 1), "config.p", id="cap-config.p"),
     pytest.param(lambda c: c["fine"].update(steps=MAX_STEPS + 1), "config.fine.steps",
                  id="cap-config.fine.steps"),
     pytest.param(lambda c: c["coarse"].update(steps=10**15), "config.coarse.steps",
                  id="cap-config.coarse.steps"),
+    pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": MAX_N + 1}),
+                 "config.problem.n_interior", id="cap-config.problem.n_interior"),
 ])
 def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
     # a JSON integer past its cap or the float range is a config error
@@ -224,8 +239,10 @@ def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
 
 def test_size_caps_are_inclusive():
     config = parse_config(base_config(p=MAX_P, fine={"rule": "trapezoidal", "steps": MAX_STEPS},
-                                      coarse={"rule": "backward-euler", "steps": MAX_STEPS}))
+                                      coarse={"rule": "backward-euler", "steps": MAX_STEPS},
+                                      problem={"name": "heat1d", "n_interior": MAX_N}))
     assert (config.p, config.fine.steps, config.coarse.steps) == (MAX_P, MAX_STEPS, MAX_STEPS)
+    assert config.ivp.dim == MAX_N
 
 
 def test_float_range_ends_where_float_overflows():
@@ -473,47 +490,62 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: cannot read summary '{absent}'")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pintlab.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+# Modules a run may leave unloaded: scipy is never needed, hashlib (OpenSSL)
+# only by an async JSONL trace, numpy.random (whose secrets import loads
+# OpenSSL) never, and the async engine and its PCG64 stream only by a run
+# with schedules.
+ASYNC_MODULES = ["pintlab._pcg64", "pintlab.async_engine", "pintlab.async_parareal"]
+WATCHED = ["hashlib", "numpy.random", "scipy", *ASYNC_MODULES]
 
-
-OPENSSL_PROBE = """
-import json, sys
+RUN_PROBE = """
 from pintlab.cli import main
-rc = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[3:]])
-print(json.dumps([rc, "hashlib" in sys.modules, "numpy.random" in sys.modules]))
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[3:]]) == 0
 """
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    assert run_probe("import pintlab.cli") == []
+
+
+def test_package_import_loads_no_submodule():
+    # exports load their submodule on first use, and a schedule parses
+    # without the engine
+    code = """
+import pintlab
+assert [name for name in sys.modules if name.startswith("pintlab.")] == []
+from pintlab import AsyncSchedule, run_parareal
+AsyncSchedule.from_dict({"seed": 1, "delay_bound": 2})
+"""
+    assert run_probe(code) == []
+
+
 def test_sync_run_leaves_openssl_unloaded(tmp_path):
-    # hashlib pulls in OpenSSL, and only an async JSONL trace needs it
+    # hashlib pulls in OpenSSL, and only an async JSONL trace needs it; a run
+    # without schedules is the synchronous baseline and loads no async code
     cfg = write_config(tmp_path, {k: v for k, v in base_config(p=4).items()
                                   if k != "schedules"})
-    assert run_probe(OPENSSL_PROBE, cfg, tmp_path / "out", "--traces") == [0, False, False]
+    assert run_probe(RUN_PROBE, cfg, tmp_path / "out", "--traces") == []
     assert list((tmp_path / "out" / "traces").iterdir())
 
 
 def test_async_run_leaves_numpy_random_and_openssl_unloaded(tmp_path):
     # the schedules draw from pintlab's own PCG64, so numpy.random (whose
-    # secrets import loads OpenSSL) stays out of an untraced async run
+    # secrets import loads OpenSSL) stays out of an untraced async run; the
+    # async modules it does load show that the probe sees what a run loads
     cfg = write_config(tmp_path, base_config(p=4))
-    assert run_probe(OPENSSL_PROBE, cfg, tmp_path / "out") == [0, False, False]
+    assert run_probe(RUN_PROBE, cfg, tmp_path / "out") == ASYNC_MODULES
     assert (tmp_path / "out" / "report.json").exists()
 
 
 def run_probe(code, *args):
-    """Run ``code`` in a fresh interpreter on this checkout's src; its last
-    stdout line, parsed as JSON."""
+    """Run ``code`` in a fresh interpreter on this checkout's src; the WATCHED
+    modules loaded when it ends, in WATCHED order."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    probe = (f"import json, sys\n{code}\n"
+             f"print(json.dumps([name for name in {WATCHED!r} if name in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -556,7 +588,10 @@ def test_benchmark_tracer_names_resolve(tmp_path):
         env=env, capture_output=True, text=True, check=True)
     per_layer = json.loads(proc.stdout)
     # the two update leaves must stay on the hot paths: a sweep or a mapping
-    # that stops calling the wrapped parareal_update would read 0 here
+    # that stops calling the wrapped parareal_update would read 0 here, and so
+    # would an async run that calls the audit, the envelope or the termination
+    # scan by a name other than pintlab.cli's module globals
     for name in ("model.fold_s", "async_engine.events", "parareal.sweeps",
-                 "async_parareal.eval_s", "parareal.update_s"):
+                 "async_parareal.eval_s", "parareal.update_s", "async_engine.validate_s",
+                 "analysis.envelope_s", "analysis.termination_s"):
         assert per_layer[name] > 0, name
