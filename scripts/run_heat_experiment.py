@@ -12,7 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from pintlab.cli import emit_table, parse_config, run_experiment
+from pintlab.cli import parse_config, run_experiment
+from pintlab.table import emit_table
 
 
 def main() -> int:

@@ -13,15 +13,15 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "analysis": """CheckResult ContractionReport CostParams RateComparison SpeedupReport
-        async_convergence_check async_cost async_error_envelope asymptotic_speedups
-        chazan_miranker_check check_finite_termination compare_factors
-        contraction_factors factors_from_norms fit_overhead sequential_cost
-        speedup_bound sync_convergence_check sync_cost""",
+    "analysis": """CheckResult ContractionReport CostParams EnvelopeCheck RateComparison
+        SpeedupReport async_convergence_check async_cost async_error_envelope
+        asymptotic_speedups chazan_miranker_check check_finite_termination
+        compare_factors contraction_factors envelope_steps factors_from_norms
+        fit_overhead sequential_cost speedup_bound sync_convergence_check sync_cost""",
     "async_engine": """AsyncMapping AsyncTrace EngineView ScheduleValidation UpdateRecord
-        linear_relaxation_mapping relaxation_solution simulate_async update_counts
-        validate_schedule""",
-    "async_parareal": "async_parareal_mapping async_stop_check run_async_parareal",
+        simulate_async update_counts validate_schedule""",
+    "async_parareal": """async_parareal_mapping async_stop_check linear_relaxation_mapping
+        relaxation_solution run_async_parareal""",
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError
         HorizonExhausted InvalidThetaError SingularMatrixError SingularSystemError
         UndefinedLimitError UnfittableError""",

@@ -152,26 +152,21 @@ def compare_factors(report: ContractionReport) -> RateComparison:
     return RateComparison(True, report.sync_factor, report.async_factor, gap)
 
 
-def _row_results(trace: AsyncTrace, per_rows, typecode: str) -> Iterator[tuple[int, object]]:
-    """(component, result) per event in order, walking the value column.
-
-    ``per_rows(rows, wrote)`` gets one chunk of distinct values and the
-    components that wrote them, and returns an ndarray of one result per
-    row whose bytes are ``array(typecode)`` items (a bool array's are "B"
-    0s and 1s); a row's result must not depend on the rows batched with it.
-    Each row is evaluated once, into one typed buffer, and every event that
-    logged it shares its result.
-    """
-    results = array(typecode)
-    for wrote, rows in trace.value_blocks():
-        results.frombytes(per_rows(rows, wrote).tobytes())
-    return zip(trace.component, map(results.__getitem__, trace.event_rows()))
+ENVELOPE_SLACK = 1.0 + 1e-10  # relative slack of an error against its bound
 
 
-def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
-                         fixed_point: BlockVector
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-event staleness-aware depths, error bounds, and measured errors.
+class EnvelopeCheck(NamedTuple):
+    """The staleness-aware envelope's verdict on one trace."""
+
+    sigma_final: float  # global depth after the last event; +inf once saturated
+    bound_final: float  # the error bound at that depth
+    holds: bool         # every state's error <= its bound * ENVELOPE_SLACK
+
+
+def envelope_steps(trace: AsyncTrace, report: ContractionReport,
+                   fixed_point: BlockVector) -> Iterator[tuple[float, float, float]]:
+    """(depth, bound, error) of every state, the initial state first, from
+    one walk of the log.
 
     Depth bookkeeping: the pinned component is exact from the start
     (depth +inf); every other component starts at depth 0. An update sets
@@ -180,7 +175,8 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     event is the minimum over live components, and the bound is
     async_factor**depth times the initial error; a saturated (infinite)
     depth certifies an exactly reproduced state, bound zero. A read of a
-    version its source never produced raises KeyError.
+    version its source never produced raises KeyError, and an async factor
+    of one or more EnvelopeUndefinedError, when the walk reaches them.
 
     The minimum is kept running: a count of live components per depth moves
     it down when a stale read lowers a depth, and it is rescanned among the
@@ -189,10 +185,6 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     The measured error is ``max_block_norm(state - fixed_point)`` in the
     report's norm, kept per block from ``trace.initial`` on: an event costs
     the norm of the block it wrote, with the bits of the whole-state norm.
-
-    Returns (depths, bounds, errors), each of length n_events + 1 with entry
-    0 describing the initial state, as arrays over the columns built here
-    (no copy).
     """
     if report.async_factor >= 1.0:
         raise EnvelopeUndefinedError(
@@ -201,11 +193,7 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     factor = report.async_factor
     kind = report.norm_kind
     block_error = block_norms((trace.initial - fixed_point).data, kind).tolist()
-    errors = array("d", [max(block_error)])
-    for comp, error in _row_results(trace, lambda rows, wrote:
-                                    block_norms(rows - fixed_point.data[wrote], kind), "d"):
-        block_error[comp] = error
-        errors.append(max(block_error))
+    initial_error = max(block_error)
     p = trace.n_updatable
 
     # Per component, the depth of each version it produced; version 0 is the start.
@@ -213,8 +201,11 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
     current = [math.inf] + [0.0] * p
     live = {0.0: p}  # depth -> how many of components 1..p sit at it
     lowest = 0.0
-    depths = array("d", [lowest])
-    for comp, reads in zip(trace.component, trace.all_reads()):
+    yield lowest, initial_error, initial_error  # at depth 0 the bound is the error
+    errors = trace.map_rows(lambda rows, wrote:
+                            block_norms(rows - fixed_point.data[wrote], kind).tolist())
+    for (comp, error), reads in zip(errors, trace.all_reads()):
+        block_error[comp] = error
         shallowest = math.inf
         for source, _slot, version in reads:
             table = depth_of[source]
@@ -235,10 +226,18 @@ def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
                 lowest = depth
             elif old == lowest and not left:
                 lowest = min(live)
-        depths.append(lowest)
-    bounds = array("d", (0.0 if math.isinf(d) else factor ** d * errors[0]
-                         for d in depths))
-    return np.frombuffer(depths), np.frombuffer(bounds), np.frombuffer(errors)
+        bound = 0.0 if math.isinf(lowest) else factor ** lowest * initial_error
+        yield lowest, bound, max(block_error)
+
+
+def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
+                         fixed_point: BlockVector) -> EnvelopeCheck:
+    """Walk ``envelope_steps`` to the end and return its verdict: the final
+    depth and bound, and whether every error stayed within its bound."""
+    holds = True
+    for depth, bound, error in envelope_steps(trace, report, fixed_point):
+        holds = holds and error <= bound * ENVELOPE_SLACK
+    return EnvelopeCheck(depth, bound, holds)
 
 
 def check_finite_termination(trace: AsyncTrace,
@@ -252,8 +251,8 @@ def check_finite_termination(trace: AsyncTrace,
     an invalid schedule or a too-short horizon.
 
     The rule is elementwise, so it is kept per block: one match flag per
-    component and a count of mismatched blocks, updated as the value column
-    is walked. Each event costs O(d) and no state is assembled.
+    component and a count of mismatched blocks, updated along ``map_rows``
+    up to the first match. Each event costs O(d) and no state is assembled.
     """
     ref = reference.data
     if ref.shape != trace.initial.data.shape:
@@ -263,7 +262,7 @@ def check_finite_termination(trace: AsyncTrace,
     mismatched = matched.count(False)
     if not mismatched:
         return 0
-    flags = _row_results(trace, lambda rows, wrote: blocks_match(rows, ref[wrote]), "B")
+    flags = trace.map_rows(lambda rows, wrote: blocks_match(rows, ref[wrote]).tolist())
     for k, (comp, flag) in enumerate(flags, 1):
         mismatched += matched[comp] - flag
         matched[comp] = flag

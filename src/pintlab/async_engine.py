@@ -22,12 +22,13 @@ import math
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, HorizonExhausted
-from .linalg import BlockVector, lu_solve
+from .linalg import BlockVector
 from .schedule import INDEX_MAX, STOP_HORIZON, STOP_PREDICATE, STOP_QUIESCENCE, AsyncSchedule
 
 
@@ -254,33 +255,34 @@ class AsyncTrace:
             data[comp] = self.version_value(comp, versions[comp])
         return BlockVector(data)
 
+    def map_rows(self, per_rows: Callable) -> Iterator[tuple[int, object]]:
+        """(component, result) per event in order. ``per_rows(rows, wrote)``
+        maps a chunk of rows and their writers to one result per row when the
+        walk reaches the chunk. A reused row is always its writer's current
+        version, so event k takes the next unseen row's result or repeats its
+        component's, and the walk keeps one result per component."""
+        fresh = chain.from_iterable(per_rows(rows, wrote) for wrote, rows in self.value_blocks())
+        current: list[object] = [None] * self.initial.n_blocks
+        seen = 0
+        for comp, row in zip(self.component, self.event_rows()):
+            if row == seen:
+                current[comp], seen = next(fresh), seen + 1
+            yield comp, current[comp]
+
     def jsonl_lines(self) -> Iterator[str]:
         """The JSONL trace, one line per event, to be written as a stream.
 
         A line's digest is the first 16 hex digits of the sha256 of its
-        value's bytes. A component's first event writes a new row, and a
-        reused row is always its writer's current version, so one digest
-        per component is all the walk keeps: event k either writes the next
-        unseen row, whose digest becomes its component's, or repeats its
-        component's digest.
+        value's bytes, taken once per row by ``map_rows``.
         """
         import hashlib  # loads OpenSSL, which only a written trace needs
 
-        new_rows = (row for _, chunk in self.value_blocks() for row in chunk)
-        digests = [""] * self.initial.n_blocks
-        seen = 0
-        for k, (comp, reads, row, delta) in enumerate(
-                zip(self.component, self.all_reads(), self.event_rows(), self.delta)):
-            if row == seen:
-                digests[comp] = hashlib.sha256(next(new_rows).tobytes()).hexdigest()[:16]
-                seen += 1
-            yield json.dumps({
-                "k": k,
-                "component": comp,
-                "reads": [list(r) for r in reads],
-                "digest": digests[comp],
-                "delta": delta,
-            }, sort_keys=True) + "\n"
+        digests = self.map_rows(lambda rows, _: (hashlib.sha256(row.tobytes()).hexdigest()[:16]
+                                                 for row in rows))
+        for k, ((comp, digest), reads, delta) in enumerate(
+                zip(digests, self.all_reads(), self.delta)):
+            yield json.dumps({"k": k, "component": comp, "reads": [list(r) for r in reads],
+                              "digest": digest, "delta": delta}, sort_keys=True) + "\n"
 
 
 def simulate_async(mapping: AsyncMapping, init: BlockVector,
@@ -446,35 +448,3 @@ def update_counts(trace: AsyncTrace) -> tuple[np.ndarray, int]:
     """
     counts = np.array([len(rows) for rows in trace.rows], dtype=int)
     return counts, int(np.max(counts[1:], initial=0))
-
-
-def linear_relaxation_mapping(a_mat, m_diag, rhs) -> tuple[AsyncMapping, BlockVector]:
-    """Diagonal-splitting relaxation x -> (I - M^{-1}A) x + M^{-1} b as an
-    async mapping over scalar components.
-
-    Returns the mapping together with the initial state (component 0 is an
-    unused pinned placeholder; unknowns start at zero). Single read slot,
-    each component reads every unknown.
-    """
-    a = np.asarray(a_mat, dtype=float)
-    d = np.asarray(m_diag, dtype=float).reshape(-1)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape[0] != n or b.shape[0] != n:
-        raise DimensionError("relaxation pieces have mismatched sizes")
-    if np.any(d == 0.0):
-        raise ValueError("splitting diagonal must be invertible")
-
-    def eval_fn(i: int, values: list) -> np.ndarray:
-        x = np.concatenate(values)
-        return np.array([x[i - 1] + (b[i - 1] - a[i - 1] @ x) / d[i - 1]])
-
-    read_set = {i: tuple((j, 1) for j in range(1, n + 1)) for i in range(1, n + 1)}
-    mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set)
-    init = BlockVector(np.zeros((n + 1, 1)))
-    return mapping, init
-
-
-def relaxation_solution(a_mat, rhs) -> np.ndarray:
-    """Direct solve used as the oracle for the relaxation demo."""
-    return lu_solve(np.asarray(a_mat, dtype=float), np.asarray(rhs, dtype=float))

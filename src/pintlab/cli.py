@@ -4,7 +4,8 @@ A config is a single JSON object; see ``parse_config`` for the schema. The
 ``run`` subcommand executes the sequential oracle, the synchronous
 iteration, and one asynchronous run per configured schedule, then writes
 ``report.json`` and ``summary.csv`` (and per-run traces when asked to).
-Reruns of the same config are byte-identical.
+Reruns of the same config are byte-identical. The ``table`` subcommand
+lives in ``table.py``, which ``run`` never loads.
 
 Exit codes: 0 success, 1 configuration error, 2 a run failed to converge.
 """
@@ -48,7 +49,8 @@ FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
 MAX_STEPS = 10**6  # largest fine/coarse "steps"; see parse_config
 MAX_P = 2**16      # largest "p"; see parse_config
 MAX_N = 2**10      # largest heat1d "n_interior"; see parse_config
-MODE_ORDER = {"sequential": 0, "sync": 1, "async": 2}
+MAX_FOLD = 2**38   # largest "steps" x d**3 of a propagator; see parse_config
+MAX_STATE = 2**20  # largest (p + 1) x d, the floats of one iterate; see parse_config
 STOPPED = (STOP_HORIZON, STOP_KMAX)  # stop reasons of a run that did not converge
 SCHEDULE_TAG = "{policy}/s{seed}/D{delay_bound}"
 
@@ -58,12 +60,6 @@ SUMMARY_COLUMNS = [
     "sync_factor", "async_factor", "sync_margin", "async_margin",
     "stop_reason",
 ]
-
-TABLE_COLUMNS = [
-    "p", "mode", "schedule", "iterations", "model_cost", "fitted_overhead",
-    "error_vs_oracle",
-]
-
 
 @dataclass(frozen=True)
 class PropagatorSpec:
@@ -172,15 +168,17 @@ def _parse_problem(raw: dict, where: str) -> LinearIVP:
         raise ConfigError(f"{where}: invalid inline system: {exc}") from exc
 
 
-def _parse_propagator(raw: dict, where: str) -> PropagatorSpec:
+def _parse_propagator(raw: dict, where: str, dim: int) -> PropagatorSpec:
     _reject_unknown(raw, ("rule", "steps"), where)
     rule = _expect(raw, "rule", str, where)
     if rule not in PROPAGATOR_RULES:
         known = ", ".join(sorted(PROPAGATOR_RULES))
         raise ConfigError(f"{where}.rule: unknown rule {echo(rule)} (known: {known})")
     steps = _expect(raw, "steps", int, where)
-    if not 1 <= steps <= MAX_STEPS:
-        raise ConfigError(f"{where}.steps: need an integer in 1..{MAX_STEPS}, got {echo(steps)}")
+    cap = min(MAX_STEPS, MAX_FOLD // dim**3)
+    if not 1 <= steps <= cap:
+        raise ConfigError(f"{where}.steps: need an integer in 1..{cap} for the {dim} unknowns of "
+                          f"config.problem, got {echo(steps)}")
     return PropagatorSpec(rule=rule, steps=steps)
 
 
@@ -201,30 +199,39 @@ def parse_config(raw: dict) -> ExperimentConfig:
     schedules (list), optional costs {fine_cost, coarse_cost, overhead}.
     An unknown field at any level is a ConfigError.
 
-    Three sizes are capped so that a config cannot ask for a fold that runs
-    for years or for arrays that do not fit in memory (measured on a
-    2-core x86-64 host, Python 3.11, numpy 2.4, single-threaded BLAS):
+    Three sizes and two of their products are capped so that a config
+    cannot ask for a fold that runs for years or for arrays that do not fit
+    in memory (measured on a 2-core x86-64 host, Python 3.11, numpy 2.4,
+    single-threaded BLAS); d is the problem's number of unknowns:
 
     - ``steps`` <= MAX_STEPS = 10**6. Each propagator folds its ``steps``
       one-step maps one at a time, about 3.4 us a step for scalar-decay,
       4.1 us for heat1d with 16 unknowns and 11.5 us with 64, so a fold at
       the cap takes 3-12 s.
-    - ``p`` <= MAX_P = 2**16. Every iterate holds (p + 1) x d floats: at the
-      cap one heat1d iterate with 16 unknowns is 8 MiB, and building the
-      sequential oracle peaks at 34 MiB and takes 0.7 s.
+    - ``p`` <= MAX_P = 2**16. Every iterate holds (p + 1) x d floats, so
+      MAX_STATE below lowers this cap for 16 or more unknowns.
     - heat1d ``n_interior`` <= MAX_N = 2**10. Its matrices are dense n x n:
       at the cap one is 8 MiB, building a trapezoidal step takes 0.6 s and
       peaks at 40 MiB, and every further step of the fold takes 48 ms.
+    - ``steps`` x d**3 <= MAX_FOLD = 2**38 for each propagator. A step of
+      the fold is a d x d matrix product, 0.04-0.05 ns per d**3 for heat1d
+      with 64 to 1024 unknowns, so a fold at the cap takes 10-13 s (10**6
+      steps at d = 64, 256 steps at d = 1024).
+    - (p + 1) x d <= MAX_STATE = 2**20: one iterate is at most 8 MiB, and
+      the sequential oracle at the cap (p + 1 = 2**16 with d = 16, 2**10
+      with d = 2**10) takes 0.4-0.8 s and peaks at 9 MiB of allocations.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     label = _expect(raw, "label", str, "config", required=False, default="experiment")
     ivp = _parse_problem(_expect(raw, "problem", dict, "config"), "config.problem")
     p = _expect(raw, "p", int, "config")
-    if not 1 <= p <= MAX_P:
-        raise ConfigError(f"config.p: need an integer in 1..{MAX_P}, got {echo(p)}")
-    fine = _parse_propagator(_expect(raw, "fine", dict, "config"), "config.fine")
-    coarse = _parse_propagator(_expect(raw, "coarse", dict, "config"), "config.coarse")
+    cap = min(MAX_P, MAX_STATE // ivp.dim - 1)
+    if not 1 <= p <= cap:
+        raise ConfigError(f"config.p: need an integer in 1..{cap} for the {ivp.dim} unknowns of "
+                          f"config.problem, got {echo(p)}")
+    fine = _parse_propagator(_expect(raw, "fine", dict, "config"), "config.fine", ivp.dim)
+    coarse = _parse_propagator(_expect(raw, "coarse", dict, "config"), "config.coarse", ivp.dim)
     epsilon = _expect(raw, "epsilon", (int, float), "config", required=False, default=0.0)
     if epsilon < 0.0:
         raise ConfigError(f"config.epsilon: need a number >= 0, got {echo(epsilon)}")
@@ -323,13 +330,10 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         "finite_termination_index": check_finite_termination(trace, oracle),
     }
     if envelope:
-        sigmas, bounds, errors = async_error_envelope(trace, report_con, oracle)
-        run_entry["sigma_final"] = (
-            None if sigmas[-1] == float("inf") else float(sigmas[-1])
-        )
-        run_entry["bound_final"] = float(bounds[-1])
-        bounds *= 1.0 + 1e-10  # in place: a scaled copy would be one more column
-        run_entry["envelope_ok"] = bool((errors <= bounds).all())
+        check = async_error_envelope(trace, report_con, oracle)
+        run_entry["sigma_final"] = None if math.isinf(check.sigma_final) else check.sigma_final
+        run_entry["bound_final"] = check.bound_final
+        run_entry["envelope_ok"] = check.holds
     if trace.stop_reason != STOP_HORIZON and k <= kappa:
         ratio = speedup_bound(replace(costs, k=k, kappa=kappa))
         run_entry["speedup_bound"] = ratio.bound
@@ -445,52 +449,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     return report, exit_code
 
 
-def emit_table(summary_path: str | Path, out_path: str | Path) -> None:
-    """Condense a summary.csv into the short comparison table; a summary
-    that cannot be read, lacks a column or holds a malformed row raises
-    ConfigError naming the file."""
-    try:
-        with open(summary_path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read summary '{summary_path}': {exc}") from exc
-    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
-        raise ConfigError(f"summary '{summary_path}' is not a UTF-8 CSV file: {exc}") from exc
-    for col in SUMMARY_COLUMNS:
-        if rows and col not in rows[0]:
-            raise ConfigError(f"summary '{summary_path}' lacks column '{col}'")
-
-    def sort_key(row):
-        return (
-            int(row["p"]),
-            MODE_ORDER.get(row["mode"], 99),
-            row["policy"],
-            int(row["seed"]) if row["seed"] else -1,
-            int(row["delay_bound"]) if row["delay_bound"] else -1,
-        )
-
-    out_rows = []
-    try:
-        for row in sorted(rows, key=sort_key):
-            fitted = row["fitted_overhead"]
-            out_rows.append({
-                "p": row["p"],
-                "mode": row["mode"],
-                "schedule": SCHEDULE_TAG.format(**row) if row["mode"] == "async" else "-",
-                "iterations": row["iterations"] or "-",
-                "model_cost": f"{float(row['model_cost']):.6g}",
-                "fitted_overhead": f"{float(fitted):.6g}" if fitted else "-",
-                "error_vs_oracle": f"{float(row['error_vs_oracle']):.2E}",
-            })
-    # a short row reads None (TypeError); a value such as p = "abc" (ValueError)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"summary '{summary_path}' has a malformed row: {exc}") from exc
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TABLE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(out_rows)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pintlab",
@@ -527,6 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             if stopped:
                 print("warning: stopped before converging:", ", ".join(stopped), file=sys.stderr)
             return code
+        from .table import emit_table  # `run` never loads the table code
         emit_table(args.in_path, args.out)
         return 0
     except ConfigError as exc:

@@ -21,7 +21,8 @@ re-executing it audits the engine against its own log.
 fairness check by a count per sliding window, the depth envelope by a
 version counter and nested version-to-depth dicts, and the measured error
 and the finite-termination index from every full state in turn, each
-rebuilt by ``state_after``.
+rebuilt by ``state_after``. ``envelope_columns`` lays the library's own
+per-state envelope out as columns for them to be compared with.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pintlab.analysis import envelope_steps
 from pintlab.async_engine import AsyncSchedule
 from pintlab.linalg import NormKind, max_block_norm
 from pintlab.parareal import (
@@ -301,6 +303,13 @@ def sliding_window_fairness(trace) -> list[tuple[int, int]]:
             window_counts[fired[start + win]] += 1
             start += 1
     return fairness
+
+
+def envelope_columns(trace, report, fixed_point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(depths, bounds, errors) of every state, the initial one first, as
+    float64 columns of ``analysis.envelope_steps``."""
+    steps = list(envelope_steps(trace, report, fixed_point))
+    return tuple(np.array(column, dtype=float) for column in zip(*steps))
 
 
 def replay_envelope(trace, report, fixed_point):

@@ -12,7 +12,6 @@ import numpy as np
 from pintlab.analysis import (
     CostParams,
     async_cost,
-    async_error_envelope,
     chazan_miranker_check,
     check_finite_termination,
     compare_factors,
@@ -22,14 +21,12 @@ from pintlab.analysis import (
     speedup_bound,
     sync_cost,
 )
-from pintlab.async_engine import (
-    AsyncSchedule,
+from pintlab.async_engine import AsyncSchedule, simulate_async, update_counts
+from pintlab.async_parareal import (
     linear_relaxation_mapping,
     relaxation_solution,
-    simulate_async,
-    update_counts,
+    run_async_parareal,
 )
-from pintlab.async_parareal import run_async_parareal
 from pintlab.cli import main
 from pintlab.linalg import NormKind, max_block_norm
 from pintlab.model import (
@@ -49,7 +46,7 @@ from pintlab.parareal import (
 )
 from pintlab.schedule import POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
 
-from helpers import nth_iterate
+from helpers import envelope_columns, nth_iterate
 
 HEAT_SPAN = 0.2
 RESULTS: list[tuple[int, bool, str]] = []
@@ -203,7 +200,7 @@ def test_04_staleness_envelope_bound():
             n_traces += 1
             for kind in NormKind:
                 report = contraction_factors(coarse, fine, p, kind=kind)
-                _, bounds, _ = async_error_envelope(trace, report, oracle)
+                _, bounds, _ = envelope_columns(trace, report, oracle)
                 measured = [max_block_norm(trace.initial - oracle, kind)]
                 measured += [max_block_norm(trace.state_after(i) - oracle, kind)
                              for i in range(len(trace.events))]

@@ -1,14 +1,17 @@
 """Contraction factors, convergence checks, staleness envelope, termination
 detection, and the solve-unit cost model."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pintlab.analysis import (
+    ENVELOPE_SLACK,
     CheckResult,
     CostParams,
+    EnvelopeCheck,
     async_convergence_check,
     async_cost,
     async_error_envelope,
@@ -38,12 +41,13 @@ from pintlab.errors import (
     UndefinedLimitError,
     UnfittableError,
 )
+from pintlab import analysis
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
 from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL
 
-from helpers import replay_envelope, scan_finite_termination, state_errors
+from helpers import envelope_columns, replay_envelope, scan_finite_termination, state_errors
 
 # ------------------------------------------------------- contraction factors
 
@@ -169,7 +173,7 @@ def test_envelope_depths_hand_trace():
     trace = _envelope_trace(events, 3)
     report = factors_from_norms(0.3, 0.2, p=3, kind=NormKind.INFINITY)
     fixed = BlockVector(np.array([[0.0], [1.0], [0.0], [0.0]]))
-    depths, bounds, _ = async_error_envelope(trace, report, fixed)
+    depths, bounds, _ = envelope_columns(trace, report, fixed)
     assert list(depths) == [0, 0, 0, 1, 1, 1, 2, 2, 2, math.inf]
     assert list(bounds) == [1.0, 1.0, 1.0, 0.5, 0.5, 0.5,
                             0.25, 0.25, 0.25, 0.0]
@@ -195,7 +199,7 @@ def test_envelope_stale_read_lowers_global_depth():
     trace = _envelope_trace(events, 4)
     report = factors_from_norms(0.3, 0.2, p=4, kind=NormKind.INFINITY)
     fixed = BlockVector(np.array([[0.0], [1.0], [0.0], [0.0], [0.0]]))
-    depths, bounds, _ = async_error_envelope(trace, report, fixed)
+    depths, bounds, _ = envelope_columns(trace, report, fixed)
     assert list(depths) == [0, 0, 0, 0, 1, 1, 1, 2, 2, 1, 1, math.inf]
     assert list(bounds) == [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.25, 0.25, 0.5, 0.5, 0.0]
     want = replay_envelope(trace, report, fixed)
@@ -219,7 +223,7 @@ def test_envelope_dominates_measured_error(heat_setups, kind):
                                AsyncSchedule(seed=3, delay_bound=2))
     report = contraction_factors(coarse, fine, p, kind=kind)
     fixed = sequential_fine_solve(fine, ivp.u0, p)
-    depths, bounds, _ = async_error_envelope(trace, report, fixed)
+    depths, bounds, _ = envelope_columns(trace, report, fixed)
     assert len(bounds) == len(trace.events) + 1
     assert bounds[-1] == 0.0
     measured = [max_block_norm(trace.initial - fixed, kind)]
@@ -244,7 +248,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
                                              policy=policy))
     report = contraction_factors(coarse, fine, p, kind=kind)
     fixed = sequential_fine_solve(fine, ivp.u0, p)
-    got = async_error_envelope(trace, report, fixed)[:2]
+    got = envelope_columns(trace, report, fixed)[:2]
     want = replay_envelope(trace, report, fixed)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -262,7 +266,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
         trace.values[:at] + [trace.values[0]] + trace.values[at:],
         initial=trace.initial, schedule=trace.schedule,
         persistent_slots=trace.persistent_slots)
-    for envelope in (async_error_envelope, replay_envelope):
+    for envelope in (async_error_envelope, envelope_columns, replay_envelope):
         with pytest.raises(KeyError):
             envelope(tampered, report, fixed)
 
@@ -281,7 +285,7 @@ def test_envelope_errors_match_state_norms(heat_setups, policy, delay_bound, p, 
                                              policy=policy))
     report = contraction_factors(coarse, fine, p, kind=kind)
     fixed = sequential_fine_solve(fine, ivp.u0, p)
-    errors = async_error_envelope(trace, report, fixed)[2]
+    errors = envelope_columns(trace, report, fixed)[2]
     want = state_errors(trace, fixed, kind)
     assert errors.dtype == want.dtype and errors.tobytes() == want.tobytes()
 
@@ -302,10 +306,96 @@ def test_envelope_errors_across_chunk_boundaries():
     fixed = BlockVector(rng.standard_normal((p + 1, dim)))
     for kind in NormKind:
         report = factors_from_norms(0.3, 0.2, p=p, kind=kind)
-        errors = async_error_envelope(trace, report, fixed)[2]
+        errors = envelope_columns(trace, report, fixed)[2]
         assert errors.tobytes() == state_errors(trace, fixed, kind).tobytes()
 
 
+def _reduced_replay(trace, report, fixed):
+    """The envelope's verdict from the version-counter replay and the
+    whole-state errors, under the library's slack."""
+    depths, bounds = replay_envelope(trace, report, fixed)
+    errors = state_errors(trace, fixed, report.norm_kind)
+    return EnvelopeCheck(float(depths[-1]), float(bounds[-1]),
+                         bool((errors <= bounds * ENVELOPE_SLACK).all()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([NormKind.INFINITY, NormKind.SPECTRAL]),
+       st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_envelope_verdict_matches_replay(heat_setups, policy, delay_bound, p, seed, kind,
+                                         shift):
+    # the streamed verdict is the reduction of the reference columns; a
+    # shifted fixed point leaves an error that a saturated bound of zero
+    # cannot cover
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    report = contraction_factors(coarse, fine, p, kind=kind)
+    fixed = BlockVector(sequential_fine_solve(fine, ivp.u0, p).data + shift)
+    got = async_error_envelope(trace, report, fixed)
+    assert got == _reduced_replay(trace, report, fixed)
+    assert type(got.sigma_final) is type(got.bound_final) is float
+    assert type(got.holds) is bool
+
+
+def test_envelope_verdict_of_a_saturated_run(heat_setups):
+    ivp, coarse, fine = heat_setups[8]
+    p = 6
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=5, delay_bound=2, policy=POLICY_ADVERSARIAL))
+    report = contraction_factors(coarse, fine, p, kind=NormKind.INFINITY)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    check = async_error_envelope(trace, report, oracle)
+    assert check == EnvelopeCheck(math.inf, 0.0, True)
+    assert check == _reduced_replay(trace, report, oracle)
+    shifted = BlockVector(oracle.data + 1e-6)
+    check = async_error_envelope(trace, report, shifted)
+    assert check == EnvelopeCheck(math.inf, 0.0, False)
+    assert check == _reduced_replay(trace, report, shifted)
+
+
+def test_post_hoc_memory_does_not_grow_with_event_columns():
+    # the envelope and the termination scan walk the log once: above the
+    # trace they hold one depth (8 B) per event, a few chunks of rows in
+    # flight and O(p) tables, never a column of depths, bounds or errors
+    # per event or a result per row
+    p, dim = 64, 16
+    ivp = heat1d_system(n_interior=dim, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=0.05 * p)
+    coarse = backward_euler_propagator(ivp, 0.05, 1)
+    fine = trapezoidal_propagator(ivp, 0.05, 100)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=1, delay_bound=2, policy=POLICY_ADVERSARIAL))
+    report = contraction_factors(coarse, fine, p)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    unreached = BlockVector(oracle.data + 1.0)  # the scan walks every event
+
+    def checks():
+        return (async_error_envelope(trace, report, oracle),
+                check_finite_termination(trace, unreached))
+
+    want = checks()  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert checks() == want
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    events = trace.n_events
+    assert events > 10_000 and want[0].holds and want[1] is None
+    # 12.5% growth slack on the depth tables, three chunk-sized temporaries
+    # and 32 KiB for the O(p) tables and one chunk's Python results; the
+    # columns this replaces took 32 B per event and 8 B per row
+    bound = 9 * events + 3 * CHUNK_ROWS * 8 * dim + 32 * 1024
+    assert peak <= bound
+    assert 32 * events > bound
+
+
+# ---------------------------------------------------- termination detection
 # ---------------------------------------------------- termination detection
 
 def test_finite_termination_sync(heat_setups):
@@ -395,6 +485,54 @@ def test_finite_termination_on_a_long_trace():
     for reference in references:
         assert (check_finite_termination(trace, reference)
                 == scan_finite_termination(trace, reference))
+
+
+def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
+    # taking the walk's first k events evaluates exactly the chunks that hold
+    # their rows, and the termination scan stops at its match; about half the
+    # events repeat their component's value, so rows and events drift apart
+    p, dim = 3, 2
+    rng = np.random.default_rng(5)
+    comps, outs = [], []
+    latest = {}
+    for _ in range(8 * CHUNK_ROWS):
+        comp = int(rng.integers(1, p + 1))
+        repeat = comp in latest and rng.random() < 0.5
+        latest[comp] = latest[comp] if repeat else rng.standard_normal(dim)
+        comps.append(comp)
+        outs.append(latest[comp])
+    trace = AsyncTrace.from_records(
+        [UpdateRecord(component=c, reads=(), delta=0.0) for c in comps], outs,
+        initial=BlockVector(rng.standard_normal((p + 1, dim))),
+        schedule=AsyncSchedule(seed=0, delay_bound=0))
+    rows = list(trace.event_rows())
+    assert len(trace.row_component) > 3 * CHUNK_ROWS
+
+    def chunks_for(k):  # the chunks holding the rows of events 0..k-1
+        return -(-(max(rows[:k], default=-1) + 1) // CHUNK_ROWS)
+
+    values = trace.values
+    for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7, len(rows)):
+        calls = []
+        walk = trace.map_rows(lambda chunk, wrote: calls.append(len(chunk)) or
+                              [row.tobytes() for row in chunk])
+        taken = [next(walk) for _ in range(k)]
+        assert len(calls) == chunks_for(k), k
+        assert taken == [(c, v.tobytes()) for c, v in zip(comps[:k], values[:k])]
+
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return blocks_match(a, b)
+
+    blocks_match = analysis.blocks_match
+    monkeypatch.setattr(analysis, "blocks_match", counted)
+    writes = [rows.index(row) for row in range(len(trace.row_component))]  # row -> its writer
+    for t in (writes[0], writes[CHUNK_ROWS + 3], writes[3 * CHUNK_ROWS]):
+        calls.clear()
+        assert check_finite_termination(trace, trace.state_after(t)) == t + 1
+        assert len(calls) == 1 + chunks_for(t + 1), t  # the initial state, then chunks
 
 
 def test_chazan_miranker_frozen():

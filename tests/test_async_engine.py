@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintlab._pcg64 import PCG64
-from pintlab.analysis import async_error_envelope, check_finite_termination, factors_from_norms
+from pintlab.analysis import check_finite_termination, factors_from_norms
 from pintlab.async_engine import (
     AsyncMapping,
     AsyncSchedule,
@@ -20,13 +20,16 @@ from pintlab.async_engine import (
     STOP_HORIZON,
     STOP_QUIESCENCE,
     UpdateRecord,
-    linear_relaxation_mapping,
-    relaxation_solution,
     simulate_async,
     update_counts,
     validate_schedule,
 )
-from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
+from pintlab.async_parareal import (
+    async_parareal_mapping,
+    linear_relaxation_mapping,
+    relaxation_solution,
+    run_async_parareal,
+)
 from pintlab.errors import DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector, NormKind
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
@@ -35,6 +38,7 @@ from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, P
 
 from helpers import (
     ReplaySchedule,
+    envelope_columns,
     replay_engine_views,
     scan_activation_order,
     sliding_window_fairness,
@@ -772,7 +776,7 @@ def _assert_log_matches_outputs(trace, outs, fixed):
         diffs = [st - fixed.data for st in states]
         want = [np.max(np.abs(d)) if kind is NormKind.INFINITY
                 else np.max(np.linalg.norm(d, axis=1)) for d in diffs]
-        assert async_error_envelope(trace, report, fixed)[2].tolist() == want
+        assert envelope_columns(trace, report, fixed)[2].tolist() == want
     match = next((k for k, st in enumerate(states)
                   if np.allclose(st, fixed.data, rtol=1e-12, atol=0.0)), None)
     assert check_finite_termination(trace, fixed) == match

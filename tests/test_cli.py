@@ -15,8 +15,10 @@ import pytest
 from pintlab.async_parareal import run_async_parareal, simulate_async
 from pintlab.cli import (
     FLOAT_END,
+    MAX_FOLD,
     MAX_N,
     MAX_P,
+    MAX_STATE,
     MAX_STEPS,
     SUMMARY_COLUMNS,
     load_config,
@@ -223,6 +225,21 @@ def test_malformed_json_exits_one(tmp_path, capsys):
                  id="cap-config.coarse.steps"),
     pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": MAX_N + 1}),
                  "config.problem.n_interior", id="cap-config.problem.n_interior"),
+    # every size within its own cap, but a fold whose steps x d**3 pass
+    # MAX_FOLD or an iterate of more than MAX_STATE floats; at the largest
+    # sizes, about 13 hours of fold or 512 MiB iterates
+    pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": MAX_N},
+                                    fine={"rule": "trapezoidal", "steps": MAX_STEPS}),
+                 "config.fine.steps", id="fold-config.fine.steps"),
+    pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": MAX_N}, p=MAX_P),
+                 "config.p", id="state-config.p"),
+    pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": MAX_N},
+                                    coarse={"rule": "backward-euler",
+                                            "steps": MAX_FOLD // MAX_N**3 + 1}),
+                 "config.coarse.steps", id="fold-cap-config.coarse.steps"),
+    pytest.param(lambda c: c.update(problem={"name": "heat1d", "n_interior": MAX_N},
+                                    p=MAX_STATE // MAX_N),
+                 "config.p", id="state-cap-config.p"),
 ])
 def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
     # a JSON integer past its cap or the float range is a config error
@@ -238,11 +255,19 @@ def test_oversized_integers_exit_one(tmp_path, capsys, mutate, field):
 
 
 def test_size_caps_are_inclusive():
+    # each size at its own cap, on a problem small enough for the product caps
     config = parse_config(base_config(p=MAX_P, fine={"rule": "trapezoidal", "steps": MAX_STEPS},
-                                      coarse={"rule": "backward-euler", "steps": MAX_STEPS},
-                                      problem={"name": "heat1d", "n_interior": MAX_N}))
+                                      coarse={"rule": "backward-euler", "steps": MAX_STEPS}))
     assert (config.p, config.fine.steps, config.coarse.steps) == (MAX_P, MAX_STEPS, MAX_STEPS)
-    assert config.ivp.dim == MAX_N
+    heat = {"name": "heat1d", "n_interior": MAX_N}
+    assert parse_config(base_config(problem=heat)).ivp.dim == MAX_N
+    # both products at their caps: steps x d**3 == MAX_FOLD, (p + 1) x d == MAX_STATE
+    steps = MAX_FOLD // MAX_N**3
+    config = parse_config(base_config(p=MAX_STATE // MAX_N - 1, problem=heat,
+                                      fine={"rule": "trapezoidal", "steps": steps},
+                                      coarse={"rule": "backward-euler", "steps": steps}))
+    assert config.fine.steps * MAX_N**3 == config.coarse.steps * MAX_N**3 == MAX_FOLD
+    assert (config.p + 1) * config.ivp.dim == MAX_STATE
 
 
 def test_float_range_ends_where_float_overflows():
@@ -492,10 +517,10 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
 
 # Modules a run may leave unloaded: scipy is never needed, hashlib (OpenSSL)
 # only by an async JSONL trace, numpy.random (whose secrets import loads
-# OpenSSL) never, and the async engine and its PCG64 stream only by a run
-# with schedules.
+# OpenSSL) never, the async engine and its PCG64 stream only by a run
+# with schedules, and the table code only by the table subcommand.
 ASYNC_MODULES = ["pintlab._pcg64", "pintlab.async_engine", "pintlab.async_parareal"]
-WATCHED = ["hashlib", "numpy.random", "scipy", *ASYNC_MODULES]
+WATCHED = ["hashlib", "numpy.random", "scipy", "pintlab.table", *ASYNC_MODULES]
 
 RUN_PROBE = """
 from pintlab.cli import main
