@@ -10,12 +10,12 @@ Usage: python3 scripts/cost_model_table.py
 from pintlab.analysis import (
     CostParams,
     async_cost,
-    asymptotic_speedups,
     fit_overhead,
     sequential_cost,
     speedup_bound,
     sync_cost,
 )
+from pintlab.theory import asymptotic_speedups
 
 FINE, COARSE, OVERHEAD = 14.0, 0.14, 1.53
 

@@ -6,7 +6,9 @@ in each checkout for N pairs, alternating which side goes first (odd pairs
 run the parent first), so that drift of the host hits both sides alike.
 Prints, per end-to-end metric of the parent's BENCHMARK.json, each side's
 median and quartiles over the pairs and the number of pairs the change won,
-and appends the samples to the JSON list in ``--out``.
+and appends the samples to the JSON list in ``--out``. It does the same for
+the ungated ``run_s``: per run, the median of the ``samples.run_s`` that
+perfbench records in ``.perfbench_out/results/<workload>-seed<seed>-trace0.json``.
 
 The two checkouts must sit at absolute paths of equal length: the path
 moves the interpreter's heap layout, and with it ``peak_rss_mb``, by more
@@ -29,17 +31,23 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+UNGATED = "run_s"  # printed by perfbench but not in BENCHMARK.json; lower is better
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``checkout``; its last stdout line is the result."""
+    """One perfbench run in ``checkout``: its result (the last stdout line),
+    with the median untraced ``run_s`` of its record added to the metrics."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = checkout / ".perfbench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
+    run_s = json.loads(record.read_text(encoding="utf-8"))["samples"][UNGATED]
+    result["metrics"][UNGATED] = {"value": statistics.median(run_s), "unit": "s"}
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -90,13 +98,15 @@ def main(argv: list[str] | None = None) -> int:
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
         stats = {side: quartiles(samples[side][name]) for side in SIDES}
-        summary[name] = {"better": better.get(name, "lower"), "change_wins": wins,
+        summary[name] = {"better": better.get(name, "lower"), "gated": name != UNGATED,
+                         "change_wins": wins,
                          **{side: dict(zip(("q1", "median", "q3"), stats[side]))
                             for side in SIDES}}
         print(f"  {name:12s} parent {stats['parent'][1]:.4f} ({stats['parent'][0]:.4f}.."
               f"{stats['parent'][2]:.4f})  change {stats['change'][1]:.4f} "
               f"({stats['change'][0]:.4f}..{stats['change'][2]:.4f})  "
-              f"change better in {wins} of {args.pairs}")
+              f"change better in {wins} of {args.pairs}"
+              + (" (not gated)" if name == UNGATED else ""))
 
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "pairs": args.pairs, "path_length": len(str(paths["parent"])),

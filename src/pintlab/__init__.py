@@ -13,11 +13,10 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "analysis": """CheckResult ContractionReport CostParams EnvelopeCheck RateComparison
-        SpeedupReport async_convergence_check async_cost async_error_envelope
-        asymptotic_speedups chazan_miranker_check check_finite_termination
-        compare_factors contraction_factors envelope_steps factors_from_norms
-        fit_overhead sequential_cost speedup_bound sync_convergence_check sync_cost""",
+    "analysis": """CheckResult ContractionReport CostParams EnvelopeCheck SpeedupReport
+        async_convergence_check async_cost async_error_envelope check_finite_termination
+        contraction_factors envelope_steps factors_from_norms fit_overhead
+        sequential_cost speedup_bound sync_convergence_check sync_cost""",
     "async_engine": """AsyncMapping AsyncTrace EngineView ScheduleValidation UpdateRecord
         simulate_async update_counts validate_schedule""",
     "async_parareal": """async_parareal_mapping async_stop_check linear_relaxation_mapping
@@ -25,13 +24,15 @@ _EXPORTS = {name: module for module, names in {
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError
         HorizonExhausted InvalidThetaError SingularMatrixError SingularSystemError
         UndefinedLimitError UnfittableError""",
-    "linalg": "BlockVector NormKind max_block_norm operator_norm spectral_radius",
+    "linalg": "BlockVector NormKind max_block_norm operator_norm",
     "model": """AffinePropagator LinearIVP PROPAGATOR_RULES backward_euler_propagator
         compose fine_from_onestep heat1d_system scalar_decay_system
         trapezoidal_propagator""",
-    "parareal": """BlockSystem SyncTrace build_parareal_system coarse_init parareal_iterate
-        parareal_update run_parareal sequential_fine_solve""",
+    "parareal": """SyncTrace coarse_init parareal_update run_parareal
+        sequential_fine_solve""",
     "schedule": "AsyncSchedule",
+    "theory": """BlockSystem RateComparison asymptotic_speedups build_parareal_system
+        chazan_miranker_check compare_factors parareal_iterate spectral_radius""",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

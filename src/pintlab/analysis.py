@@ -19,8 +19,6 @@ from array import array
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import (
     DimensionError,
     EnvelopeUndefinedError,
@@ -28,8 +26,7 @@ from .errors import (
     UndefinedLimitError,
     UnfittableError,
 )
-from .linalg import NormKind, block_norms, lu_solve, operator_norm
-from .linalg import BlockVector, blocks_match, spectral_radius
+from .linalg import BlockVector, NormKind, block_norms, blocks_match, operator_norm
 from .model import AffinePropagator
 
 if TYPE_CHECKING:  # annotations only: sync runs never load the engine
@@ -121,37 +118,6 @@ def async_convergence_check(report: ContractionReport) -> CheckResult:
     return CheckResult(margin > 0.0, margin)
 
 
-@dataclass(frozen=True)
-class RateComparison:
-    """Ordering certificate between the two contraction factors."""
-
-    applicable: bool          # False when the async factor is not below one
-    sync_factor: float
-    async_factor: float
-    gap: float | None         # async - sync, certified positive when applicable
-
-
-def compare_factors(report: ContractionReport) -> RateComparison:
-    """Certify sync_factor < async_factor whenever the async factor is below one.
-
-    Only valid for reports built with theta equal to the coarse norm.
-    """
-    if report.theta != report.coarse_norm:
-        raise ValueError(
-            "rate comparison needs theta == coarse_norm; got "
-            f"theta={report.theta}, coarse_norm={report.coarse_norm}"
-        )
-    if report.async_factor >= 1.0:
-        return RateComparison(False, report.sync_factor, report.async_factor, None)
-    gap = report.async_factor - report.sync_factor
-    if gap <= 0.0 and report.defect_norm > 0.0:
-        raise AssertionError(
-            "ordering violated: sync factor should be strictly below the "
-            f"async factor ({report.sync_factor} vs {report.async_factor})"
-        )
-    return RateComparison(True, report.sync_factor, report.async_factor, gap)
-
-
 ENVELOPE_SLACK = 1.0 + 1e-10  # relative slack of an error against its bound
 
 
@@ -185,6 +151,8 @@ def envelope_steps(trace: AsyncTrace, report: ContractionReport,
     The measured error is ``max_block_norm(state - fixed_point)`` in the
     report's norm, kept per block from ``trace.initial`` on: an event costs
     the norm of the block it wrote, with the bits of the whole-state norm.
+    Their maximum is kept running the same way, rescanned only when the
+    block holding it falls.
     """
     if report.async_factor >= 1.0:
         raise EnvelopeUndefinedError(
@@ -193,7 +161,8 @@ def envelope_steps(trace: AsyncTrace, report: ContractionReport,
     factor = report.async_factor
     kind = report.norm_kind
     block_error = block_norms((trace.initial - fixed_point).data, kind).tolist()
-    initial_error = max(block_error)
+    initial_error = top = max(block_error)
+    top_at = block_error.index(top)  # a block holding the largest error
     p = trace.n_updatable
 
     # Per component, the depth of each version it produced; version 0 is the start.
@@ -206,6 +175,11 @@ def envelope_steps(trace: AsyncTrace, report: ContractionReport,
                             block_norms(rows - fixed_point.data[wrote], kind).tolist())
     for (comp, error), reads in zip(errors, trace.all_reads()):
         block_error[comp] = error
+        if error >= top:
+            top, top_at = error, comp
+        elif comp == top_at:
+            top = max(block_error)
+            top_at = block_error.index(top)
         shallowest = math.inf
         for source, _slot, version in reads:
             table = depth_of[source]
@@ -227,7 +201,7 @@ def envelope_steps(trace: AsyncTrace, report: ContractionReport,
             elif old == lowest and not left:
                 lowest = min(live)
         bound = 0.0 if math.isinf(lowest) else factor ** lowest * initial_error
-        yield lowest, bound, max(block_error)
+        yield lowest, bound, top
 
 
 def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
@@ -269,20 +243,6 @@ def check_finite_termination(trace: AsyncTrace,
         if not mismatched:
             return k
     return None
-
-
-def chazan_miranker_check(a_mat, m_mat) -> CheckResult:
-    """Classical absolute-iteration-matrix test for asynchronous relaxation.
-
-    Computes rho(|I - M^{-1}A|); strictly below one is necessary and
-    sufficient for every fair bounded-staleness execution of the splitting
-    to converge. The margin is one minus the radius.
-    """
-    a = np.asarray(a_mat, dtype=float)
-    m = np.asarray(m_mat, dtype=float)
-    iteration = np.eye(a.shape[0]) - lu_solve(m, a)
-    radius = spectral_radius(np.abs(iteration))
-    return CheckResult(radius < 1.0, 1.0 - radius)
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +347,6 @@ def speedup_bound(params: CostParams) -> SpeedupReport:
                 f"achieved ratio {achieved} exceeds the model bound {bound}"
             )
     return SpeedupReport(bound=bound, achieved=achieved)
-
-
-def asymptotic_speedups(params: CostParams) -> tuple[float, float, float]:
-    """Large-p limits of the three cost ratios at fixed iteration count k:
-    sequential/sync, sequential/async, and sync/async."""
-    if params.k is None:
-        raise ValueError("asymptotic ratios need k")
-    if params.coarse_cost <= 0.0:
-        raise UndefinedLimitError(
-            "asymptotic ratios diverge or degenerate with zero coarse cost"
-        )
-    k = params.k
-    sync_limit = params.fine_cost / (params.coarse_cost + k * params.overhead)
-    async_limit = params.fine_cost / params.coarse_cost
-    cross_limit = 1.0 + k * params.overhead / params.coarse_cost
-    return sync_limit, async_limit, cross_limit
 
 
 def fit_overhead(total_cost: float, p: int, k: int, fine_cost: float,

@@ -31,10 +31,13 @@ def async_parareal_mapping(coarse: AffinePropagator, fine: AffinePropagator,
     """
     if p < 1:
         raise ValueError(f"need p >= 1 subintervals, got {p}")
+    # a worker's remembered reading is its previous fresh one, so its coarse
+    # memo holds G(remembered) from its previous activation
+    memos: list[list] = [[None, None] for _ in range(p + 1)]
 
     def eval_fn(i: int, values: list) -> np.ndarray:
         fresh, remembered = values
-        return parareal_update(coarse, fine, fresh, remembered)
+        return parareal_update(coarse, fine, fresh, remembered, memos[i])
 
     read_set = {i: ((i - 1, FRESH_SLOT), (i - 1, REMEMBERED_SLOT)) for i in range(1, p + 1)}
     return AsyncMapping(eval_fn=eval_fn, read_set=read_set,

@@ -334,7 +334,7 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         run_entry["sigma_final"] = None if math.isinf(check.sigma_final) else check.sigma_final
         run_entry["bound_final"] = check.bound_final
         run_entry["envelope_ok"] = check.holds
-    if trace.stop_reason != STOP_HORIZON and k <= kappa:
+    if config.p >= 2 and trace.stop_reason != STOP_HORIZON and k <= kappa:
         ratio = speedup_bound(replace(costs, k=k, kappa=kappa))
         run_entry["speedup_bound"] = ratio.bound
         run_entry["speedup_achieved"] = ratio.achieved

@@ -1,9 +1,9 @@
-"""Dense linear-algebra substrate: block vectors, norms, spectral radius.
+"""Dense linear-algebra substrate: block vectors, norms, pivoted solves.
 
 Everything here is sized for desk-scale experiments (matrices up to a few
 dozen rows) and hands the numerics to numpy's LAPACK bindings: the spectral
-norm is the largest singular value, the spectral radius the largest
-eigenvalue magnitude, and solves are LU with partial pivoting. These are
+norm is the largest singular value, and solves are LU with partial pivoting
+(the spectral radius, which no run needs, is in ``theory``). These are
 the backward-stable routines of Golub & Van Loan, *Matrix Computations*,
 ch. 7-8. Closed-form cross-checks for tiny matrices live in the test suite.
 """
@@ -149,18 +149,6 @@ def operator_norm(m, kind: NormKind = NormKind.SPECTRAL) -> float:
     if kind is NormKind.INFINITY:
         return float(np.max(np.sum(np.abs(a), axis=1)))
     return float(np.linalg.norm(a, 2))
-
-
-def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude, from LAPACK's nonsymmetric eigensolver.
-
-    Balancing isolates the eigenvalues of triangular inputs, so a strictly
-    triangular (nilpotent) matrix gets a radius of exactly zero.
-    """
-    a = _square(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def lu_solve(a, b) -> np.ndarray:

@@ -39,9 +39,9 @@ from pintlab.parareal import (
     STOP_KMAX,
     STOP_THRESHOLD,
     coarse_init,
-    parareal_iterate,
     run_parareal,
 )
+from pintlab.theory import parareal_iterate
 
 
 def rel_close(a: float, b: float, rtol: float) -> bool:

@@ -12,9 +12,7 @@ import numpy as np
 from pintlab.analysis import (
     CostParams,
     async_cost,
-    chazan_miranker_check,
     check_finite_termination,
-    compare_factors,
     contraction_factors,
     factors_from_norms,
     fit_overhead,
@@ -38,13 +36,17 @@ from pintlab.model import (
 )
 from pintlab.parareal import (
     STOP_THRESHOLD,
-    build_parareal_system,
     coarse_init,
-    parareal_iterate,
     run_parareal,
     sequential_fine_solve,
 )
 from pintlab.schedule import POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
+from pintlab.theory import (
+    build_parareal_system,
+    chazan_miranker_check,
+    compare_factors,
+    parareal_iterate,
+)
 
 from helpers import envelope_columns, nth_iterate
 

@@ -15,10 +15,7 @@ from pintlab.analysis import (
     async_convergence_check,
     async_cost,
     async_error_envelope,
-    asymptotic_speedups,
-    chazan_miranker_check,
     check_finite_termination,
-    compare_factors,
     contraction_factors,
     factors_from_norms,
     fit_overhead,
@@ -46,6 +43,7 @@ from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
 from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL
+from pintlab.theory import asymptotic_speedups, chazan_miranker_check, compare_factors
 
 from helpers import envelope_columns, replay_envelope, scan_finite_termination, state_errors
 
@@ -308,6 +306,31 @@ def test_envelope_errors_across_chunk_boundaries():
         report = factors_from_norms(0.3, 0.2, p=p, kind=kind)
         errors = envelope_columns(trace, report, fixed)[2]
         assert errors.tobytes() == state_errors(trace, fixed, kind).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5]), min_size=2, max_size=7),
+       st.lists(st.tuples(st.integers(1, 6), st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5])),
+                max_size=40))
+def test_envelope_running_max_equals_plain_max(initial, writes):
+    # the envelope keeps the largest block error running and rescans only
+    # when the block holding it falls; a plain max over every block after
+    # every event gives the same bits, ties and falls of the top included
+    p = len(initial) - 1
+    writes = [(1 + (comp - 1) % p, value) for comp, value in writes]
+    trace = AsyncTrace.from_records(
+        [UpdateRecord(component=comp, reads=(), delta=0.0) for comp, _ in writes],
+        [np.array([value]) for _, value in writes],
+        initial=BlockVector(np.array(initial).reshape(-1, 1)),
+        schedule=AsyncSchedule(seed=0, delay_bound=0))
+    report = factors_from_norms(0.3, 0.2, p=p, kind=NormKind.INFINITY)
+    block_error = [abs(value) for value in initial]
+    want = [max(block_error)]
+    for comp, value in writes:
+        block_error[comp] = abs(value)
+        want.append(max(block_error))
+    errors = envelope_columns(trace, report, BlockVector(np.zeros((p + 1, 1))))[2]
+    assert errors.tobytes() == np.array(want).tobytes()
 
 
 def _reduced_replay(trace, report, fixed):

@@ -11,7 +11,9 @@ import pintlab.async_parareal
 import pintlab.parareal
 from pintlab.async_engine import (
     STOP_HORIZON,
+    AsyncMapping,
     AsyncSchedule,
+    simulate_async,
     update_counts,
     validate_schedule,
 )
@@ -30,6 +32,7 @@ from pintlab.model import (
 )
 from pintlab.parareal import (
     STOP_THRESHOLD,
+    coarse_init,
     parareal_update,
     run_parareal,
     sequential_fine_solve,
@@ -73,6 +76,22 @@ def test_event_replay_matches_kernel(heat_setups, seed, delay_bound):
                                values[REMEMBERED_SLOT])
         assert np.array_equal(want, value), idx
         assert np.array_equal(want, trace.state_after(idx)[ev.component]), idx
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16))
+def test_lean_trace_equals_reference_mapping(heat_setups, policy, delay_bound, p, seed):
+    # the mapping's per-worker coarse memos change no bit: a mapping that
+    # calls the four-argument kernel writes the same JSONL trace
+    ivp, coarse, fine = heat_setups[4]
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
+    lean = run_async_parareal(coarse, fine, ivp.u0, p, sched)
+    plan = async_parareal_mapping(coarse, fine, p)
+    reference = AsyncMapping(eval_fn=lambda i, values: parareal_update(coarse, fine, *values),
+                             read_set=plan.read_set, persistent_slots=plan.persistent_slots)
+    want = simulate_async(reference, coarse_init(coarse, ivp.u0, p), sched)
+    assert "".join(lean.jsonl_lines()) == "".join(want.jsonl_lines())
 
 
 def test_first_worker_exact_after_first_firing(heat_setups):

@@ -382,6 +382,17 @@ def test_horizon_stop_warning_names_its_runs(tmp_path, capsys):
     assert rc == 0 and capsys.readouterr().err == ""
 
 
+def test_single_subinterval_schedule_runs_without_speedup(tmp_path):
+    # the speedup bound needs p >= 2, so at p = 1 an async run leaves its
+    # speedup keys out, as a horizon stop does, instead of crashing the run
+    rc, out = run_cli(tmp_path, base_config(p=1))
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    runs = [run for run in report["runs"] if run["mode"] == "async"]
+    assert len(runs) == 2
+    assert all(not {"speedup_bound", "speedup_achieved"} & set(run) for run in runs)
+
+
 def test_horizon_stopped_run_writes_its_partial_trace(tmp_path):
     # a run that exhausts max_events still writes the trace it made, one
     # line per event, as jsonl_lines gives it for HorizonExhausted's trace
@@ -518,9 +529,11 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
 # Modules a run may leave unloaded: scipy is never needed, hashlib (OpenSSL)
 # only by an async JSONL trace, numpy.random (whose secrets import loads
 # OpenSSL) never, the async engine and its PCG64 stream only by a run
-# with schedules, and the table code only by the table subcommand.
+# with schedules, the table code only by the table subcommand, and the
+# reference and theory forms (pintlab.theory) never.
 ASYNC_MODULES = ["pintlab._pcg64", "pintlab.async_engine", "pintlab.async_parareal"]
-WATCHED = ["hashlib", "numpy.random", "scipy", "pintlab.table", *ASYNC_MODULES]
+WATCHED = ["hashlib", "numpy.random", "scipy", "pintlab.table", "pintlab.theory",
+           *ASYNC_MODULES]
 
 RUN_PROBE = """
 from pintlab.cli import main

@@ -19,8 +19,8 @@ from pintlab.linalg import (
     lu_solve,
     max_block_norm,
     operator_norm,
-    spectral_radius,
 )
+from pintlab.theory import spectral_radius
 
 from helpers import (
     eig_magnitudes_2x2,

@@ -2,6 +2,7 @@
 finite termination, bounded memory, and equivalence with the block
 Richardson form."""
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,13 +23,13 @@ from pintlab.parareal import (
     STOP_EXACT,
     STOP_KMAX,
     STOP_THRESHOLD,
-    build_parareal_system,
+    SWEEP_CHUNK,
     coarse_init,
-    parareal_iterate,
     parareal_update,
     run_parareal,
     sequential_fine_solve,
 )
+from pintlab.theory import build_parareal_system, parareal_iterate
 
 from helpers import nth_iterate, replay_parareal
 
@@ -164,6 +165,93 @@ def test_streaming_sweeps_equal_full_history_replay(p_k_max, n, epsilon, span):
                         reference=start).finite_termination_index == 0
     assert run_parareal(coarse, fine, ivp.u0, p, epsilon,
                         k_max).finite_termination_index is None
+
+
+@st.composite
+def signed_zero_setups(draw):
+    """(u0, coarse, fine) of dimension 1..3 whose entries come from a small
+    set holding both zeros: products hit exact zeros of either sign, and the
+    two readings of an update often coincide."""
+    d = draw(st.integers(1, 3))
+    entries = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+
+    def array(*shape):
+        values = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(values).reshape(shape)
+
+    order = draw(st.sampled_from("CF"))  # lu_solve's propagators are Fortran-ordered
+    coarse, fine = (AffinePropagator(np.asarray(array(d, d), order=order), array(d), 1.0)
+                    for _ in range(2))
+    return array(d), coarse, fine
+
+
+@settings(deadline=None, max_examples=100)
+@given(setup=signed_zero_setups(), p=st.integers(1, 8))
+def test_lean_sweeps_equal_reference_sweeps_bitwise(setup, p):
+    # run_parareal takes each G(old) from its component's coarse memo and
+    # copies the frozen prefix; parareal_iterate recomputes every row with
+    # the four-argument kernel. Iterate j of both has the same bytes for
+    # every j (array_equal would miss a flipped zero sign).
+    u0, coarse, fine = setup
+    lam = coarse_init(coarse, u0, p)
+    for j in range(1, p + 1):
+        lam = parareal_iterate(coarse, fine, lam)
+        assert nth_iterate(coarse, fine, u0, p, j).data.tobytes() == lam.data.tobytes(), j
+
+
+def test_coarse_memo_keys_on_bytes(literal_scalar_pair):
+    # the memo stands in for G(old) only when old has the key's bytes: with
+    # a planted value in place of G(+0.0), a reading of +0.0 takes it and a
+    # reading of -0.0, though == +0.0, has its G computed
+    coarse, fine = literal_scalar_pair
+    memo = [None, None]
+    parareal_update(coarse, fine, np.array([0.0]), np.array([5.0]), memo)
+    assert memo[0] == np.array([0.0]).tobytes()
+    assert memo[1].tobytes() == coarse.apply(np.array([0.0])).tobytes()
+    memo[1] = planted = np.array([7.0])
+    fresh = np.array([1.0])
+    for old, g_old in ((np.array([-0.0]), coarse.apply(np.array([-0.0]))),
+                       (np.array([0.0]), planted)):
+        key = memo[0]
+        got = parareal_update(coarse, fine, fresh, old, memo)
+        assert got.tobytes() == ((coarse.apply(fresh) + fine.apply(old)) - g_old).tobytes()
+        # either way the memo then holds G(fresh)
+        assert memo[0] == fresh.tobytes()
+        assert memo[1].tobytes() == coarse.apply(fresh).tobytes()
+        memo[:] = key, planted
+    # equal readings apply the fine map alone and leave the memo as it was
+    same = parareal_update(coarse, fine, fresh, fresh.copy(), memo)
+    assert same.tobytes() == fine.apply(fresh).tobytes()
+    assert memo[0] == np.array([0.0]).tobytes() and memo[1] is planted
+
+
+def test_readings_of_either_zero_sign_are_equal():
+    # readings are compared with ==, not by bytes: +0.0 and -0.0 give the
+    # fine value alone, which (G(+0.0) + F(-0.0)) - G(-0.0) would round away
+    coarse = AffinePropagator(np.array([[0.5]]), np.array([1.0]), 1.0)
+    fine = AffinePropagator(np.array([[0.5]]), np.array([1e-17]), 1.0)
+    for memo in (None, [None, None]):
+        got = parareal_update(coarse, fine, np.array([0.0]), np.array([-0.0]), memo)
+        assert got.tobytes() == np.array([1e-17]).tobytes()
+
+
+def test_sweep_chunks_cross_their_seams():
+    # p + 1 rows span three SWEEP_CHUNK chunks: each sweep's delta and the
+    # reference test, taken chunk by chunk, agree with the whole-iterate
+    # replay, and a mismatch in the last chunk alone is still seen
+    p = 2 * SWEEP_CHUNK + 5
+    ivp, coarse, fine = _heat_pair(4, p, 10)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    trace = run_parareal(coarse, fine, ivp.u0, p, 0.0, reference=oracle)
+    history, deltas, _, index = replay_parareal(coarse, fine, ivp.u0, p, 0.0,
+                                                reference=oracle)
+    assert trace.deltas == deltas
+    assert 0 < trace.finite_termination_index == index < p
+    assert np.array_equal(trace.final.data, history[-1].data)
+    moved = oracle.data.copy()
+    moved[-1] *= 2.0
+    assert run_parareal(coarse, fine, ivp.u0, p, 0.0,
+                        reference=BlockVector(moved)).finite_termination_index is None
 
 
 def test_sweep_memory_does_not_grow_with_k():
