@@ -17,10 +17,10 @@ _EXPORTS = {name: module for module, names in {
         async_convergence_check async_cost async_error_envelope check_finite_termination
         contraction_factors envelope_steps factors_from_norms fit_overhead
         sequential_cost speedup_bound sync_convergence_check sync_cost""",
-    "async_engine": """AsyncMapping AsyncTrace EngineView ScheduleValidation UpdateRecord
-        simulate_async update_counts validate_schedule""",
-    "async_parareal": """async_parareal_mapping async_stop_check linear_relaxation_mapping
-        relaxation_solution run_async_parareal""",
+    "async_audit": "ScheduleValidation update_counts validate_schedule",
+    "async_engine": "AsyncMapping EngineView simulate_async",
+    "async_log": "AsyncTrace UpdateRecord",
+    "async_parareal": "async_parareal_mapping async_stop_check run_async_parareal",
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError
         HorizonExhausted InvalidThetaError SingularMatrixError SingularSystemError
         UndefinedLimitError UnfittableError""",
@@ -32,7 +32,8 @@ _EXPORTS = {name: module for module, names in {
         sequential_fine_solve""",
     "schedule": "AsyncSchedule",
     "theory": """BlockSystem RateComparison asymptotic_speedups build_parareal_system
-        chazan_miranker_check compare_factors parareal_iterate spectral_radius""",
+        chazan_miranker_check compare_factors linear_relaxation_mapping parareal_iterate
+        relaxation_solution spectral_radius""",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

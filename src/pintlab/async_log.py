@@ -1,0 +1,227 @@
+"""The event log of an asynchronous run, and the read-plan rule it stores.
+
+An ``AsyncTrace`` is what ``simulate_async`` returns and what every post-hoc
+check reads: the events in order, the versions each one read, and the value
+each one produced, in typed columns. ``read_plans`` is the one place that
+spells out how a persisted slot replays an earlier read.
+"""
+from __future__ import annotations
+
+import json
+import math
+from array import array
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterator
+
+import numpy as np
+
+from .linalg import BlockVector
+from .schedule import AsyncSchedule
+
+CHUNK_ROWS = 256  # rows per chunk of the value column
+BATCH_ROWS = 64   # rows per call of map_rows' per_rows
+
+
+def read_plans(read_set: dict[int, tuple[tuple[int, int], ...]],
+               persistent_slots: dict[int, int]) -> dict[int, tuple[tuple[int, int | None], ...]]:
+    """Per component, its reads in read_set order as (source, base).
+
+    base is None for a sampled slot, which takes a lag from the script. A
+    persisted slot replays the version read at position base of read_set[i]
+    at the component's previous event (0 before its first); its base slot
+    must be read from the same source, or ValueError.
+    """
+    plans = {}
+    for i, reads in read_set.items():
+        position = {slot: j for j, (_, slot) in enumerate(reads)}
+        plan = []
+        for source, slot in reads:
+            base = None
+            if slot in persistent_slots:
+                base = position.get(persistent_slots[slot])
+                if base is None or reads[base][0] != source:
+                    raise ValueError(f"component {i}: persistent slot {slot} must share its "
+                                     f"source with base slot {persistent_slots[slot]}")
+            plan.append((source, base))
+        plans[i] = tuple(plan)
+    return plans
+
+
+@dataclass(frozen=True)
+class UpdateRecord:
+    """One event: which component fired, what it read, what came out.
+
+    An event's number is its position in the trace's log.
+    """
+
+    component: int
+    reads: tuple[tuple[int, int, int], ...]  # (source, slot, version)
+    delta: float                             # max-abs change against prior value
+
+
+class AsyncTrace:
+    """Event log of one simulation, self-describing for offline checks.
+
+    The log is columnar. Per event k it keeps ``component[k]``, the component
+    that fired, and the r versions it read: each event of a component reads
+    the r (source, slot) pairs of ``read_set[component]``, so its versions
+    go to ``read_versions[component]`` in that order. Version v >= 1 of
+    component c is its v-th event's value, row ``rows[c][v - 1]`` of the
+    value column, and version 0 its block of ``initial``; every state
+    derives from these. A value bitwise equal to its component's current
+    version, logged with delta +0.0, reuses that row; any other fills a new
+    row, written by ``row_component[row]`` with delta ``row_delta[row]``.
+    So an event's delta is its row's when it wrote the row and 0.0 when it
+    reused it. Rows fill 2-D chunks of CHUNK_ROWS rows, so the log grows
+    without copying and holds at most one chunk of slack. Index and version
+    columns are 4-byte ints.
+
+    ``events`` (UpdateRecords), ``values`` (read-only row views) and
+    ``delta`` are built on each read by one walk of the columns.
+    """
+
+    def __init__(self, initial: BlockVector, schedule: AsyncSchedule,
+                 read_set: dict[int, tuple[tuple[int, int], ...]],
+                 persistent_slots: dict[int, int], stop_reason: str = ""):
+        self.initial = initial
+        self.schedule = schedule
+        self.read_set = read_set
+        self.persistent_slots = persistent_slots
+        self.stop_reason = stop_reason
+        self.component = array("i")
+        self.row_component = array("i")
+        self.row_delta = array("d")
+        self.rows = [array("i") for _ in range(initial.n_blocks)]  # per version v >= 1
+        self.read_versions = [array("i") for _ in range(initial.n_blocks)]
+        self._chunks: list[np.ndarray] = []  # read-only views of the value chunks
+        self._tail: np.ndarray | None = None  # the last chunk, writable
+
+    @property
+    def n_updatable(self) -> int:
+        return self.initial.n_blocks - 1
+
+    @property
+    def n_events(self) -> int:
+        return len(self.component)
+
+    @property
+    def events(self) -> list[UpdateRecord]:
+        return list(map(UpdateRecord, self.component, self.all_reads(), self.event_deltas()))
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return list(map(self._row, self.event_rows()))
+
+    @property
+    def delta(self) -> array:
+        return array("d", self.event_deltas())
+
+    def append(self, component: int, versions: Iterable[int], delta: float,
+               value: np.ndarray) -> None:
+        """Log one event: the versions it read in read_set order, its delta
+        and a copy of the value it produced, which has the block shape."""
+        rows = self.rows[component]
+        # bytes, not ==, so that -0.0 after 0.0 gets its own row and digest;
+        # a row holds one delta, so only +0.0 may reuse one
+        if (rows and delta == 0.0 and math.copysign(1.0, delta) > 0.0
+                and self._row(rows[-1]).tobytes() == value.tobytes()):
+            row = rows[-1]
+        else:
+            row = len(self.row_component)
+            if row % CHUNK_ROWS == 0:
+                self._tail = np.empty((CHUNK_ROWS, self.initial.block_dim))
+                view = self._tail.view()
+                view.flags.writeable = False
+                self._chunks.append(view)
+            self._tail[row % CHUNK_ROWS] = value
+            self.row_component.append(component)
+            self.row_delta.append(delta)
+        rows.append(row)
+        self.component.append(component)
+        self.read_versions[component].extend(versions)
+
+    def _row(self, row: int) -> np.ndarray:
+        chunk, row = divmod(row, CHUNK_ROWS)
+        return self._chunks[chunk][row]
+
+    def all_reads(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
+        """Every event's (source, slot, version) reads in order, taken by one
+        cursor per component over its versions."""
+        cursors = [iter(versions) for versions in self.read_versions]
+        return (tuple([(source, slot, next(cursors[comp]))
+                       for source, slot in self.read_set[comp]]) for comp in self.component)
+
+    def event_rows(self) -> Iterator[int]:
+        """Every event's value row in order, by one cursor per component."""
+        cursors = [iter(rows) for rows in self.rows]
+        return (next(cursors[comp]) for comp in self.component)
+
+    def event_deltas(self) -> Iterator[float]:
+        """Every event's delta in order: rows are numbered in the order
+        events write them, so event k wrote its row exactly when that row is
+        the next unseen one, and reused it (delta 0.0) otherwise."""
+        seen = 0
+        for row in self.event_rows():
+            if row == seen:
+                seen += 1
+                yield self.row_delta[row]
+            else:
+                yield 0.0
+
+    def value_blocks(self) -> Iterator[tuple[array, np.ndarray]]:
+        """The value column in row order, chunk by chunk: the components
+        that wrote the rows and the read-only 2-D rows themselves."""
+        for lo, chunk in zip(range(0, len(self.row_component), CHUNK_ROWS), self._chunks):
+            wrote = self.row_component[lo:lo + CHUNK_ROWS]
+            yield wrote, chunk[:len(wrote)]
+
+    def version_value(self, component: int, version: int) -> np.ndarray:
+        """The value a (component, version) stamp refers to."""
+        rows = self.rows[component]
+        if not 0 <= version <= len(rows):
+            raise KeyError(f"component {component} never reached version {version}")
+        return self._row(rows[version - 1]) if version else self.initial[component]
+
+    def state_after(self, event_index: int) -> BlockVector:
+        """State once ``event_index + 1`` events have run; -1 gives the start."""
+        if not -1 <= event_index < self.n_events:
+            raise IndexError(f"trace has no event {event_index}")
+        data = self.initial.data.copy()
+        versions = np.bincount(self.component[:event_index + 1], minlength=len(data))
+        for comp in np.flatnonzero(versions):
+            data[comp] = self.version_value(comp, versions[comp])
+        return BlockVector(data)
+
+    def map_rows(self, per_rows: Callable) -> Iterator[tuple[int, object]]:
+        """(component, result) per event in order. ``per_rows(rows, wrote)``
+        maps a batch of at most BATCH_ROWS rows and their writers to one
+        result per row when the walk reaches the batch. A reused row is
+        always its writer's current version, so event k takes the next
+        unseen row's result or repeats its component's, and the walk keeps
+        one result per component."""
+        fresh = chain.from_iterable(per_rows(rows[lo:lo + BATCH_ROWS], wrote[lo:lo + BATCH_ROWS])
+                                    for wrote, rows in self.value_blocks()
+                                    for lo in range(0, len(wrote), BATCH_ROWS))
+        current: list[object] = [None] * self.initial.n_blocks
+        seen = 0
+        for comp, row in zip(self.component, self.event_rows()):
+            if row == seen:
+                current[comp], seen = next(fresh), seen + 1
+            yield comp, current[comp]
+
+    def jsonl_lines(self) -> Iterator[str]:
+        """The JSONL trace, one line per event, to be written as a stream.
+
+        A line's digest is the first 16 hex digits of the sha256 of its
+        value's bytes, taken once per row by ``map_rows``.
+        """
+        import hashlib  # loads OpenSSL, which only a written trace needs
+
+        digests = self.map_rows(lambda rows, _: (hashlib.sha256(row.tobytes()).hexdigest()[:16]
+                                                 for row in rows))
+        for k, ((comp, digest), reads, delta) in enumerate(
+                zip(digests, self.all_reads(), self.event_deltas())):
+            yield json.dumps({"k": k, "component": comp, "reads": [list(r) for r in reads],
+                              "digest": digest, "delta": delta}, sort_keys=True) + "\n"

@@ -1,4 +1,4 @@
-"""Asynchronous mappings: the coarse/fine interface iteration and a relaxation demo.
+"""The coarse/fine interface iteration as an asynchronous mapping.
 
 Each interface state is owned by one worker. On activation, worker i reads
 its predecessor twice: slot 1 takes the freshest version the schedule lets
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .async_engine import AsyncMapping, AsyncSchedule, AsyncTrace, EngineView, simulate_async
-from .errors import DimensionError
-from .linalg import BlockVector, lu_solve
+from .async_engine import AsyncMapping, EngineView, simulate_async
+from .async_log import AsyncTrace
 from .model import AffinePropagator
 from .parareal import coarse_init, parareal_update
+from .schedule import AsyncSchedule
 
 FRESH_SLOT = 1
 REMEMBERED_SLOT = 2
@@ -76,35 +76,3 @@ def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
             return async_stop_check(view.last_deltas[1:], eps, view.drained)
 
     return simulate_async(mapping, init, schedule, stop=stop)
-
-
-def linear_relaxation_mapping(a_mat, m_diag, rhs) -> tuple[AsyncMapping, BlockVector]:
-    """Diagonal-splitting relaxation x -> (I - M^{-1}A) x + M^{-1} b as an
-    async mapping over scalar components.
-
-    Returns the mapping together with the initial state (component 0 is an
-    unused pinned placeholder; unknowns start at zero). Single read slot,
-    each component reads every unknown.
-    """
-    a = np.asarray(a_mat, dtype=float)
-    d = np.asarray(m_diag, dtype=float).reshape(-1)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape[0] != n or b.shape[0] != n:
-        raise DimensionError("relaxation pieces have mismatched sizes")
-    if np.any(d == 0.0):
-        raise ValueError("splitting diagonal must be invertible")
-
-    def eval_fn(i: int, values: list) -> np.ndarray:
-        x = np.concatenate(values)
-        return np.array([x[i - 1] + (b[i - 1] - a[i - 1] @ x) / d[i - 1]])
-
-    read_set = {i: tuple((j, 1) for j in range(1, n + 1)) for i in range(1, n + 1)}
-    mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set)
-    init = BlockVector(np.zeros((n + 1, 1)))
-    return mapping, init
-
-
-def relaxation_solution(a_mat, rhs) -> np.ndarray:
-    """Direct solve used as the oracle for the relaxation demo."""
-    return lu_solve(np.asarray(a_mat, dtype=float), np.asarray(rhs, dtype=float))

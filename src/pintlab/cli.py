@@ -224,6 +224,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     label = _expect(raw, "label", str, "config", required=False, default="experiment")
+    if label in ("", ".", "..") or "/" in label or "\0" in label:  # names trace files
+        raise ConfigError(f"config.label: need a file name without '/' or NUL, not '', '.' "
+                          f"or '..', got {echo(label)}")
     ivp = _parse_problem(_expect(raw, "problem", dict, "config"), "config.problem")
     p = _expect(raw, "p", int, "config")
     cap = min(MAX_P, MAX_STATE // ivp.dim - 1)
@@ -284,11 +287,11 @@ def _bind_async_engine() -> None:
     """Bind run_async_parareal, update_counts and validate_schedule as module
     globals, keeping any name already bound (to a tracing wrapper, say): the
     engine loads with the first async run, so a sync-only run never loads it."""
-    from . import async_engine, async_parareal
+    from . import async_audit, async_parareal
     names = globals()
     names.setdefault("run_async_parareal", async_parareal.run_async_parareal)
-    names.setdefault("update_counts", async_engine.update_counts)
-    names.setdefault("validate_schedule", async_engine.validate_schedule)
+    names.setdefault("update_counts", async_audit.update_counts)
+    names.setdefault("validate_schedule", async_audit.validate_schedule)
 
 
 def __getattr__(name: str):  # PEP 562: the engine's names resolve before its first run

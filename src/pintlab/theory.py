@@ -4,8 +4,9 @@ The tests and scripts check the lab against these; ``pintlab run`` never
 imports this module. It holds the plain synchronous sweep, the
 block-Richardson form of the interface conditions, the certified ordering
 of the two contraction factors, the classical absolute-splitting test for
-asynchronous relaxation, the large-p limits of the cost model, and the
-spectral radius that test rests on.
+asynchronous relaxation, the diagonal-splitting relaxation demo it applies
+to and that demo's direct-solve oracle, the large-p limits of the cost
+model, and the spectral radius that test rests on.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CheckResult, ContractionReport, CostParams
+from .async_engine import AsyncMapping
 from .errors import DimensionError, UndefinedLimitError
 from .linalg import BlockVector, _square, lu_solve
 from .model import AffinePropagator
@@ -133,6 +135,38 @@ def chazan_miranker_check(a_mat, m_mat) -> CheckResult:
     iteration = np.eye(a.shape[0]) - lu_solve(m, a)
     radius = spectral_radius(np.abs(iteration))
     return CheckResult(radius < 1.0, 1.0 - radius)
+
+
+def linear_relaxation_mapping(a_mat, m_diag, rhs) -> tuple[AsyncMapping, BlockVector]:
+    """Diagonal-splitting relaxation x -> (I - M^{-1}A) x + M^{-1} b as an
+    async mapping over scalar components.
+
+    Returns the mapping together with the initial state (component 0 is an
+    unused pinned placeholder; unknowns start at zero). Single read slot,
+    each component reads every unknown.
+    """
+    a = np.asarray(a_mat, dtype=float)
+    d = np.asarray(m_diag, dtype=float).reshape(-1)
+    b = np.asarray(rhs, dtype=float).reshape(-1)
+    n = a.shape[0]
+    if a.shape != (n, n) or d.shape[0] != n or b.shape[0] != n:
+        raise DimensionError("relaxation pieces have mismatched sizes")
+    if np.any(d == 0.0):
+        raise ValueError("splitting diagonal must be invertible")
+
+    def eval_fn(i: int, values: list) -> np.ndarray:
+        x = np.concatenate(values)
+        return np.array([x[i - 1] + (b[i - 1] - a[i - 1] @ x) / d[i - 1]])
+
+    read_set = {i: tuple((j, 1) for j in range(1, n + 1)) for i in range(1, n + 1)}
+    mapping = AsyncMapping(eval_fn=eval_fn, read_set=read_set)
+    init = BlockVector(np.zeros((n + 1, 1)))
+    return mapping, init
+
+
+def relaxation_solution(a_mat, rhs) -> np.ndarray:
+    """Direct solve used as the oracle for the relaxation demo."""
+    return lu_solve(np.asarray(a_mat, dtype=float), np.asarray(rhs, dtype=float))
 
 
 def asymptotic_speedups(params: CostParams) -> tuple[float, float, float]:

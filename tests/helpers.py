@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from pintlab.analysis import envelope_steps
-from pintlab.async_engine import AsyncSchedule
 from pintlab.linalg import NormKind, max_block_norm
 from pintlab.parareal import (
     STOP_EXACT,
@@ -41,6 +40,7 @@ from pintlab.parareal import (
     coarse_init,
     run_parareal,
 )
+from pintlab.schedule import AsyncSchedule
 from pintlab.theory import parareal_iterate
 
 

@@ -19,12 +19,9 @@ from pintlab.analysis import (
     speedup_bound,
     sync_cost,
 )
-from pintlab.async_engine import AsyncSchedule, simulate_async, update_counts
-from pintlab.async_parareal import (
-    linear_relaxation_mapping,
-    relaxation_solution,
-    run_async_parareal,
-)
+from pintlab.async_audit import update_counts
+from pintlab.async_engine import simulate_async
+from pintlab.async_parareal import run_async_parareal
 from pintlab.cli import main
 from pintlab.linalg import NormKind, max_block_norm
 from pintlab.model import (
@@ -40,12 +37,19 @@ from pintlab.parareal import (
     run_parareal,
     sequential_fine_solve,
 )
-from pintlab.schedule import POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
+from pintlab.schedule import (
+    POLICY_ADVERSARIAL,
+    POLICY_RANDOM_FAIR,
+    POLICY_ROUND_ROBIN,
+    AsyncSchedule,
+)
 from pintlab.theory import (
     build_parareal_system,
     chazan_miranker_check,
     compare_factors,
+    linear_relaxation_mapping,
     parareal_iterate,
+    relaxation_solution,
 )
 
 from helpers import envelope_columns, nth_iterate

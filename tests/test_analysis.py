@@ -24,12 +24,8 @@ from pintlab.analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from pintlab.async_engine import (
-    CHUNK_ROWS,
-    AsyncSchedule,
-    AsyncTrace,
-    UpdateRecord,
-)
+from pintlab.async_audit import from_records
+from pintlab.async_log import BATCH_ROWS, CHUNK_ROWS, UpdateRecord
 from pintlab.async_parareal import run_async_parareal
 from pintlab.errors import (
     DimensionError,
@@ -42,7 +38,7 @@ from pintlab import analysis
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
-from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL
+from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, AsyncSchedule
 from pintlab.theory import asymptotic_speedups, chazan_miranker_check, compare_factors
 
 from helpers import envelope_columns, replay_envelope, scan_finite_termination, state_errors
@@ -149,7 +145,7 @@ def _envelope_event(comp, fresh_version, remembered_version):
 
 
 def _envelope_trace(events, p):
-    return AsyncTrace.from_records(
+    return from_records(
         events, [np.zeros(1) for _ in events],
         initial=BlockVector(np.zeros((p + 1, 1))), stop_reason="quiescence",
         schedule=AsyncSchedule(seed=0, delay_bound=0),
@@ -259,7 +255,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
     version = data.draw(st.sampled_from([-1, reached + 1]))
     bad = UpdateRecord(component=comp, reads=((comp - 1, 1, 0), (comp - 1, 2, version)),
                        delta=0.0)
-    tampered = AsyncTrace.from_records(
+    tampered = from_records(
         trace.events[:at] + [bad] + trace.events[at:],
         trace.values[:at] + [trace.values[0]] + trace.values[at:],
         initial=trace.initial, schedule=trace.schedule,
@@ -296,7 +292,7 @@ def test_envelope_errors_across_chunk_boundaries():
     rng = np.random.default_rng(7)
     events = [UpdateRecord(component=int(c), reads=(), delta=0.0)
               for c in rng.integers(1, p + 1, size=n_events)]
-    trace = AsyncTrace.from_records(
+    trace = from_records(
         events, rng.standard_normal((n_events, dim)) * rng.uniform(0.5, 2.0, (n_events, 1)),
         initial=BlockVector(rng.standard_normal((p + 1, dim))),
         schedule=AsyncSchedule(seed=0, delay_bound=0))
@@ -318,7 +314,7 @@ def test_envelope_running_max_equals_plain_max(initial, writes):
     # every event gives the same bits, ties and falls of the top included
     p = len(initial) - 1
     writes = [(1 + (comp - 1) % p, value) for comp, value in writes]
-    trace = AsyncTrace.from_records(
+    trace = from_records(
         [UpdateRecord(component=comp, reads=(), delta=0.0) for comp, _ in writes],
         [np.array([value]) for _, value in writes],
         initial=BlockVector(np.array(initial).reshape(-1, 1)),
@@ -511,9 +507,10 @@ def test_finite_termination_on_a_long_trace():
 
 
 def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
-    # taking the walk's first k events evaluates exactly the chunks that hold
-    # their rows, and the termination scan stops at its match; about half the
-    # events repeat their component's value, so rows and events drift apart
+    # taking the walk's first k events evaluates exactly the batches of
+    # BATCH_ROWS rows that hold their rows, and the termination scan stops at
+    # its match; about half the events repeat their component's value, so
+    # rows and events drift apart
     p, dim = 3, 2
     rng = np.random.default_rng(5)
     comps, outs = [], []
@@ -524,15 +521,15 @@ def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
         latest[comp] = latest[comp] if repeat else rng.standard_normal(dim)
         comps.append(comp)
         outs.append(latest[comp])
-    trace = AsyncTrace.from_records(
+    trace = from_records(
         [UpdateRecord(component=c, reads=(), delta=0.0) for c in comps], outs,
         initial=BlockVector(rng.standard_normal((p + 1, dim))),
         schedule=AsyncSchedule(seed=0, delay_bound=0))
     rows = list(trace.event_rows())
     assert len(trace.row_component) > 3 * CHUNK_ROWS
 
-    def chunks_for(k):  # the chunks holding the rows of events 0..k-1
-        return -(-(max(rows[:k], default=-1) + 1) // CHUNK_ROWS)
+    def batches_for(k):  # the batches holding the rows of events 0..k-1
+        return -(-(max(rows[:k], default=-1) + 1) // BATCH_ROWS)
 
     values = trace.values
     for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7, len(rows)):
@@ -540,7 +537,8 @@ def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
         walk = trace.map_rows(lambda chunk, wrote: calls.append(len(chunk)) or
                               [row.tobytes() for row in chunk])
         taken = [next(walk) for _ in range(k)]
-        assert len(calls) == chunks_for(k), k
+        assert len(calls) == batches_for(k), k
+        assert max(calls, default=0) <= BATCH_ROWS
         assert taken == [(c, v.tobytes()) for c, v in zip(comps[:k], values[:k])]
 
     calls = []
@@ -555,7 +553,7 @@ def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
     for t in (writes[0], writes[CHUNK_ROWS + 3], writes[3 * CHUNK_ROWS]):
         calls.clear()
         assert check_finite_termination(trace, trace.state_after(t)) == t + 1
-        assert len(calls) == 1 + chunks_for(t + 1), t  # the initial state, then chunks
+        assert len(calls) == 1 + batches_for(t + 1), t  # the initial state, then batches
 
 
 def test_chazan_miranker_frozen():

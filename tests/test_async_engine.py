@@ -11,30 +11,25 @@ from hypothesis import strategies as st
 
 from pintlab._pcg64 import PCG64
 from pintlab.analysis import check_finite_termination, factors_from_norms
-from pintlab.async_engine import (
-    AsyncMapping,
-    AsyncSchedule,
-    AsyncTrace,
-    CHUNK_ROWS,
-    INDEX_MAX,
-    STOP_HORIZON,
-    STOP_QUIESCENCE,
-    UpdateRecord,
-    simulate_async,
-    update_counts,
-    validate_schedule,
-)
-from pintlab.async_parareal import (
-    async_parareal_mapping,
-    linear_relaxation_mapping,
-    relaxation_solution,
-    run_async_parareal,
-)
+from pintlab.async_audit import from_records, update_counts, validate_schedule
+from pintlab.async_engine import AsyncMapping, simulate_async
+from pintlab.async_log import CHUNK_ROWS, UpdateRecord
+from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
 from pintlab.errors import DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector, NormKind
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import coarse_init
-from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
+from pintlab.schedule import (
+    INDEX_MAX,
+    POLICIES,
+    POLICY_ADVERSARIAL,
+    POLICY_RANDOM_FAIR,
+    POLICY_ROUND_ROBIN,
+    STOP_HORIZON,
+    STOP_QUIESCENCE,
+    AsyncSchedule,
+)
+from pintlab.theory import linear_relaxation_mapping, relaxation_solution
 
 from helpers import (
     ReplaySchedule,
@@ -185,7 +180,7 @@ def test_generated_schedules_audit_clean(heat_setups, policy, delay_bound):
 
 
 def _handmade_trace(events, n_updatable, window_sched, persistent=None):
-    return AsyncTrace.from_records(
+    return from_records(
         events,
         [np.zeros(1) for _ in events],
         initial=BlockVector(np.zeros((n_updatable + 1, 1))),
@@ -528,8 +523,8 @@ def test_non_finite_value_rejected_at_its_event(bad):
 
 
 def _pack_one_value(value):
-    return AsyncTrace.from_records([_ev(1)], [value], initial=BlockVector(np.zeros((2, 2))),
-                                   schedule=AsyncSchedule(seed=0, delay_bound=0))
+    return from_records([_ev(1)], [value], initial=BlockVector(np.zeros((2, 2))),
+                        schedule=AsyncSchedule(seed=0, delay_bound=0))
 
 
 def _simulate_one_value(value):
@@ -600,10 +595,9 @@ def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, s
     trace = run_async_parareal(coarse, fine, ivp.u0, p,
                                AsyncSchedule(seed=seed, delay_bound=delay_bound,
                                              policy=policy))
-    packed = AsyncTrace.from_records(trace.events, trace.values, initial=trace.initial,
-                                     schedule=trace.schedule,
-                                     persistent_slots=trace.persistent_slots,
-                                     stop_reason=trace.stop_reason)
+    packed = from_records(trace.events, trace.values, initial=trace.initial,
+                          schedule=trace.schedule, persistent_slots=trace.persistent_slots,
+                          stop_reason=trace.stop_reason)
     reads = [ev.reads for ev in trace.events]
     assert [ev.reads for ev in packed.events] == reads
     assert packed.events[-1].reads == reads[-1]
@@ -811,6 +805,55 @@ def test_compact_log_matches_per_event_outputs(policy, delay_bound, p, seed):
     _assert_log_matches_outputs(trace, outs, trace.state_after(trace.n_events - 1))
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(POLICIES),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**16))
+def test_engine_delta_is_zero_exactly_on_reused_rows(policy, delay_bound, p, seed):
+    # the log keeps one delta per row: an event that reuses its component's
+    # row reads +0.0, and any other event the delta of the row it wrote,
+    # which is its change against the component's previous value
+    ivp = heat1d_system(n_interior=3, length=1.0, boundary_left=23.0,
+                        boundary_right=23.0, initial_temp=30.0, t_final=0.2)
+    coarse = backward_euler_propagator(ivp, 0.2, 1)
+    fine = trapezoidal_propagator(ivp, 0.2, 20)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy))
+    delta, values = trace.delta, trace.values
+    assert len(delta) == trace.n_events
+    latest_row = [None] * (p + 1)
+    latest = list(trace.initial.data)
+    reused = 0
+    for k, (comp, row) in enumerate(zip(trace.component, trace.event_rows())):
+        change = float(np.max(np.abs(values[k] - latest[comp])))
+        if row == latest_row[comp]:
+            reused += 1
+            assert delta[k] == 0.0 and not np.signbit(delta[k]), k
+            assert values[k].tobytes() == latest[comp].tobytes(), k
+        else:
+            assert trace.row_component[row] == comp, k
+            assert delta[k] == trace.row_delta[row] == change, k
+        latest_row[comp], latest[comp] = row, values[k]
+    assert reused == trace.n_events - len(trace.row_delta)
+
+
+def test_records_keep_their_delta_when_their_value_repeats():
+    # a recorded event may repeat its component's current bytes with a
+    # nonzero or a negative-zero delta; such an event gets its own row, and
+    # only a +0.0 delta shares one, so every record comes back unchanged
+    deltas = [2.0, 0.5, 0.0, -0.0, 0.0, np.inf, 0.0]
+    records = [UpdateRecord(component=1, reads=((0, 1, 0),), delta=d) for d in deltas]
+    trace = from_records(records, [np.array([3.0, -1.0])] * len(records),
+                         initial=BlockVector(np.zeros((2, 2))),
+                         schedule=AsyncSchedule(seed=0, delay_bound=0))
+    assert trace.events == records
+    assert [np.signbit(ev.delta) for ev in trace.events] == [np.signbit(d) for d in deltas]
+    assert list(trace.event_rows()) == [0, 1, 1, 2, 2, 3, 3]
+    assert list(trace.row_delta) == [2.0, 0.5, -0.0, np.inf]
+    assert [json.loads(line)["delta"] for line in trace.jsonl_lines()] == deltas
+
+
 def test_signed_zeros_keep_their_own_rows():
     # 0.0 == -0.0, so delta is 0, but the bytes and the digest differ
     produce = iter([0.0, -0.0, -0.0, 0.0])
@@ -839,7 +882,7 @@ def test_jsonl_digests_follow_each_components_current_row():
     a, a_neg, b = np.array([5.0, 0.0]), np.array([5.0, -0.0]), np.array([7.0, 8.0])
     outs = [(1, a), (2, a), (1, a), (1, b), (2, a), (1, a), (2, initial[2]), (1, a_neg),
             (1, a), (2, initial[2]), (1, b)]
-    trace = AsyncTrace.from_records(
+    trace = from_records(
         [UpdateRecord(component=comp, reads=((0, 1, 0),), delta=0.0) for comp, _ in outs],
         [out for _, out in outs], initial=initial,
         schedule=AsyncSchedule(seed=0, delay_bound=0))
@@ -908,7 +951,7 @@ def test_repeats_and_new_rows_across_chunk_boundaries():
         new_rows += not history or history[-1].tobytes() != out.tobytes()
         history.append(out)
         outs.append((comp, out))
-    trace = AsyncTrace.from_records(
+    trace = from_records(
         [UpdateRecord(component=comp, reads=(), delta=0.0) for comp, _ in outs],
         [out for _, out in outs], initial=initial,
         schedule=AsyncSchedule(seed=0, delay_bound=0))
@@ -918,9 +961,9 @@ def test_repeats_and_new_rows_across_chunk_boundaries():
 
 
 def test_index_columns_are_four_bytes():
-    trace = AsyncTrace.from_records([_ev(1, reads=[(0, 1, 0)])], [np.zeros(1)],
-                                    initial=BlockVector(np.zeros((2, 1))),
-                                    schedule=AsyncSchedule(seed=0, delay_bound=0))
+    trace = from_records([_ev(1, reads=[(0, 1, 0)])], [np.zeros(1)],
+                         initial=BlockVector(np.zeros((2, 1))),
+                         schedule=AsyncSchedule(seed=0, delay_bound=0))
     columns = (trace.component, trace.row_component, *trace.rows, *trace.read_versions)
     assert {column.itemsize for column in columns} == {4}
     # a horizon or a slot past the columns' range fails before the run
@@ -955,8 +998,8 @@ def test_trace_memory_stays_columnar():
         tracemalloc.stop()
     events, rows = len(trace.events), len(trace.row_component)
     assert events > 1000
-    # a row is d floats plus its writer (4 B); an event is its delta (8 B)
-    # plus component, the row of the version it wrote and the two versions
-    # it read (4 B each): 24 B, and 20 B of headroom for array growth and the
+    # a row is d floats plus its writer (4 B) and its delta (8 B); an event
+    # is its component, the row of the version it wrote and the two versions
+    # it read (4 B each): 16 B, and 20 B of headroom for array growth and the
     # run's fixed allocations
-    assert footprint <= rows * (8 * dim + 4) + events * 44 + CHUNK_ROWS * 8 * dim
+    assert footprint <= rows * (8 * dim + 12) + events * 36 + CHUNK_ROWS * 8 * dim

@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 
 import pintlab.async_parareal
 import pintlab.parareal
-from pintlab.async_engine import (
-    STOP_HORIZON,
-    AsyncMapping,
-    AsyncSchedule,
-    simulate_async,
-    update_counts,
-    validate_schedule,
-)
+from pintlab.async_audit import update_counts, validate_schedule
+from pintlab.async_engine import AsyncMapping, simulate_async
 from pintlab.async_parareal import (
     FRESH_SLOT,
     REMEMBERED_SLOT,
@@ -37,7 +31,14 @@ from pintlab.parareal import (
     run_parareal,
     sequential_fine_solve,
 )
-from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, POLICY_RANDOM_FAIR, POLICY_ROUND_ROBIN
+from pintlab.schedule import (
+    POLICIES,
+    POLICY_ADVERSARIAL,
+    POLICY_RANDOM_FAIR,
+    POLICY_ROUND_ROBIN,
+    STOP_HORIZON,
+    AsyncSchedule,
+)
 
 from helpers import ReplaySchedule, nth_iterate
 

@@ -136,6 +136,26 @@ def test_invalid_configs_rejected(mutate):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("label", ["../../escaped", "a/b"])
+def test_label_that_is_not_a_file_name_exits_one(tmp_path, capsys, label):
+    # run --traces puts the label in trace file names: a '/' in it would
+    # write above <out>/traces/ or into a missing directory
+    rc, out = run_cli(tmp_path, base_config(label=label), extra=["--traces"],
+                      out_name="out/run")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.label: ") and repr(label) in err, err
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["config.json"]
+
+
+@pytest.mark.parametrize("label", ["", ".", "..", "/", "a\0b", "nul\0"])
+def test_label_names_a_file(label):
+    with pytest.raises(ConfigError, match=r"^config\.label: "):
+        parse_config(base_config(label=label))
+    for fine in ("...", "a.b", "-", "x y", "é"):
+        assert parse_config(base_config(label=fine)).label == fine
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     cfg = base_config()
     del cfg["problem"]
@@ -528,10 +548,11 @@ def test_table_rejects_foreign_csv(tmp_path, capsys):
 
 # Modules a run may leave unloaded: scipy is never needed, hashlib (OpenSSL)
 # only by an async JSONL trace, numpy.random (whose secrets import loads
-# OpenSSL) never, the async engine and its PCG64 stream only by a run
-# with schedules, the table code only by the table subcommand, and the
-# reference and theory forms (pintlab.theory) never.
-ASYNC_MODULES = ["pintlab._pcg64", "pintlab.async_engine", "pintlab.async_parareal"]
+# OpenSSL) never, the async simulator, its event log, its audits and its
+# PCG64 stream only by a run with schedules, the table code only by the
+# table subcommand, and the reference and theory forms (pintlab.theory) never.
+ASYNC_MODULES = ["pintlab._pcg64", "pintlab.async_audit", "pintlab.async_engine",
+                 "pintlab.async_log", "pintlab.async_parareal"]
 WATCHED = ["hashlib", "numpy.random", "scipy", "pintlab.table", "pintlab.theory",
            *ASYNC_MODULES]
 
