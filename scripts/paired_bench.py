@@ -5,9 +5,12 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 in each checkout for N pairs, alternating which side goes first (odd pairs
 run the parent first), so that drift of the host hits both sides alike.
 Prints, per end-to-end metric of the parent's BENCHMARK.json, each side's
-median and quartiles over the pairs and the number of pairs the change won,
-and appends the samples to the JSON list in ``--out``. It does the same for
-the ungated ``run_s``: per run, the median of the ``samples.run_s`` that
+median and quartiles over the pairs, the number of pairs the change won and
+whether the gain rule holds, and appends the samples to the JSON list in
+``--out``. The gain rule: at least ten pairs, the change wins at least nine
+tenths of them (ties count for neither side), and the medians differ in the
+change's favour by more than the parent's quartile distance. It does the
+same for the ungated ``run_s``: per run, the median of the ``samples.run_s`` that
 perfbench records in ``.perfbench_out/results/<workload>-seed<seed>-trace0.json``.
 
 The two checkouts must sit at absolute paths of equal length: the path
@@ -57,6 +60,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def gain_holds(wins: int, pairs: int, sign: float, parent: tuple[float, float, float],
+               change: tuple[float, float, float]) -> bool:
+    """The gain rule over ``pairs`` pairs; ``sign`` is -1 when lower is better
+    and the quartiles are (q1, median, q3)."""
+    return (pairs >= 10 and 10 * wins >= 9 * pairs
+            and sign * (change[1] - parent[1]) > parent[2] - parent[0])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout before the change")
@@ -98,14 +109,15 @@ def main(argv: list[str] | None = None) -> int:
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         wins = sum(sign * (a - b) > 0 for a, b in zip(after, before))
         stats = {side: quartiles(samples[side][name]) for side in SIDES}
+        gain = gain_holds(wins, args.pairs, sign, stats["parent"], stats["change"])
         summary[name] = {"better": better.get(name, "lower"), "gated": name != UNGATED,
-                         "change_wins": wins,
+                         "change_wins": wins, "gain": gain,
                          **{side: dict(zip(("q1", "median", "q3"), stats[side]))
                             for side in SIDES}}
         print(f"  {name:12s} parent {stats['parent'][1]:.4f} ({stats['parent'][0]:.4f}.."
               f"{stats['parent'][2]:.4f})  change {stats['change'][1]:.4f} "
               f"({stats['change'][0]:.4f}..{stats['change'][2]:.4f})  "
-              f"change better in {wins} of {args.pairs}"
+              f"change better in {wins} of {args.pairs}, gain {'holds' if gain else 'not shown'}"
               + (" (not gated)" if name == UNGATED else ""))
 
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,

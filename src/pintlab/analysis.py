@@ -30,7 +30,7 @@ from .linalg import BlockVector, NormKind, block_norms, blocks_match, operator_n
 from .model import AffinePropagator
 
 if TYPE_CHECKING:  # annotations only: sync runs never load the engine
-    from .async_engine import AsyncTrace
+    from .async_log import AsyncTrace
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class EnvelopeCheck(NamedTuple):
 def envelope_steps(trace: AsyncTrace, report: ContractionReport,
                    fixed_point: BlockVector) -> Iterator[tuple[float, float, float]]:
     """(depth, bound, error) of every state, the initial state first, from
-    one walk of the log.
+    one ``trace.walk``.
 
     Depth bookkeeping: the pinned component is exact from the start
     (depth +inf); every other component starts at depth 0. An update sets
@@ -171,9 +171,9 @@ def envelope_steps(trace: AsyncTrace, report: ContractionReport,
     live = {0.0: p}  # depth -> how many of components 1..p sit at it
     lowest = 0.0
     yield lowest, initial_error, initial_error  # at depth 0 the bound is the error
-    errors = trace.map_rows(lambda rows, wrote:
-                            block_norms(rows - fixed_point.data[wrote], kind).tolist())
-    for (comp, error), reads in zip(errors, trace.all_reads()):
+    errors = trace.walk(lambda rows, wrote:
+                        block_norms(rows - fixed_point.data[wrote], kind).tolist())
+    for comp, reads, _, error in errors:
         block_error[comp] = error
         if error >= top:
             top, top_at = error, comp
@@ -225,7 +225,7 @@ def check_finite_termination(trace: AsyncTrace,
     an invalid schedule or a too-short horizon.
 
     The rule is elementwise, so it is kept per block: one match flag per
-    component and a count of mismatched blocks, updated along ``map_rows``
+    component and a count of mismatched blocks, updated along ``trace.walk``
     up to the first match. Each event costs O(d) and no state is assembled.
     """
     ref = reference.data
@@ -236,8 +236,8 @@ def check_finite_termination(trace: AsyncTrace,
     mismatched = matched.count(False)
     if not mismatched:
         return 0
-    flags = trace.map_rows(lambda rows, wrote: blocks_match(rows, ref[wrote]).tolist())
-    for k, (comp, flag) in enumerate(flags, 1):
+    flags = trace.walk(lambda rows, wrote: blocks_match(rows, ref[wrote]).tolist())
+    for k, (comp, _, _, flag) in enumerate(flags, 1):
         mismatched += matched[comp] - flag
         matched[comp] = flag
         if not mismatched:

@@ -90,20 +90,20 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     provenance: list[tuple[int, int, int]] = []
 
     versions = [0] * (p + 1)
+    previous: list[tuple] = [()] * (p + 1)  # per component, its previous event's reads
     last_fired = [-1] * (p + 1)
     unfair_from: dict[int, int] = {}   # component -> its first offending window
-    logged = trace.read_versions
-    for k, (comp, reads) in enumerate(zip(trace.component, trace.all_reads())):
-        prev = (versions[comp] - 1) * len(reads)  # where its previous event's versions start
+    for k, (comp, reads, _, _) in enumerate(trace.walk()):
         for (source, slot, version), (_, base) in zip(reads, plans[comp]):
             if base is not None:
-                if version != (logged[comp][prev + base] if prev >= 0 else 0):
+                if version != (previous[comp][base][2] if previous[comp] else 0):
                     provenance.append((k, slot, version))
             else:
                 oldest = max(versions[source] - bound, 0)
                 if version < oldest or version > versions[source]:
                     staleness.append((k, source, version, oldest))
         versions[comp] += 1
+        previous[comp] = reads
         if k - last_fired[comp] > win:
             unfair_from.setdefault(comp, last_fired[comp] + 1)
         last_fired[comp] = k

@@ -38,13 +38,15 @@ class AsyncMapping:
     read_set[i] lists the (source, slot) pairs component i consumes, and
     eval_fn(i, values) receives the values they read, in that order. Slots
     named in persistent_slots replay the version their base slot consumed at
-    the component's previous event; ``plans`` is read_plans of the two.
+    the component's previous event; ``plans`` is read_plans of the two, and
+    ``n_sampled`` counts each component's sampled reads, one lag each.
     """
 
     eval_fn: Callable[[int, list[np.ndarray]], np.ndarray]
     read_set: dict[int, tuple[tuple[int, int], ...]]
     persistent_slots: dict[int, int] = field(default_factory=dict)
     plans: dict[int, tuple[tuple[int, int | None], ...]] = field(init=False, repr=False)
+    n_sampled: dict[int, int] = field(init=False, repr=False)  # sampled reads per component
 
     @property
     def n_updatable(self) -> int:
@@ -64,6 +66,8 @@ class AsyncMapping:
             if base in self.persistent_slots:
                 raise ValueError(f"persistent slot {slot} chained onto persistent slot {base}")
         self.plans = read_plans(self.read_set, self.persistent_slots)
+        self.n_sampled = {i: sum(base is None for _, base in plan)
+                          for i, plan in self.plans.items()}
 
 
 class EngineView(NamedTuple):
@@ -100,8 +104,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     trace = AsyncTrace(init.copy(), schedule, dict(mapping.read_set),
                        dict(mapping.persistent_slots))
 
-    plans = mapping.plans
-    n_sampled = {i: sum(base is None for _, base in plan) for i, plan in plans.items()}
+    plans, n_sampled = mapping.plans, mapping.n_sampled
     # The log is the only record of versions: a component's version is the
     # number of events it has logged.
     rows, logged = trace.rows, trace.read_versions

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -21,7 +22,7 @@ from .linalg import BlockVector
 from .schedule import AsyncSchedule
 
 CHUNK_ROWS = 256  # rows per chunk of the value column
-BATCH_ROWS = 64   # rows per call of map_rows' per_rows
+BATCH_ROWS = 64   # rows per call of walk's per_rows
 
 
 def read_plans(read_set: dict[int, tuple[tuple[int, int], ...]],
@@ -78,8 +79,8 @@ class AsyncTrace:
     without copying and holds at most one chunk of slack. Index and version
     columns are 4-byte ints.
 
-    ``events`` (UpdateRecords), ``values`` (read-only row views) and
-    ``delta`` are built on each read by one walk of the columns.
+    ``walk`` is the one event-order read of the columns: ``events``
+    (UpdateRecords), ``jsonl_lines`` and every post-hoc pass go through it.
     """
 
     def __init__(self, initial: BlockVector, schedule: AsyncSchedule,
@@ -108,15 +109,7 @@ class AsyncTrace:
 
     @property
     def events(self) -> list[UpdateRecord]:
-        return list(map(UpdateRecord, self.component, self.all_reads(), self.event_deltas()))
-
-    @property
-    def values(self) -> list[np.ndarray]:
-        return list(map(self._row, self.event_rows()))
-
-    @property
-    def delta(self) -> array:
-        return array("d", self.event_deltas())
+        return [UpdateRecord(comp, reads, delta) for comp, reads, delta, _ in self.walk()]
 
     def append(self, component: int, versions: Iterable[int], delta: float,
                value: np.ndarray) -> None:
@@ -146,37 +139,6 @@ class AsyncTrace:
         chunk, row = divmod(row, CHUNK_ROWS)
         return self._chunks[chunk][row]
 
-    def all_reads(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
-        """Every event's (source, slot, version) reads in order, taken by one
-        cursor per component over its versions."""
-        cursors = [iter(versions) for versions in self.read_versions]
-        return (tuple([(source, slot, next(cursors[comp]))
-                       for source, slot in self.read_set[comp]]) for comp in self.component)
-
-    def event_rows(self) -> Iterator[int]:
-        """Every event's value row in order, by one cursor per component."""
-        cursors = [iter(rows) for rows in self.rows]
-        return (next(cursors[comp]) for comp in self.component)
-
-    def event_deltas(self) -> Iterator[float]:
-        """Every event's delta in order: rows are numbered in the order
-        events write them, so event k wrote its row exactly when that row is
-        the next unseen one, and reused it (delta 0.0) otherwise."""
-        seen = 0
-        for row in self.event_rows():
-            if row == seen:
-                seen += 1
-                yield self.row_delta[row]
-            else:
-                yield 0.0
-
-    def value_blocks(self) -> Iterator[tuple[array, np.ndarray]]:
-        """The value column in row order, chunk by chunk: the components
-        that wrote the rows and the read-only 2-D rows themselves."""
-        for lo, chunk in zip(range(0, len(self.row_component), CHUNK_ROWS), self._chunks):
-            wrote = self.row_component[lo:lo + CHUNK_ROWS]
-            yield wrote, chunk[:len(wrote)]
-
     def version_value(self, component: int, version: int) -> np.ndarray:
         """The value a (component, version) stamp refers to."""
         rows = self.rows[component]
@@ -189,39 +151,53 @@ class AsyncTrace:
         if not -1 <= event_index < self.n_events:
             raise IndexError(f"trace has no event {event_index}")
         data = self.initial.data.copy()
-        versions = np.bincount(self.component[:event_index + 1], minlength=len(data))
-        for comp in np.flatnonzero(versions):
-            data[comp] = self.version_value(comp, versions[comp])
+        for comp, version in Counter(islice(self.component, event_index + 1)).items():
+            data[comp] = self.version_value(comp, version)
         return BlockVector(data)
 
-    def map_rows(self, per_rows: Callable) -> Iterator[tuple[int, object]]:
-        """(component, result) per event in order. ``per_rows(rows, wrote)``
-        maps a batch of at most BATCH_ROWS rows and their writers to one
-        result per row when the walk reaches the batch. A reused row is
-        always its writer's current version, so event k takes the next
-        unseen row's result or repeats its component's, and the walk keeps
-        one result per component."""
-        fresh = chain.from_iterable(per_rows(rows[lo:lo + BATCH_ROWS], wrote[lo:lo + BATCH_ROWS])
-                                    for wrote, rows in self.value_blocks()
-                                    for lo in range(0, len(wrote), BATCH_ROWS))
+    def walk(self, per_rows: Callable | None = None) -> Iterator[tuple[int, tuple, float, object]]:
+        """(component, reads, delta, result) of every event in order.
+
+        ``reads`` are the event's (source, slot, version) triples in read_set
+        order, taken by one cursor per component over its versions. Rows are
+        numbered in the order events write them, so an event wrote its row
+        exactly when that row is the next unseen one: ``delta`` is then the
+        row's, and 0.0 when the event reused its component's current row.
+        ``per_rows(rows, wrote)`` maps a batch of at most BATCH_ROWS rows and
+        their writers to one result per row when the walk first reaches the
+        batch; a reused row repeats its component's result, so the walk keeps
+        one per component. Without ``per_rows`` every result is None.
+        """
+        def batch(lo):  # CHUNK_ROWS is a multiple of BATCH_ROWS: a batch sits in one chunk
+            wrote, at = self.row_component[lo:lo + BATCH_ROWS], lo % CHUNK_ROWS
+            return per_rows(self._chunks[lo // CHUNK_ROWS][at:at + len(wrote)], wrote)
+
+        fresh = (chain.from_iterable(map(batch, range(0, len(self.row_component), BATCH_ROWS)))
+                 if per_rows else repeat(None))
+        versions = [iter(column) for column in self.read_versions]
+        rows = [iter(column) for column in self.rows]
         current: list[object] = [None] * self.initial.n_blocks
         seen = 0
-        for comp, row in zip(self.component, self.event_rows()):
-            if row == seen:
-                current[comp], seen = next(fresh), seen + 1
-            yield comp, current[comp]
+        for comp in self.component:
+            cursor = versions[comp]
+            reads = tuple([(source, slot, next(cursor)) for source, slot in self.read_set[comp]])
+            if next(rows[comp]) == seen:
+                delta, current[comp] = self.row_delta[seen], next(fresh)
+                seen += 1
+            else:
+                delta = 0.0
+            yield comp, reads, delta, current[comp]
 
     def jsonl_lines(self) -> Iterator[str]:
         """The JSONL trace, one line per event, to be written as a stream.
 
         A line's digest is the first 16 hex digits of the sha256 of its
-        value's bytes, taken once per row by ``map_rows``.
+        value's bytes, taken once per row by ``walk``.
         """
         import hashlib  # loads OpenSSL, which only a written trace needs
 
-        digests = self.map_rows(lambda rows, _: (hashlib.sha256(row.tobytes()).hexdigest()[:16]
-                                                 for row in rows))
-        for k, ((comp, digest), reads, delta) in enumerate(
-                zip(digests, self.all_reads(), self.event_deltas())):
+        walk = self.walk(lambda rows, _: (hashlib.sha256(row.tobytes()).hexdigest()[:16]
+                                          for row in rows))
+        for k, (comp, reads, delta, digest) in enumerate(walk):
             yield json.dumps({"k": k, "component": comp, "reads": [list(r) for r in reads],
                               "digest": digest, "delta": delta}, sort_keys=True) + "\n"

@@ -67,10 +67,6 @@ class BlockVector:
             raise ValueError("block entries must be finite")
         self.data = a
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "BlockVector":
-        return cls(np.stack([np.asarray(b, dtype=float) for b in blocks]))
-
     @property
     def n_blocks(self) -> int:
         return self.data.shape[0]

@@ -77,7 +77,7 @@ class AsyncSchedule:
         p = mapping.n_updatable
         rng = PCG64(self.seed)
         bound, window = self.delay_bound, self.window(p)
-        n_sampled = {i: sum(base is None for _, base in plan) for i, plan in mapping.plans.items()}
+        n_sampled = mapping.n_sampled
         # Virtual staggered history: pretend a full round just finished, so
         # deadlines are distinct and the first window stays fair.
         last_fired = {i: i - 1 - p for i in range(1, p + 1)}

@@ -16,6 +16,10 @@ async engine: the stop-predicate views by side tables kept next to the log,
 and the random-fair activation order by a full deadline scan per event.
 ``ReplaySchedule`` turns a trace back into the script that produced it, so
 re-executing it audits the engine against its own log.
+``trace_values``, ``trace_deltas``, ``event_rows`` and ``value_blocks`` lay
+the async log out per event or per chunk for tests, and ``replay_walk``
+rebuilds every event's component, reads and delta by index arithmetic on
+the log's columns, as a reference for ``AsyncTrace.walk``.
 ``sliding_window_fairness``, ``replay_envelope``, ``state_errors`` and
 ``scan_finite_termination`` are references for the post-hoc audits: the
 fairness check by a count per sliding window, the depth envelope by a
@@ -27,12 +31,14 @@ per-state envelope out as columns for them to be compared with.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from pintlab.analysis import envelope_steps
-from pintlab.linalg import NormKind, max_block_norm
+from pintlab.async_log import CHUNK_ROWS
+from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.parareal import (
     STOP_EXACT,
     STOP_KMAX,
@@ -46,6 +52,58 @@ from pintlab.theory import parareal_iterate
 
 def rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-30)
+
+
+def from_blocks(blocks) -> BlockVector:
+    """A block vector from a list of equal-length blocks."""
+    return BlockVector(np.stack([np.asarray(b, dtype=float) for b in blocks]))
+
+
+def trace_values(trace) -> list[np.ndarray]:
+    """Every event's value in order, as read-only views of the log's rows."""
+    return [value for *_, value in trace.walk(lambda rows, _: rows)]
+
+
+def trace_deltas(trace) -> array:
+    """Every event's delta in order, as a float64 array."""
+    return array("d", (delta for _, _, delta, _ in trace.walk()))
+
+
+def event_rows(trace) -> list[int]:
+    """Every event's value row in order, by one cursor per component over
+    its column of ``trace.rows``."""
+    cursors = [iter(rows) for rows in trace.rows]
+    return [next(cursors[comp]) for comp in trace.component]
+
+
+def value_blocks(trace):
+    """The value column chunk by chunk: the components that wrote each
+    chunk's rows and the read-only 2-D rows themselves."""
+    for lo, chunk in zip(range(0, len(trace.row_component), CHUNK_ROWS), trace._chunks):
+        wrote = trace.row_component[lo:lo + CHUNK_ROWS]
+        yield wrote, chunk[:len(wrote)]
+
+
+def replay_walk(trace) -> list[tuple[int, tuple[tuple[int, int, int], ...], float]]:
+    """(component, reads, delta) of every event, by index arithmetic.
+
+    Event k is the n-th event of its component c: its versions sit at
+    n*r .. (n+1)*r - 1 of ``read_versions[c]`` for the r pairs of
+    ``read_set[c]``, and its value at row ``rows[c][n]``. It wrote that row
+    unless its component's previous event holds the same row, and then its
+    delta is the row's; else 0.0.
+    """
+    fired = [0] * trace.initial.n_blocks
+    events = []
+    for comp in trace.component:
+        n, pattern, rows = fired[comp], trace.read_set[comp], trace.rows[comp]
+        fired[comp] += 1
+        versions = trace.read_versions[comp][n * len(pattern):(n + 1) * len(pattern)]
+        reads = tuple((source, slot, version)
+                      for (source, slot), version in zip(pattern, versions, strict=True))
+        wrote = n == 0 or rows[n - 1] != rows[n]
+        events.append((comp, reads, trace.row_delta[rows[n]] if wrote else 0.0))
+    return events
 
 
 def eig_magnitudes_2x2(m) -> list[float]:
@@ -196,7 +254,7 @@ def replay_engine_views(trace, read_set) -> list[tuple[bool, np.ndarray]]:
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
     views = []
-    for ev, value in zip(trace.events, trace.values):
+    for ev, value in zip(trace.events, trace_values(trace)):
         consumed: dict[int, int] = {}
         for source, slot, version in ev.reads:
             if slot not in persistent:

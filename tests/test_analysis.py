@@ -2,6 +2,7 @@
 detection, and the solve-unit cost model."""
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -41,7 +42,15 @@ from pintlab.parareal import run_parareal, sequential_fine_solve
 from pintlab.schedule import POLICIES, POLICY_ADVERSARIAL, AsyncSchedule
 from pintlab.theory import asymptotic_speedups, chazan_miranker_check, compare_factors
 
-from helpers import envelope_columns, replay_envelope, scan_finite_termination, state_errors
+from helpers import (
+    envelope_columns,
+    event_rows,
+    replay_envelope,
+    scan_finite_termination,
+    state_errors,
+    trace_values,
+    value_blocks,
+)
 
 # ------------------------------------------------------- contraction factors
 
@@ -249,6 +258,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
 
     # the tampered record keeps its component's (source, slot) pattern:
     # from_records rejects any other before the envelope sees it
+    values = trace_values(trace)
     at = data.draw(st.integers(0, len(trace.events)))
     comp = data.draw(st.integers(1, p))
     reached = sum(ev.component == comp - 1 for ev in trace.events[:at])
@@ -257,7 +267,7 @@ def test_envelope_matches_version_replay(heat_setups, policy, delay_bound, p, se
                        delta=0.0)
     tampered = from_records(
         trace.events[:at] + [bad] + trace.events[at:],
-        trace.values[:at] + [trace.values[0]] + trace.values[at:],
+        values[:at] + [values[0]] + values[at:],
         initial=trace.initial, schedule=trace.schedule,
         persistent_slots=trace.persistent_slots)
     for envelope in (async_error_envelope, envelope_columns, replay_envelope):
@@ -296,7 +306,7 @@ def test_envelope_errors_across_chunk_boundaries():
         events, rng.standard_normal((n_events, dim)) * rng.uniform(0.5, 2.0, (n_events, 1)),
         initial=BlockVector(rng.standard_normal((p + 1, dim))),
         schedule=AsyncSchedule(seed=0, delay_bound=0))
-    assert [len(rows) for _, rows in trace.value_blocks()] == [CHUNK_ROWS] * 4 + [3]
+    assert [len(rows) for _, rows in value_blocks(trace)] == [CHUNK_ROWS] * 4 + [3]
     fixed = BlockVector(rng.standard_normal((p + 1, dim)))
     for kind in NormKind:
         report = factors_from_norms(0.3, 0.2, p=p, kind=kind)
@@ -525,18 +535,18 @@ def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
         [UpdateRecord(component=c, reads=(), delta=0.0) for c in comps], outs,
         initial=BlockVector(rng.standard_normal((p + 1, dim))),
         schedule=AsyncSchedule(seed=0, delay_bound=0))
-    rows = list(trace.event_rows())
+    rows = event_rows(trace)
     assert len(trace.row_component) > 3 * CHUNK_ROWS
 
     def batches_for(k):  # the batches holding the rows of events 0..k-1
         return -(-(max(rows[:k], default=-1) + 1) // BATCH_ROWS)
 
-    values = trace.values
+    values = trace_values(trace)
     for k in (0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7, len(rows)):
         calls = []
-        walk = trace.map_rows(lambda chunk, wrote: calls.append(len(chunk)) or
-                              [row.tobytes() for row in chunk])
-        taken = [next(walk) for _ in range(k)]
+        walk = trace.walk(lambda chunk, wrote: calls.append(len(chunk)) or
+                          [row.tobytes() for row in chunk])
+        taken = [(comp, result) for comp, _, _, result in islice(walk, k)]
         assert len(calls) == batches_for(k), k
         assert max(calls, default=0) <= BATCH_ROWS
         assert taken == [(c, v.tobytes()) for c, v in zip(comps[:k], values[:k])]

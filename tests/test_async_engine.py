@@ -34,9 +34,14 @@ from pintlab.theory import linear_relaxation_mapping, relaxation_solution
 from helpers import (
     ReplaySchedule,
     envelope_columns,
+    event_rows,
     replay_engine_views,
+    replay_walk,
     scan_activation_order,
     sliding_window_fairness,
+    trace_deltas,
+    trace_values,
+    value_blocks,
 )
 
 JACOBI_A = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -108,8 +113,9 @@ def test_identical_schedules_reproduce_bitwise(heat_setups):
     assert len(t1.events) == len(t2.events)
     for e1, e2 in zip(t1.events, t2.events):
         assert e1 == e2  # frozen dataclass equality: component, reads, delta
-    assert len(t1.values) == len(t2.values) == len(t1.events)
-    for v1, v2 in zip(t1.values, t2.values):
+    values1, values2 = trace_values(t1), trace_values(t2)
+    assert len(values1) == len(values2) == len(t1.events)
+    for v1, v2 in zip(values1, values2):
         assert np.array_equal(v1, v2)
 
 
@@ -396,7 +402,7 @@ def test_version_value_reconstruction(heat_setups):
     trace = run_async_parareal(coarse, fine, ivp.u0, 4,
                                AsyncSchedule(seed=8, delay_bound=2))
     versions = [0] * 5
-    for idx, (ev, value) in enumerate(zip(trace.events, trace.values)):
+    for idx, (ev, value) in enumerate(zip(trace.events, trace_values(trace))):
         versions[ev.component] += 1
         got = trace.version_value(ev.component, versions[ev.component])
         assert np.shares_memory(got, value)
@@ -430,7 +436,7 @@ def test_event_log_views_agree(heat_setups, policy, delay_bound, p, seed):
     state = trace.initial.data.copy()
     assert np.array_equal(trace.state_after(-1).data, state)
     versions = [0] * (p + 1)
-    for k, (ev, value) in enumerate(zip(trace.events, trace.values)):
+    for k, (ev, value) in enumerate(zip(trace.events, trace_values(trace))):
         after = trace.state_after(k)
         state[ev.component] = value
         assert np.array_equal(state, after.data), k
@@ -550,7 +556,7 @@ def test_overflowing_delta_of_finite_values_is_logged():
         trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
                                AsyncSchedule(seed=0, delay_bound=0),
                                stop=lambda view: view.k >= 1)
-    assert list(trace.delta) == [1e308, np.inf]
+    assert list(trace_deltas(trace)) == [1e308, np.inf]
 
 
 def test_records_name_components_of_the_trace():
@@ -595,16 +601,54 @@ def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, s
     trace = run_async_parareal(coarse, fine, ivp.u0, p,
                                AsyncSchedule(seed=seed, delay_bound=delay_bound,
                                              policy=policy))
-    packed = from_records(trace.events, trace.values, initial=trace.initial,
+    packed = from_records(trace.events, trace_values(trace), initial=trace.initial,
                           schedule=trace.schedule, persistent_slots=trace.persistent_slots,
                           stop_reason=trace.stop_reason)
     reads = [ev.reads for ev in trace.events]
     assert [ev.reads for ev in packed.events] == reads
     assert packed.events[-1].reads == reads[-1]
-    assert list(trace.all_reads()) == list(packed.all_reads()) == reads
+    assert ([reads for _, reads, _, _ in trace.walk()]
+            == [reads for _, reads, _, _ in packed.walk()] == reads)
     assert "".join(packed.jsonl_lines()) == "".join(trace.jsonl_lines())
     fired = set(trace.component)
     assert packed.read_set == {i: r for i, r in trace.read_set.items() if i in fired}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.data())
+def test_walk_matches_the_index_replay(heat_setups, policy, delay_bound, p, seed, data):
+    # at every event the walk's component, reads and delta are those that
+    # index arithmetic on the columns gives, its per_rows result is the
+    # event's value, and a packed trace with one broken persisted read walks
+    # the same way while validate_schedule reports that read
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    walked = list(trace.walk(lambda rows, _: rows))
+    replayed = replay_walk(trace)
+    assert [event[:3] for event in walked] == replayed
+    assert [np.signbit(delta) for _, _, delta, _ in walked] == [
+        np.signbit(delta) for _, _, delta in replayed]
+    versions = [0] * (p + 1)
+    for comp, _, _, value in walked:
+        versions[comp] += 1
+        assert value.tobytes() == trace.version_value(comp, versions[comp]).tobytes()
+    assert validate_schedule(trace).ok
+
+    records, values = trace.events, trace_values(trace)
+    k = data.draw(st.integers(0, len(records) - 1))
+    comp, reads, delta = records[k].component, records[k].reads, records[k].delta
+    source, slot, version = reads[1]  # the persisted slot replays the fresh one
+    assert slot in trace.persistent_slots
+    records[k] = UpdateRecord(comp, (reads[0], (source, slot, version + 1)), delta)
+    broken = from_records(records, values, initial=trace.initial, schedule=trace.schedule,
+                          persistent_slots=trace.persistent_slots)
+    assert [event[:3] for event in broken.walk()] == replay_walk(broken)
+    assert broken.events == records
+    assert validate_schedule(broken).provenance_violations == [(k, slot, version + 1)]
 
 
 def test_log_keeps_a_copy_of_each_value():
@@ -619,7 +663,7 @@ def test_log_keeps_a_copy_of_each_value():
     trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
                            AsyncSchedule(seed=0, delay_bound=0),
                            stop=lambda view: view.k >= 4)
-    assert [float(v[0]) for v in trace.values] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert [float(v[0]) for v in trace_values(trace)] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 # ---------------------------------------------------------- columnar log
@@ -674,7 +718,7 @@ def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, s
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
     stop = lambda view: view.k + 1 >= n_events
     trace = simulate_async(mapping, init, sched, stop=stop)
-    events, values = trace.events, trace.values
+    events, values = trace.events, trace_values(trace)
     assert len(events) == len(values) == len(seen) == n_events
     lines = list(trace.jsonl_lines())
     assert len(lines) == n_events
@@ -701,7 +745,7 @@ def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, s
     with pytest.raises(IndexError):
         trace.events[n_events]
     with pytest.raises(ValueError):
-        trace.values[0][0] = 0.0   # served read-only from the log
+        trace_values(trace)[0][0] = 0.0   # served read-only from the log
     assert validate_schedule(trace).ok
     # re-executing the trace's own script on a fresh mapping rewrites it byte for byte
     fresh, _, _ = _recording_mapping(p, 3, layout)
@@ -716,14 +760,14 @@ def test_values_agree_across_chunk_boundaries():
     mapping, init, seen = _recording_mapping(p, dim)
     trace = simulate_async(mapping, init, AsyncSchedule(seed=5, delay_bound=1),
                            stop=lambda view: view.k + 1 >= n_events)
-    blocks = list(trace.value_blocks())
+    blocks = list(value_blocks(trace))
     assert [len(rows) for _, rows in blocks] == [CHUNK_ROWS] * 4 + [2]
     assert [c for fired, _ in blocks for c in fired] == [c for c, _, _ in seen]
     assert np.array_equal(np.concatenate([rows for _, rows in blocks]),
                           np.stack([out for _, _, out in seen]))
     state = init.data.copy()
     versions = [0] * (p + 1)
-    values = trace.values
+    values = trace_values(trace)
     for k, (comp, _, out) in enumerate(seen):
         assert np.array_equal(values[k], out), k
         versions[comp] += 1
@@ -750,7 +794,7 @@ def _assert_log_matches_outputs(trace, outs, fixed):
     state = trace.initial.data.copy()
     states = [state.copy()]
     new_rows = 0
-    values = trace.values
+    values = trace_values(trace)
     for k, (comp, out) in enumerate(outs):
         new_rows += not produced[comp] or produced[comp][-1].tobytes() != out.tobytes()
         produced[comp].append(out)
@@ -761,7 +805,7 @@ def _assert_log_matches_outputs(trace, outs, fixed):
         assert trace.state_after(k).data.tobytes() == state.tobytes(), k
         assert json.loads(lines[k])["digest"] == hashlib.sha256(out.tobytes()).hexdigest()[:16]
     assert len(trace.row_component) == new_rows
-    assert sorted(set(trace.event_rows())) == list(range(new_rows))
+    assert sorted(set(event_rows(trace))) == list(range(new_rows))
     for comp, versions in enumerate(produced):
         for version, out in enumerate(versions, 1):
             assert trace.version_value(comp, version).tobytes() == out.tobytes()
@@ -820,12 +864,12 @@ def test_engine_delta_is_zero_exactly_on_reused_rows(policy, delay_bound, p, see
     fine = trapezoidal_propagator(ivp, 0.2, 20)
     trace = run_async_parareal(coarse, fine, ivp.u0, p,
                                AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy))
-    delta, values = trace.delta, trace.values
+    delta, values = trace_deltas(trace), trace_values(trace)
     assert len(delta) == trace.n_events
     latest_row = [None] * (p + 1)
     latest = list(trace.initial.data)
     reused = 0
-    for k, (comp, row) in enumerate(zip(trace.component, trace.event_rows())):
+    for k, (comp, row) in enumerate(zip(trace.component, event_rows(trace))):
         change = float(np.max(np.abs(values[k] - latest[comp])))
         if row == latest_row[comp]:
             reused += 1
@@ -849,7 +893,7 @@ def test_records_keep_their_delta_when_their_value_repeats():
                          schedule=AsyncSchedule(seed=0, delay_bound=0))
     assert trace.events == records
     assert [np.signbit(ev.delta) for ev in trace.events] == [np.signbit(d) for d in deltas]
-    assert list(trace.event_rows()) == [0, 1, 1, 2, 2, 3, 3]
+    assert event_rows(trace) == [0, 1, 1, 2, 2, 3, 3]
     assert list(trace.row_delta) == [2.0, 0.5, -0.0, np.inf]
     assert [json.loads(line)["delta"] for line in trace.jsonl_lines()] == deltas
 
@@ -862,13 +906,14 @@ def test_signed_zeros_keep_their_own_rows():
     trace = simulate_async(mapping, BlockVector(np.ones((2, 1))),
                            AsyncSchedule(seed=0, delay_bound=0))
     assert trace.n_events == 4
-    assert list(trace.delta) == [1.0, 0.0, 0.0, 0.0]
-    assert list(trace.event_rows()) == [0, 1, 1, 2]
+    assert list(trace_deltas(trace)) == [1.0, 0.0, 0.0, 0.0]
+    assert event_rows(trace) == [0, 1, 1, 2]
     assert list(trace.row_component) == [1, 1, 1]
     digests = [json.loads(line)["digest"] for line in trace.jsonl_lines()]
     assert digests[0] == digests[3] != digests[1] == digests[2]
-    assert digests == [hashlib.sha256(v.tobytes()).hexdigest()[:16] for v in trace.values]
-    assert [bool(np.signbit(v[0])) for v in trace.values] == [False, True, True, False]
+    values = trace_values(trace)
+    assert digests == [hashlib.sha256(v.tobytes()).hexdigest()[:16] for v in values]
+    assert [bool(np.signbit(v[0])) for v in values] == [False, True, True, False]
     assert np.signbit(trace.version_value(1, 2)[0])
 
 
@@ -886,10 +931,10 @@ def test_jsonl_digests_follow_each_components_current_row():
         [UpdateRecord(component=comp, reads=((0, 1, 0),), delta=0.0) for comp, _ in outs],
         [out for _, out in outs], initial=initial,
         schedule=AsyncSchedule(seed=0, delay_bound=0))
-    assert list(trace.event_rows()) == [0, 1, 0, 2, 1, 3, 4, 5, 6, 4, 7]
+    assert event_rows(trace) == [0, 1, 0, 2, 1, 3, 4, 5, 6, 4, 7]
     lines = list(trace.jsonl_lines())
     assert len(lines) == trace.n_events
-    for k, (line, value) in enumerate(zip(lines, trace.values, strict=True)):
+    for k, (line, value) in enumerate(zip(lines, trace_values(trace), strict=True)):
         assert json.loads(line)["digest"] == hashlib.sha256(value.tobytes()).hexdigest()[:16], k
 
 
@@ -955,7 +1000,7 @@ def test_repeats_and_new_rows_across_chunk_boundaries():
         [UpdateRecord(component=comp, reads=(), delta=0.0) for comp, _ in outs],
         [out for _, out in outs], initial=initial,
         schedule=AsyncSchedule(seed=0, delay_bound=0))
-    assert [len(rows) for _, rows in trace.value_blocks()] == [CHUNK_ROWS] * 4 + [5]
+    assert [len(rows) for _, rows in value_blocks(trace)] == [CHUNK_ROWS] * 4 + [5]
     assert trace.n_events > 8 * CHUNK_ROWS
     _assert_log_matches_outputs(trace, outs, BlockVector(rng.standard_normal((p + 1, dim))))
 

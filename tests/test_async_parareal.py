@@ -40,7 +40,7 @@ from pintlab.schedule import (
     AsyncSchedule,
 )
 
-from helpers import ReplaySchedule, nth_iterate
+from helpers import ReplaySchedule, nth_iterate, trace_values
 
 
 def _read_values(trace, ev):
@@ -71,7 +71,7 @@ def test_event_replay_matches_kernel(heat_setups, seed, delay_bound):
     ivp, coarse, fine = heat_setups[4]
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound)
     trace = run_async_parareal(coarse, fine, ivp.u0, 5, sched)
-    for idx, (ev, value) in enumerate(zip(trace.events, trace.values)):
+    for idx, (ev, value) in enumerate(zip(trace.events, trace_values(trace))):
         values = _read_values(trace, ev)
         want = parareal_update(coarse, fine, values[FRESH_SLOT],
                                values[REMEMBERED_SLOT])

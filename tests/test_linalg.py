@@ -25,6 +25,7 @@ from pintlab.theory import spectral_radius
 from helpers import (
     eig_magnitudes_2x2,
     eig_magnitudes_3x3,
+    from_blocks,
     rel_close,
     spectral_norm_closed,
     spectral_radius_closed,
@@ -34,7 +35,7 @@ from helpers import (
 # ---------------------------------------------------------------- block vector
 
 def test_block_vector_round_trip():
-    x = BlockVector.from_blocks([[1.0, 2.0], [3.0, -4.0], [0.0, 0.5]])
+    x = from_blocks([[1.0, 2.0], [3.0, -4.0], [0.0, 0.5]])
     assert x.n_blocks == 3 and x.block_dim == 2
     assert np.array_equal(x.flat, [1, 2, 3, -4, 0, 0.5])
     y = BlockVector.from_flat(x.flat, 3)
@@ -69,7 +70,7 @@ def test_as_matrix_takes_only_two_dimensions(shape):
 
 
 def test_max_block_norm_kinds():
-    x = BlockVector.from_blocks([[3.0, 4.0], [1.0, -2.0]])
+    x = from_blocks([[3.0, 4.0], [1.0, -2.0]])
     assert max_block_norm(x, NormKind.SPECTRAL) == 5.0
     assert max_block_norm(x, NormKind.INFINITY) == 4.0
     for shape in ((0, 2), (2, 0)):
