@@ -65,6 +65,11 @@ def child(code: str, *args: str, src: Path) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+def compile_peak(path: Path, src: Path) -> int:
+    """Bytes that tracemalloc sees at the peak of compiling ``path``."""
+    return int(child(COMPILE_PROBE, str(path), src=src))
+
+
 def loaded_modules(config: dict, src: Path) -> set[str]:
     """The pintlab modules loaded once ``run_experiment`` returns on config."""
     with tempfile.TemporaryDirectory() as out:
@@ -83,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'module':<20} {'bytes':>7} {'compile peak KiB':>17}  loaded by")
     for path in sorted((src / "pintlab").glob("*.py")):
         name = "pintlab" if path.stem == "__init__" else f"pintlab.{path.stem}"
-        peak = int(child(COMPILE_PROBE, str(path), src=src))
+        peak = compile_peak(path, src)
         runs = "sync" if name in sync else "async" if name in both else "neither"
         print(f"{path.name:<20} {path.stat().st_size:>7} {peak / 1024:>17.1f}  {runs}")
     return 0

@@ -13,16 +13,16 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "analysis": """CheckResult ContractionReport CostParams EnvelopeCheck SpeedupReport
-        async_convergence_check async_cost async_error_envelope check_finite_termination
-        contraction_factors envelope_steps factors_from_norms fit_overhead
-        sequential_cost speedup_bound sync_convergence_check sync_cost""",
-    "async_audit": "ScheduleValidation update_counts validate_schedule",
+    "analysis": """CheckResult ContractionReport CostParams SpeedupReport
+        async_convergence_check async_cost contraction_factors factors_from_norms
+        fit_overhead sequential_cost speedup_bound sync_convergence_check sync_cost""",
+    "async_audit": """EnvelopeCheck ScheduleValidation async_error_envelope
+        check_finite_termination envelope_steps update_counts validate_schedule""",
     "async_engine": "AsyncMapping EngineView simulate_async",
     "async_log": "AsyncTrace UpdateRecord",
     "async_parareal": "async_parareal_mapping async_stop_check run_async_parareal",
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError
-        HorizonExhausted InvalidThetaError SingularMatrixError SingularSystemError
+        HorizonExhausted SingularMatrixError SingularSystemError
         UndefinedLimitError UnfittableError""",
     "linalg": "BlockVector NormKind max_block_norm operator_norm",
     "model": """AffinePropagator LinearIVP PROPAGATOR_RULES backward_euler_propagator

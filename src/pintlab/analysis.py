@@ -14,23 +14,12 @@ worker activation.
 """
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import NamedTuple
 
-from .errors import (
-    DimensionError,
-    EnvelopeUndefinedError,
-    InvalidThetaError,
-    UndefinedLimitError,
-    UnfittableError,
-)
-from .linalg import BlockVector, NormKind, block_norms, blocks_match, operator_norm
+from .errors import UndefinedLimitError, UnfittableError
+from .linalg import NormKind, operator_norm
 from .model import AffinePropagator
-
-if TYPE_CHECKING:  # annotations only: sync runs never load the engine
-    from .async_log import AsyncTrace
 
 
 @dataclass(frozen=True)
@@ -39,42 +28,35 @@ class ContractionReport:
 
     coarse_norm: float      # operator norm of the coarse one-interval map
     defect_norm: float      # operator norm of fine-minus-coarse
-    theta: float            # majorant of coarse_norm used in the sync factor
     sync_factor: float      # per-sweep bound for the synchronous iteration
     async_factor: float     # per-depth bound for asynchronous executions
     p: int
     norm_kind: NormKind
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "norm_kind": self.norm_kind.value}
+        # "theta", the coarse-norm majorant in the sync factor, is the norm itself
+        return {**asdict(self), "theta": self.coarse_norm, "norm_kind": self.norm_kind.value}
 
 
 def factors_from_norms(coarse_norm: float, defect_norm: float, p: int,
-                       kind: NormKind = NormKind.SPECTRAL,
-                       theta: float | None = None) -> ContractionReport:
+                       kind: NormKind = NormKind.SPECTRAL) -> ContractionReport:
     """Build the report from already-known norms.
 
-    theta defaults to the coarse norm itself; any explicit value must be at
-    least that. theta exactly one selects the limit form p * defect_norm.
+    The sync factor is the geometric sum of the coarse norm's first p powers
+    times the defect norm; a coarse norm of exactly one takes its limit form
+    p * defect_norm.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if coarse_norm < 0.0 or defect_norm < 0.0:
         raise ValueError("norms must be nonnegative")
-    th = coarse_norm if theta is None else float(theta)
-    if th < coarse_norm:
-        raise InvalidThetaError(
-            f"theta={th} is below the coarse norm {coarse_norm}; "
-            "the geometric-sum bound needs theta >= that norm"
-        )
-    if th == 1.0:
+    if coarse_norm == 1.0:
         sync_factor = p * defect_norm
     else:
-        sync_factor = (1.0 - th ** p) / (1.0 - th) * defect_norm
+        sync_factor = (1.0 - coarse_norm ** p) / (1.0 - coarse_norm) * defect_norm
     return ContractionReport(
         coarse_norm=float(coarse_norm),
         defect_norm=float(defect_norm),
-        theta=th,
         sync_factor=float(sync_factor),
         async_factor=float(coarse_norm + defect_norm),
         p=p,
@@ -116,133 +98,6 @@ def async_convergence_check(report: ContractionReport) -> CheckResult:
     """Asynchronous executions contract iff coarse + defect norms stay below one."""
     margin = 1.0 - report.async_factor
     return CheckResult(margin > 0.0, margin)
-
-
-ENVELOPE_SLACK = 1.0 + 1e-10  # relative slack of an error against its bound
-
-
-class EnvelopeCheck(NamedTuple):
-    """The staleness-aware envelope's verdict on one trace."""
-
-    sigma_final: float  # global depth after the last event; +inf once saturated
-    bound_final: float  # the error bound at that depth
-    holds: bool         # every state's error <= its bound * ENVELOPE_SLACK
-
-
-def envelope_steps(trace: AsyncTrace, report: ContractionReport,
-                   fixed_point: BlockVector) -> Iterator[tuple[float, float, float]]:
-    """(depth, bound, error) of every state, the initial state first, from
-    one ``trace.walk``.
-
-    Depth bookkeeping: the pinned component is exact from the start
-    (depth +inf); every other component starts at depth 0. An update sets
-    the component's depth to one plus the shallowest depth among the
-    versions it read (+inf when it reads nothing). The global depth after an
-    event is the minimum over live components, and the bound is
-    async_factor**depth times the initial error; a saturated (infinite)
-    depth certifies an exactly reproduced state, bound zero. A read of a
-    version its source never produced raises KeyError, and an async factor
-    of one or more EnvelopeUndefinedError, when the walk reaches them.
-
-    The minimum is kept running: a count of live components per depth moves
-    it down when a stale read lowers a depth, and it is rescanned among the
-    depths in use only when the count at the minimum reaches zero.
-
-    The measured error is ``max_block_norm(state - fixed_point)`` in the
-    report's norm, kept per block from ``trace.initial`` on: an event costs
-    the norm of the block it wrote, with the bits of the whole-state norm.
-    Their maximum is kept running the same way, rescanned only when the
-    block holding it falls.
-    """
-    if report.async_factor >= 1.0:
-        raise EnvelopeUndefinedError(
-            f"envelope undefined: async factor {report.async_factor} >= 1"
-        )
-    factor = report.async_factor
-    kind = report.norm_kind
-    block_error = block_norms((trace.initial - fixed_point).data, kind).tolist()
-    initial_error = top = max(block_error)
-    top_at = block_error.index(top)  # a block holding the largest error
-    p = trace.n_updatable
-
-    # Per component, the depth of each version it produced; version 0 is the start.
-    depth_of = [array("d", [math.inf if comp == 0 else 0.0]) for comp in range(p + 1)]
-    current = [math.inf] + [0.0] * p
-    live = {0.0: p}  # depth -> how many of components 1..p sit at it
-    lowest = 0.0
-    yield lowest, initial_error, initial_error  # at depth 0 the bound is the error
-    errors = trace.walk(lambda rows, wrote:
-                        block_norms(rows - fixed_point.data[wrote], kind).tolist())
-    for comp, reads, _, error in errors:
-        block_error[comp] = error
-        if error >= top:
-            top, top_at = error, comp
-        elif comp == top_at:
-            top = max(block_error)
-            top_at = block_error.index(top)
-        shallowest = math.inf
-        for source, _slot, version in reads:
-            table = depth_of[source]
-            if not 0 <= version < len(table):
-                raise KeyError(f"component {source} never reached version {version}")
-            shallowest = min(shallowest, table[version])
-        depth = shallowest + 1.0
-        depth_of[comp].append(depth)
-        old, current[comp] = current[comp], depth
-        if comp:
-            left = live[old] - 1
-            if left:
-                live[old] = left
-            else:
-                del live[old]
-            live[depth] = live.get(depth, 0) + 1
-            if depth < lowest:
-                lowest = depth
-            elif old == lowest and not left:
-                lowest = min(live)
-        bound = 0.0 if math.isinf(lowest) else factor ** lowest * initial_error
-        yield lowest, bound, top
-
-
-def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
-                         fixed_point: BlockVector) -> EnvelopeCheck:
-    """Walk ``envelope_steps`` to the end and return its verdict: the final
-    depth and bound, and whether every error stayed within its bound."""
-    holds = True
-    for depth, bound, error in envelope_steps(trace, report, fixed_point):
-        holds = holds and error <= bound * ENVELOPE_SLACK
-    return EnvelopeCheck(depth, bound, holds)
-
-
-def check_finite_termination(trace: AsyncTrace,
-                             reference: BlockVector) -> int | None:
-    """Smallest event index whose state matches the reference.
-
-    The index counts executed events (0 is the initial state) and the match
-    rule is ``blocks_match`` on every block; synchronous runs record the same
-    index while sweeping (``run_parareal(..., reference=...)``). Returns None
-    when the trace never reaches the reference, which at desk scale indicates
-    an invalid schedule or a too-short horizon.
-
-    The rule is elementwise, so it is kept per block: one match flag per
-    component and a count of mismatched blocks, updated along ``trace.walk``
-    up to the first match. Each event costs O(d) and no state is assembled.
-    """
-    ref = reference.data
-    if ref.shape != trace.initial.data.shape:
-        raise DimensionError(
-            f"reference of shape {ref.shape} for states of shape {trace.initial.data.shape}")
-    matched = blocks_match(trace.initial.data, ref).tolist()
-    mismatched = matched.count(False)
-    if not mismatched:
-        return 0
-    flags = trace.walk(lambda rows, wrote: blocks_match(rows, ref[wrote]).tolist())
-    for k, (comp, _, _, flag) in enumerate(flags, 1):
-        mismatched += matched[comp] - flag
-        matched[comp] = flag
-        if not mismatched:
-            return k
-    return None
 
 
 # ---------------------------------------------------------------------------

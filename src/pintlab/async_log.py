@@ -12,9 +12,8 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,8 +49,7 @@ def read_plans(read_set: dict[int, tuple[tuple[int, int], ...]],
     return plans
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
+class UpdateRecord(NamedTuple):
     """One event: which component fired, what it read, what came out.
 
     An event's number is its position in the trace's log.

@@ -24,8 +24,6 @@ from .analysis import (
     CostParams,
     async_convergence_check,
     async_cost,
-    async_error_envelope,
-    check_finite_termination,
     contraction_factors,
     fit_overhead,
     sequential_cost,
@@ -53,6 +51,9 @@ MAX_FOLD = 2**38   # largest "steps" x d**3 of a propagator; see parse_config
 MAX_STATE = 2**20  # largest (p + 1) x d, the floats of one iterate; see parse_config
 STOPPED = (STOP_HORIZON, STOP_KMAX)  # stop reasons of a run that did not converge
 SCHEDULE_TAG = "{policy}/s{seed}/D{delay_bound}"
+# run_async_parareal, then async_audit's: bound on the first schedule
+ENGINE_NAMES = ("run_async_parareal", "update_counts", "validate_schedule",
+                "async_error_envelope", "check_finite_termination")
 
 SUMMARY_COLUMNS = [
     "label", "p", "mode", "policy", "seed", "delay_bound", "iterations",
@@ -284,18 +285,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _bind_async_engine() -> None:
-    """Bind run_async_parareal, update_counts and validate_schedule as module
-    globals, keeping any name already bound (to a tracing wrapper, say): the
-    engine loads with the first async run, so a sync-only run never loads it."""
+    """Bind the ENGINE_NAMES as module globals, keeping any name already
+    bound (to a tracing wrapper, say): the engine loads with the first async
+    run, so a sync-only run never loads it."""
     from . import async_audit, async_parareal
     names = globals()
-    names.setdefault("run_async_parareal", async_parareal.run_async_parareal)
-    names.setdefault("update_counts", async_audit.update_counts)
-    names.setdefault("validate_schedule", async_audit.validate_schedule)
+    names.setdefault(ENGINE_NAMES[0], async_parareal.run_async_parareal)
+    for name in ENGINE_NAMES[1:]:
+        names.setdefault(name, getattr(async_audit, name))
 
 
 def __getattr__(name: str):  # PEP 562: the engine's names resolve before its first run
-    if name not in ("run_async_parareal", "update_counts", "validate_schedule"):
+    if name not in ENGINE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_async_engine()
     return globals()[name]

@@ -56,10 +56,6 @@ class HorizonExhausted(RuntimeError):
         self.trace = trace
 
 
-class InvalidThetaError(ValueError):
-    """A contraction-factor majorant below the coarse operator norm."""
-
-
 class EnvelopeUndefinedError(ValueError):
     """Error envelope requested for a non-contractive configuration."""
 

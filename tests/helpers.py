@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pintlab.analysis import envelope_steps
+from pintlab.async_audit import envelope_steps
 from pintlab.async_log import CHUNK_ROWS
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.parareal import (
@@ -365,7 +365,7 @@ def sliding_window_fairness(trace) -> list[tuple[int, int]]:
 
 def envelope_columns(trace, report, fixed_point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(depths, bounds, errors) of every state, the initial one first, as
-    float64 columns of ``analysis.envelope_steps``."""
+    float64 columns of ``async_audit.envelope_steps``."""
     steps = list(envelope_steps(trace, report, fixed_point))
     return tuple(np.array(column, dtype=float) for column in zip(*steps))
 

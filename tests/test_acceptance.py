@@ -12,14 +12,13 @@ import numpy as np
 from pintlab.analysis import (
     CostParams,
     async_cost,
-    check_finite_termination,
     contraction_factors,
     factors_from_norms,
     fit_overhead,
     speedup_bound,
     sync_cost,
 )
-from pintlab.async_audit import update_counts
+from pintlab.async_audit import check_finite_termination, update_counts
 from pintlab.async_engine import simulate_async
 from pintlab.async_parareal import run_async_parareal
 from pintlab.cli import main

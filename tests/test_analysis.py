@@ -9,14 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pintlab.analysis import (
-    ENVELOPE_SLACK,
     CheckResult,
     CostParams,
-    EnvelopeCheck,
     async_convergence_check,
     async_cost,
-    async_error_envelope,
-    check_finite_termination,
     contraction_factors,
     factors_from_norms,
     fit_overhead,
@@ -25,17 +21,22 @@ from pintlab.analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from pintlab.async_audit import from_records
+from pintlab.async_audit import (
+    ENVELOPE_SLACK,
+    EnvelopeCheck,
+    async_error_envelope,
+    check_finite_termination,
+    from_records,
+)
 from pintlab.async_log import BATCH_ROWS, CHUNK_ROWS, UpdateRecord
 from pintlab.async_parareal import run_async_parareal
 from pintlab.errors import (
     DimensionError,
     EnvelopeUndefinedError,
-    InvalidThetaError,
     UndefinedLimitError,
     UnfittableError,
 )
-from pintlab import analysis
+from pintlab import async_audit
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import run_parareal, sequential_fine_solve
@@ -56,7 +57,7 @@ from helpers import (
 
 def test_worked_scalar_factors():
     r = factors_from_norms(0.8, 0.0212, p=4)
-    assert r.theta == 0.8
+    assert r.to_dict()["theta"] == 0.8
     assert r.sync_factor == pytest.approx((1 - 0.8 ** 4) / 0.2 * 0.0212, rel=1e-12)
     assert r.sync_factor == pytest.approx(0.0625824, rel=1e-9)
     assert r.sync_factor == pytest.approx(0.06258, abs=5e-6)  # quoted rounding
@@ -88,15 +89,11 @@ def test_factors_from_live_propagators(literal_scalar_pair):
 
 
 def test_theta_one_limit():
-    assert factors_from_norms(0.8, 0.0212, p=4, theta=1.0).sync_factor \
-        == pytest.approx(4 * 0.0212, rel=1e-12)
-    # coarse norm exactly one triggers the same limit by default
+    # a coarse norm of exactly one takes the limit form p * defect_norm
     assert factors_from_norms(1.0, 0.1, p=3).sync_factor == pytest.approx(0.3)
 
 
 def test_theta_below_coarse_norm_rejected():
-    with pytest.raises(InvalidThetaError):
-        factors_from_norms(0.8, 0.0212, p=4, theta=0.5)
     with pytest.raises(ValueError):
         factors_from_norms(-0.1, 0.0212, p=4)
     with pytest.raises(ValueError):
@@ -104,9 +101,6 @@ def test_theta_below_coarse_norm_rejected():
 
 
 def test_compare_factors_preconditions():
-    inflated = factors_from_norms(0.8, 0.0212, p=4, theta=0.9)
-    with pytest.raises(ValueError):
-        compare_factors(inflated)
     divergent = factors_from_norms(0.9, 0.3, p=4)
     cmp = compare_factors(divergent)
     assert not cmp.applicable
@@ -557,8 +551,8 @@ def test_row_walk_evaluates_only_the_chunks_it_reaches(monkeypatch):
         calls.append(len(a))
         return blocks_match(a, b)
 
-    blocks_match = analysis.blocks_match
-    monkeypatch.setattr(analysis, "blocks_match", counted)
+    blocks_match = async_audit.blocks_match
+    monkeypatch.setattr(async_audit, "blocks_match", counted)
     writes = [rows.index(row) for row in range(len(trace.row_component))]  # row -> its writer
     for t in (writes[0], writes[CHUNK_ROWS + 3], writes[3 * CHUNK_ROWS]):
         calls.clear()

@@ -10,8 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pintlab._pcg64 import PCG64
-from pintlab.analysis import check_finite_termination, factors_from_norms
-from pintlab.async_audit import from_records, update_counts, validate_schedule
+from pintlab.analysis import factors_from_norms
+from pintlab.async_audit import (
+    check_finite_termination,
+    from_records,
+    update_counts,
+    validate_schedule,
+)
 from pintlab.async_engine import AsyncMapping, simulate_async
 from pintlab.async_log import CHUNK_ROWS, UpdateRecord
 from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
@@ -26,6 +31,7 @@ from pintlab.schedule import (
     POLICY_RANDOM_FAIR,
     POLICY_ROUND_ROBIN,
     STOP_HORIZON,
+    STOP_PREDICATE,
     STOP_QUIESCENCE,
     AsyncSchedule,
 )
@@ -374,6 +380,18 @@ def test_relaxation_demo_converges_with_threshold_stop():
     assert np.max(np.abs(final.data[1:, 0] - x_star)) < 1e-10
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: a self-read keeps drained False")
+def test_relaxation_demo_stops_on_the_predicate():
+    # the run of test_relaxation_demo_converges_with_threshold_stop, which
+    # converges but ends on quiescence: every component reads itself one
+    # version behind, so its threshold stop never fires (ROADMAP item 2)
+    mapping, init = jacobi_pieces()
+    sched = AsyncSchedule(seed=6, delay_bound=2)
+    stop = lambda view: view.drained and float(np.max(view.last_deltas[1:])) < 1e-12
+    assert simulate_async(mapping, init, sched, stop=stop).stop_reason == STOP_PREDICATE
+
+
 def test_relaxation_rejects_zero_diagonal():
     with pytest.raises(ValueError):
         linear_relaxation_mapping(JACOBI_A, [2.0, 0.0], JACOBI_B)
@@ -612,6 +630,32 @@ def test_records_repack_into_the_same_log(heat_setups, policy, delay_bound, p, s
     assert "".join(packed.jsonl_lines()) == "".join(trace.jsonl_lines())
     fired = set(trace.component)
     assert packed.read_set == {i: r for i, r in trace.read_set.items() if i in fired}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16))
+def test_plain_triples_pack_like_update_records(heat_setups, policy, delay_bound, p, seed):
+    # from_records unpacks each record as a (component, reads, delta) triple,
+    # so plain tuples pack into a trace that walks, validates and serialises
+    # exactly as one packed from UpdateRecords
+    ivp, coarse, fine = heat_setups[4]
+    trace = run_async_parareal(coarse, fine, ivp.u0, p,
+                               AsyncSchedule(seed=seed, delay_bound=delay_bound,
+                                             policy=policy))
+    records, values = trace.events, trace_values(trace)
+    triples = [tuple(record) for record in records]
+    assert {type(triple) for triple in triples} == {tuple}
+    packed = [from_records(events, values, initial=trace.initial, schedule=trace.schedule,
+                           persistent_slots=trace.persistent_slots,
+                           stop_reason=trace.stop_reason)
+              for events in (records, triples)]
+    walks = [list(packed_trace.walk(lambda rows, _: [row.tobytes() for row in rows]))
+             for packed_trace in packed]
+    assert walks[0] == walks[1]
+    assert validate_schedule(packed[0]) == validate_schedule(packed[1])
+    assert "".join(packed[0].jsonl_lines()) == "".join(packed[1].jsonl_lines())
+    assert packed[1].events == records
 
 
 @settings(deadline=None, max_examples=60)

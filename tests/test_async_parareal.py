@@ -37,6 +37,7 @@ from pintlab.schedule import (
     POLICY_RANDOM_FAIR,
     POLICY_ROUND_ROBIN,
     STOP_HORIZON,
+    STOP_PREDICATE,
     AsyncSchedule,
 )
 
@@ -203,6 +204,22 @@ def test_epsilon_zero_means_no_threshold(heat_setups, monkeypatch):
         run_async_parareal(coarse, fine, ivp.u0, 3, sched, epsilon=-1e-9)
     with pytest.raises(ValueError, match="epsilon"):
         run_parareal(coarse, fine, ivp.u0, 3, epsilon=-1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the async epsilon stop never fires")
+def test_epsilon_stop_fires_on_the_heat_ladder(heat_setups):
+    # heat1d n = p = 8, T = 1.6, epsilon 1e-6, seeds 1-2: every policy at D
+    # 1..3 and adversarial-stale at D 0. The drained rule compares version
+    # numbers and a stale read stays versions behind after the values stop
+    # changing, so all 20 runs end on quiescence; item 2's fix drops the marker
+    ivp, coarse, fine = heat_setups[8]
+    cases = [(policy, d) for policy in POLICIES for d in (1, 2, 3)] + [(POLICY_ADVERSARIAL, 0)]
+    schedules = [AsyncSchedule(seed=seed, delay_bound=d, policy=policy)
+                 for policy, d in cases for seed in (1, 2)]
+    reasons = [run_async_parareal(coarse, fine, ivp.u0, 8, sched, epsilon=1e-6).stop_reason
+               for sched in schedules]
+    assert reasons == [STOP_PREDICATE] * 20
 
 
 @pytest.mark.parametrize("run", [

@@ -609,6 +609,27 @@ def run_probe(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_module_placement_compile_peaks():
+    # every process compiles from source each module it loads, and the
+    # largest compile peak sets a floor under the run's peak RSS; measured
+    # by the probes of scripts/compile_peaks.py (ROADMAP, Module placement)
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("compile_peaks",
+                                                  root / "scripts" / "compile_peaks.py")
+    peaks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(peaks)
+    src = root / "src"
+    sync = peaks.loaded_modules(peaks.CONFIG, src)
+    async_only = sorted(peaks.loaded_modules({**peaks.CONFIG, "schedules": [peaks.SCHEDULE]},
+                                             src) - sync)
+    assert async_only == ASYNC_MODULES
+    kib = {module: peaks.compile_peak(src / f"{module.replace('.', '/')}.py", src) / 1024
+           for module in ["pintlab.analysis", "pintlab.cli", *async_only]}
+    assert kib["pintlab.analysis"] < 500, kib
+    assert kib["pintlab.cli"] <= 1400, kib
+    assert all(kib[module] <= 650 for module in async_only), kib
+
+
 TRACED_RUN = """
 import importlib.util, json, sys
 from pintlab.cli import parse_config, run_experiment
