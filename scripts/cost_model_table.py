@@ -12,6 +12,7 @@ from pintlab.analysis import (
     async_cost,
     fit_overhead,
     sequential_cost,
+    speedup_achieved,
     speedup_bound,
     sync_cost,
 )
@@ -30,15 +31,14 @@ def main() -> None:
         k = max(2, p // 2 - 2 if p >= 8 else 2)
         kappa = int(2.4 * k)
         params = CostParams(p=p, fine_cost=FINE, coarse_cost=COARSE,
-                            overhead=OVERHEAD, k=k, kappa=kappa)
-        ratio = speedup_bound(params)
+                            overhead=OVERHEAD)
         rows.append([
             str(p), str(k), str(kappa),
             f"{sequential_cost(params):.2f}",
-            f"{sync_cost(params):.2f}",
-            f"{async_cost(params):.2f}",
-            f"{ratio.bound:.3f}",
-            f"{ratio.achieved:.3f}",
+            f"{sync_cost(params, k):.2f}",
+            f"{async_cost(params, kappa):.2f}",
+            f"{speedup_bound(params):.3f}",
+            f"{speedup_achieved(params, k, kappa):.3f}",
         ])
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     for row in rows:
@@ -46,15 +46,15 @@ def main() -> None:
 
     print()
     params = CostParams(p=16, fine_cost=FINE, coarse_cost=COARSE,
-                        overhead=OVERHEAD, k=10, kappa=24)
-    total = sync_cost(params)
+                        overhead=OVERHEAD)
+    total = sync_cost(params, 10)
     fitted = fit_overhead(total, p=16, k=10, fine_cost=FINE, coarse_cost=COARSE)
     print(f"reference row: sync_cost(p=16,k=10) = {total:.2f}, "
-          f"async_cost(kappa=24) = {async_cost(params):.2f}")
+          f"async_cost(kappa=24) = {async_cost(params, 24):.2f}")
     print(f"overhead fitted back from that total: {fitted:.6f} "
           f"(configured {OVERHEAD})")
-    sync_lim, async_lim, cross_lim = asymptotic_speedups(params)
-    print(f"large-p limits at k={params.k}: sequential/sync -> {sync_lim:.4f}, "
+    sync_lim, async_lim, cross_lim = asymptotic_speedups(params, 10)
+    print(f"large-p limits at k=10: sequential/sync -> {sync_lim:.4f}, "
           f"sequential/async -> {async_lim:.4f}, sync/async -> {cross_lim:.4f}")
 
 

@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "analysis": """CheckResult ContractionReport CostParams SpeedupReport
-        async_convergence_check async_cost contraction_factors factors_from_norms
-        fit_overhead sequential_cost speedup_bound sync_convergence_check sync_cost""",
+    "analysis": """CheckResult ContractionReport CostParams async_convergence_check
+        async_cost contraction_factors factors_from_norms fit_overhead sequential_cost
+        speedup_achieved speedup_bound sync_convergence_check sync_cost""",
     "async_audit": """EnvelopeCheck ScheduleValidation async_error_envelope
         check_finite_termination envelope_steps update_counts validate_schedule""",
     "async_engine": "AsyncMapping EngineView simulate_async",

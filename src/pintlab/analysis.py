@@ -111,16 +111,15 @@ class CostParams:
 
     fine_cost / coarse_cost are per-subinterval propagation costs; overhead
     is the average non-overlapped per-sweep serialization cost of the
-    synchronous schedule. k is the synchronous sweep count, kappa the
-    maximum per-worker activation count of an asynchronous run.
+    synchronous schedule. The iteration counts are arguments of the
+    functions that charge them: k sweeps for ``sync_cost``, kappa
+    activations of the busiest worker for ``async_cost``.
     """
 
     p: int
     fine_cost: float
     coarse_cost: float
     overhead: float = 0.0
-    k: int | None = None
-    kappa: int | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -134,16 +133,13 @@ def sequential_cost(params: CostParams) -> float:
     return params.p * params.fine_cost
 
 
-def sync_cost(params: CostParams) -> float:
+def sync_cost(params: CostParams, k: int) -> float:
     """Wall-model cost of k synchronous sweeps.
 
     p coarse propagations initialize; each sweep pays one fine plus one
     coarse propagation and the cascading overhead (p - 1 - (k+1)/2 averaged
     over sweeps).
     """
-    if params.k is None:
-        raise ValueError("sync cost needs k")
-    k = params.k
     if k < 0 or k > params.p:
         raise ValueError(f"k must lie in [0, p]; got k={k}, p={params.p}")
     if k == 0:
@@ -156,52 +152,41 @@ def sync_cost(params: CostParams) -> float:
     return params.p * params.coarse_cost + k * per_sweep
 
 
-def async_cost(params: CostParams) -> float:
+def async_cost(params: CostParams, kappa: int) -> float:
     """Wall-model cost of an asynchronous run with kappa activations on the
     busiest worker: initialization plus kappa fine-plus-coarse evaluations."""
-    if params.kappa is None:
-        raise ValueError("async cost needs kappa")
-    if params.kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {params.kappa}")
-    return params.p * params.coarse_cost + params.kappa * (
+    if kappa < 0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    return params.p * params.coarse_cost + kappa * (
         params.fine_cost + params.coarse_cost
     )
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
-    """Best-case async-over-sync ratio and, when measurable, the achieved one."""
-
-    bound: float
-    achieved: float | None
-
-
-def speedup_bound(params: CostParams) -> SpeedupReport:
+def speedup_bound(params: CostParams) -> float:
     """Upper bound 1 + (p-2) * overhead / (fine + coarse) on the ratio
-    sync_cost / async_cost, attained at k = 1 with kappa = k.
-
-    When both k and kappa are present the achieved ratio is evaluated and
-    checked against the bound (it cannot exceed it while kappa >= k).
-    """
+    sync_cost / async_cost, attained at k = 1 with kappa = k."""
     if params.p < 2:
         raise ValueError(f"speedup bound needs p >= 2, got p={params.p}")
     denom = params.fine_cost + params.coarse_cost
     if denom <= 0.0:
         raise UndefinedLimitError("fine + coarse cost must be positive")
-    bound = 1.0 + (params.p - 2) * params.overhead / denom
-    achieved = None
-    if params.k is not None and params.kappa is not None:
-        if params.kappa < params.k:
-            raise ValueError(
-                f"kappa={params.kappa} below k={params.k}: the asynchronous run "
-                "cannot use fewer activations than the synchronous sweep count"
-            )
-        achieved = sync_cost(params) / async_cost(params)
-        if achieved > bound * (1.0 + 1e-12):
-            raise AssertionError(
-                f"achieved ratio {achieved} exceeds the model bound {bound}"
-            )
-    return SpeedupReport(bound=bound, achieved=achieved)
+    return 1.0 + (params.p - 2) * params.overhead / denom
+
+
+def speedup_achieved(params: CostParams, k: int, kappa: int) -> float:
+    """The ratio sync_cost / async_cost of k sweeps against kappa
+    activations, checked against ``speedup_bound`` (it cannot exceed it
+    while kappa >= k)."""
+    bound = speedup_bound(params)
+    if kappa < k:
+        raise ValueError(
+            f"kappa={kappa} below k={k}: the asynchronous run "
+            "cannot use fewer activations than the synchronous sweep count"
+        )
+    achieved = sync_cost(params, k) / async_cost(params, kappa)
+    if achieved > bound * (1.0 + 1e-12):
+        raise AssertionError(f"achieved ratio {achieved} exceeds the model bound {bound}")
+    return achieved
 
 
 def fit_overhead(total_cost: float, p: int, k: int, fine_cost: float,

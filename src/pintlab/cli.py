@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .analysis import (
@@ -27,6 +27,7 @@ from .analysis import (
     contraction_factors,
     fit_overhead,
     sequential_cost,
+    speedup_achieved,
     speedup_bound,
     sync_convergence_check,
     sync_cost,
@@ -328,7 +329,7 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         "events": trace.n_events, "kappa": kappa,
         "per_component_counts": counts.tolist(),
         "stop_reason": trace.stop_reason,
-        "model_cost": async_cost(replace(costs, kappa=kappa)),
+        "model_cost": async_cost(costs, kappa),
         "error_vs_oracle": max_block_norm(final - oracle, NormKind.INFINITY),
         "schedule_valid": validation.ok,
         "finite_termination_index": check_finite_termination(trace, oracle),
@@ -339,9 +340,8 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
         run_entry["bound_final"] = check.bound_final
         run_entry["envelope_ok"] = check.holds
     if config.p >= 2 and trace.stop_reason != STOP_HORIZON and k <= kappa:
-        ratio = speedup_bound(replace(costs, k=k, kappa=kappa))
-        run_entry["speedup_bound"] = ratio.bound
-        run_entry["speedup_achieved"] = ratio.achieved
+        run_entry["speedup_bound"] = speedup_bound(costs)
+        run_entry["speedup_achieved"] = speedup_achieved(costs, k, kappa)
     if traces_dir is not None:
         name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
         with open(traces_dir / name, "w", encoding="utf-8") as fh:
@@ -402,7 +402,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     sync_trace = run_parareal(coarse, fine, ivp.u0, p, epsilon=config.epsilon,
                               k_max=config.k_max, reference=oracle)
     k = sync_trace.k_final
-    sync_model_cost = sync_cost(replace(costs, k=k))
+    sync_model_cost = sync_cost(costs, k)
     try:
         fitted = fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost)
     except UnfittableError:

@@ -161,16 +161,13 @@ def relaxation_solution(a_mat, rhs) -> np.ndarray:
     return lu_solve(np.asarray(a_mat, dtype=float), np.asarray(rhs, dtype=float))
 
 
-def asymptotic_speedups(params: CostParams) -> tuple[float, float, float]:
+def asymptotic_speedups(params: CostParams, k: int) -> tuple[float, float, float]:
     """Large-p limits of the three cost ratios at fixed iteration count k:
     sequential/sync, sequential/async, and sync/async."""
-    if params.k is None:
-        raise ValueError("asymptotic ratios need k")
     if params.coarse_cost <= 0.0:
         raise UndefinedLimitError(
             "asymptotic ratios diverge or degenerate with zero coarse cost"
         )
-    k = params.k
     sync_limit = params.fine_cost / (params.coarse_cost + k * params.overhead)
     async_limit = params.fine_cost / params.coarse_cost
     cross_limit = 1.0 + k * params.overhead / params.coarse_cost

@@ -282,9 +282,9 @@ def test_06_nilpotent_iteration_matrix():
 
 def test_07_cost_model_reference_numbers():
     ref = dict(p=16, fine_cost=14.0, coarse_cost=0.14, overhead=1.53)
-    sync_total = sync_cost(CostParams(k=10, **ref))
-    async_total = async_cost(CostParams(kappa=24, **ref))
-    bound = speedup_bound(CostParams(**ref)).bound
+    sync_total = sync_cost(CostParams(**ref), 10)
+    async_total = async_cost(CostParams(**ref), 24)
+    bound = speedup_bound(CostParams(**ref))
     fitted = fit_overhead(sync_total, 16, 10, 14.0, 0.14)
     measured_wall = 337.0  # hardware total this activation model approximates
     checks = {

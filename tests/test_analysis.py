@@ -17,6 +17,7 @@ from pintlab.analysis import (
     factors_from_norms,
     fit_overhead,
     sequential_cost,
+    speedup_achieved,
     speedup_bound,
     sync_convergence_check,
     sync_cost,
@@ -577,37 +578,34 @@ REF = dict(p=16, fine_cost=14.0, coarse_cost=0.14, overhead=1.53)
 
 
 def test_reference_cost_numbers():
-    params = CostParams(k=10, kappa=10, **REF)
+    params = CostParams(**REF)
     assert sequential_cost(params) == pytest.approx(224.0, rel=1e-12)
-    assert sync_cost(params) == pytest.approx(288.99, abs=1e-9)
-    assert async_cost(params) == pytest.approx(143.64, abs=1e-9)
-    kappa24 = CostParams(k=10, kappa=24, **REF)
-    assert async_cost(kappa24) == pytest.approx(341.60, abs=1e-9)
+    assert sync_cost(params, 10) == pytest.approx(288.99, abs=1e-9)
+    assert async_cost(params, 10) == pytest.approx(143.64, abs=1e-9)
+    assert async_cost(params, 24) == pytest.approx(341.60, abs=1e-9)
 
 
 def test_speedup_bound_numbers():
-    params = CostParams(k=10, kappa=10, **REF)
-    report = speedup_bound(params)
-    assert report.bound == pytest.approx(1.0 + 14 * 1.53 / 14.14, rel=1e-12)
-    assert report.bound == pytest.approx(2.5148514851485148, abs=1e-3)
-    assert report.achieved == pytest.approx(288.99 / 143.64, rel=1e-12)
-    assert report.achieved <= report.bound
-    bare = speedup_bound(CostParams(**REF))
-    assert bare.achieved is None
+    params = CostParams(**REF)
+    bound = speedup_bound(params)
+    assert bound == pytest.approx(1.0 + 14 * 1.53 / 14.14, rel=1e-12)
+    assert bound == pytest.approx(2.5148514851485148, abs=1e-3)
+    achieved = speedup_achieved(params, 10, 10)
+    assert achieved == pytest.approx(288.99 / 143.64, rel=1e-12)
+    assert achieved <= bound
 
 
 def test_asymptotic_limits():
-    params = CostParams(k=10, **REF)
-    sync_lim, async_lim, cross_lim = asymptotic_speedups(params)
+    sync_lim, async_lim, cross_lim = asymptotic_speedups(CostParams(**REF), 10)
     assert sync_lim == pytest.approx(14.0 / (0.14 + 15.3), rel=1e-12)
     assert async_lim == pytest.approx(100.0, rel=1e-12)
     assert cross_lim == pytest.approx(1.0 + 15.3 / 0.14, rel=1e-12)
     with pytest.raises(UndefinedLimitError):
-        asymptotic_speedups(CostParams(p=4, fine_cost=1.0, coarse_cost=0.0, k=2))
+        asymptotic_speedups(CostParams(p=4, fine_cost=1.0, coarse_cost=0.0), 2)
 
 
 def test_fit_overhead_round_trip_frozen():
-    total = sync_cost(CostParams(k=10, **REF))
+    total = sync_cost(CostParams(**REF), 10)
     assert fit_overhead(total, 16, 10, 14.0, 0.14) == pytest.approx(1.53, rel=1e-12)
 
 
@@ -621,21 +619,20 @@ def test_fit_overhead_edges():
 
 
 def test_cost_model_edges():
-    params = CostParams(p=4, fine_cost=2.0, coarse_cost=0.5, overhead=1.0, k=0)
-    assert sync_cost(params) == pytest.approx(2.0)  # initialization only
+    params = CostParams(p=4, fine_cost=2.0, coarse_cost=0.5, overhead=1.0)
+    assert sync_cost(params, 0) == pytest.approx(2.0)  # initialization only
     with pytest.raises(ValueError):
-        sync_cost(CostParams(p=4, fine_cost=2.0, coarse_cost=0.5))
+        sync_cost(params, 5)
     with pytest.raises(ValueError):
-        sync_cost(CostParams(p=4, fine_cost=2.0, coarse_cost=0.5, k=5))
+        sync_cost(params, -1)
     with pytest.raises(ValueError):
-        async_cost(CostParams(p=4, fine_cost=2.0, coarse_cost=0.5))
+        async_cost(params, -1)
     with pytest.raises(ValueError):
         speedup_bound(CostParams(p=1, fine_cost=2.0, coarse_cost=0.5))
     with pytest.raises(UndefinedLimitError):
         speedup_bound(CostParams(p=4, fine_cost=0.0, coarse_cost=0.0))
     with pytest.raises(ValueError):
-        speedup_bound(CostParams(p=4, fine_cost=2.0, coarse_cost=0.5,
-                                 k=3, kappa=2))
+        speedup_achieved(params, 3, 2)
     with pytest.raises(ValueError):
         CostParams(p=0, fine_cost=1.0, coarse_cost=0.1)
     with pytest.raises(ValueError):
@@ -656,7 +653,7 @@ def test_fit_round_trip_property(p, k, fine, coarse, overhead):
     if k < 1 or denom <= 0.0:
         return
     total = sync_cost(CostParams(p=p, fine_cost=fine, coarse_cost=coarse,
-                                 overhead=overhead, k=k))
+                                 overhead=overhead), k)
     fitted = fit_overhead(total, p, k, fine, coarse)
     assert fitted == pytest.approx(overhead, rel=1e-9, abs=1e-12)
 
@@ -671,9 +668,8 @@ def test_zero_overhead_costs_coincide(p, k, fine, coarse):
     # without serialization overhead, matching activation counts make the
     # synchronous and asynchronous wall models identical
     k = min(k, p)
-    params = CostParams(p=p, fine_cost=fine, coarse_cost=coarse,
-                        overhead=0.0, k=k, kappa=k)
-    assert sync_cost(params) == pytest.approx(async_cost(params), rel=1e-12)
+    params = CostParams(p=p, fine_cost=fine, coarse_cost=coarse, overhead=0.0)
+    assert sync_cost(params, k) == pytest.approx(async_cost(params, k), rel=1e-12)
 
 
 @given(
@@ -686,7 +682,6 @@ def test_zero_overhead_costs_coincide(p, k, fine, coarse):
 )
 def test_achieved_never_exceeds_bound(p, k, extra, fine, coarse, overhead):
     k = min(k, p)
-    params = CostParams(p=p, fine_cost=fine, coarse_cost=coarse,
-                        overhead=overhead, k=k, kappa=k + extra)
-    report = speedup_bound(params)  # raises AssertionError on violation
-    assert report.achieved <= report.bound * (1.0 + 1e-12)
+    params = CostParams(p=p, fine_cost=fine, coarse_cost=coarse, overhead=overhead)
+    achieved = speedup_achieved(params, k, k + extra)  # raises AssertionError on violation
+    assert achieved <= speedup_bound(params) * (1.0 + 1e-12)
