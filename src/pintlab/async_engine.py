@@ -75,7 +75,8 @@ class EngineView(NamedTuple):
 
     k: int
     last_deltas: np.ndarray  # per component; +inf until the first update
-    drained: bool            # every sampled edge has consumed the newest version
+    drained: bool            # each edge's freshest sampled read is bitwise its source's
+                             # newest value; a component's read of itself always is
 
 
 def simulate_async(mapping: AsyncMapping, init: BlockVector,
@@ -114,17 +115,23 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     quiescent_streak = (schedule.delay_bound + 3) * schedule.window(p)
 
     def drained() -> bool:
-        # Each component's latest sampled reads must have seen the newest
-        # version of their sources, the freshest read counting per source; a
-        # component that never fired stands as having read version -1.
+        # Per (component, source), the freshest version the component's latest
+        # event read through a sampled slot must hold the bytes of the source's
+        # newest version (bytes, as AsyncTrace.append compares). A read of the
+        # component itself always counts as drained; one that never fired has
+        # drained nothing.
         for i, plan in plans.items():
-            latest = logged[i][-len(plan):] or [-1] * len(plan)
-            consumed: dict[int, int] = {}
-            for (source, base), version in zip(plan, latest):
-                if base is None:
-                    consumed[source] = max(consumed.get(source, -1), version)
-            if any(version != len(rows[src]) for src, version in consumed.items()):
+            if not rows[i]:
                 return False
+            consumed: dict[int, int] = {}
+            for (source, base), version in zip(plan, logged[i][-len(plan):]):
+                if base is None and source != i:
+                    consumed[source] = max(consumed.get(source, 0), version)
+            for src, version in consumed.items():
+                newest = len(rows[src])
+                if version != newest and (trace.version_value(src, version).tobytes()
+                                          != trace.version_value(src, newest).tobytes()):
+                    return False
         return True
 
     for k, (comp, lags) in enumerate(schedule.script(mapping)):

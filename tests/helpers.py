@@ -236,21 +236,22 @@ def replay_engine_views(trace, read_set) -> list[tuple[bool, np.ndarray]]:
     """(drained, last_deltas) after each event of an async trace, rebuilt
     from side tables kept next to the log.
 
-    Tables: a version counter per component; per (component, source), the
-    newest version consumed through a sampled slot at the component's most
-    recent event; and the list of sampled (component, source) edges. An
-    edge is drained once that consumed version is the source's current one;
-    a component that never fired has consumed nothing. Each delta is the
+    Tables: every value of every component, version by version; per
+    (component, source), the newest version consumed through a sampled slot
+    at the component's most recent event; and the list of sampled
+    (component, source) edges between distinct components. An edge is
+    drained once that consumed version's value has the bytes of the
+    source's current value; a component that never fired has drained
+    nothing, and its reads of itself are not edges. Each delta is the
     max-abs change of the produced value against the component's previous
     value.
     """
     p = trace.n_updatable
     persistent = trace.persistent_slots
-    versions = [0] * (p + 1)
+    history = [[block] for block in trace.initial.data]  # history[c][v]: version v of c
     last_consumed: dict[tuple[int, int], int] = {}
     sampled_edges = [(i, src) for i in range(1, p + 1)
-                     for src, slot in read_set[i] if slot not in persistent]
-    state = trace.initial.data.copy()
+                     for src, slot in read_set[i] if slot not in persistent and src != i]
     last_deltas = np.full(p + 1, np.inf)
     last_deltas[0] = 0.0
     views = []
@@ -261,11 +262,11 @@ def replay_engine_views(trace, read_set) -> list[tuple[bool, np.ndarray]]:
                 consumed[source] = max(consumed.get(source, 0), version)
         for source, version in consumed.items():
             last_consumed[(ev.component, source)] = version
-        versions[ev.component] += 1
-        last_deltas[ev.component] = float(np.max(np.abs(value - state[ev.component])))
-        state[ev.component] = value
-        drained = all(last_consumed.get((i, src)) == versions[src]
-                      for i, src in sampled_edges)
+        history[ev.component].append(value)
+        last_deltas[ev.component] = float(np.max(np.abs(value - history[ev.component][-2])))
+        drained = all(len(history[i]) > 1 for i in range(1, p + 1)) and all(
+            history[src][last_consumed[(i, src)]].tobytes() == history[src][-1].tobytes()
+            for i, src in sampled_edges)
         views.append((drained, last_deltas.copy()))
     return views
 

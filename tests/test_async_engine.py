@@ -380,12 +380,9 @@ def test_relaxation_demo_converges_with_threshold_stop():
     assert np.max(np.abs(final.data[1:, 0] - x_star)) < 1e-10
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: a self-read keeps drained False")
 def test_relaxation_demo_stops_on_the_predicate():
-    # the run of test_relaxation_demo_converges_with_threshold_stop, which
-    # converges but ends on quiescence: every component reads itself one
-    # version behind, so its threshold stop never fires (ROADMAP item 2)
+    # the run of test_relaxation_demo_converges_with_threshold_stop: every
+    # component reads itself one version behind, a read that drained exempts
     mapping, init = jacobi_pieces()
     sched = AsyncSchedule(seed=6, delay_bound=2)
     stop = lambda view: view.drained and float(np.max(view.last_deltas[1:])) < 1e-12

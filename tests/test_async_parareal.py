@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import pintlab.async_parareal
 import pintlab.parareal
-from pintlab.async_audit import update_counts, validate_schedule
+from pintlab.analysis import contraction_factors
+from pintlab.async_audit import async_error_envelope, update_counts, validate_schedule
 from pintlab.async_engine import AsyncMapping, simulate_async
 from pintlab.async_parareal import (
     FRESH_SLOT,
@@ -206,13 +207,11 @@ def test_epsilon_zero_means_no_threshold(heat_setups, monkeypatch):
         run_parareal(coarse, fine, ivp.u0, 3, epsilon=-1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the async epsilon stop never fires")
 def test_epsilon_stop_fires_on_the_heat_ladder(heat_setups):
     # heat1d n = p = 8, T = 1.6, epsilon 1e-6, seeds 1-2: every policy at D
-    # 1..3 and adversarial-stale at D 0. The drained rule compares version
-    # numbers and a stale read stays versions behind after the values stop
-    # changing, so all 20 runs end on quiescence; item 2's fix drops the marker
+    # 1..3 and adversarial-stale at D 0. A stale read stays versions behind
+    # after the values stop changing, so the drained rule compares the values
+    # read, not their version numbers, and all 20 runs stop on the predicate
     ivp, coarse, fine = heat_setups[8]
     cases = [(policy, d) for policy in POLICIES for d in (1, 2, 3)] + [(POLICY_ADVERSARIAL, 0)]
     schedules = [AsyncSchedule(seed=seed, delay_bound=d, policy=policy)
@@ -220,6 +219,27 @@ def test_epsilon_stop_fires_on_the_heat_ladder(heat_setups):
     reasons = [run_async_parareal(coarse, fine, ivp.u0, 8, sched, epsilon=1e-6).stop_reason
                for sched in schedules]
     assert reasons == [STOP_PREDICATE] * 20
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_epsilon_stop_fires_before_quiescence(heat_setups, policy, delay_bound, p, seed,
+                                              epsilon):
+    # heat1d n = 8: the epsilon stop ends the run on the predicate, before the
+    # same schedule at epsilon 0 reaches quiescence, on a valid schedule and
+    # with the staleness envelope holding up to the stop
+    ivp, coarse, fine = heat_setups[8]
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p, sched, epsilon=epsilon)
+    quiet = run_async_parareal(coarse, fine, ivp.u0, p, sched, epsilon=0.0)
+    assert trace.stop_reason == STOP_PREDICATE
+    assert trace.n_events < quiet.n_events
+    assert validate_schedule(trace).ok
+    report = contraction_factors(coarse, fine, p)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    assert async_error_envelope(trace, report, oracle).holds
 
 
 @pytest.mark.parametrize("run", [

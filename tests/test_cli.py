@@ -434,7 +434,7 @@ def test_horizon_stopped_run_writes_its_partial_trace(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, horizon_events, stops", [
-    ({}, 5, ["threshold", "stop-predicate", "quiescence", "horizon"]),
+    ({}, 5, ["threshold", "stop-predicate", "stop-predicate", "horizon"]),
     ({"epsilon": 0.0, "k_max": 2, "schedules": [{"seed": 1, "delay_bound": 1}]}, None,
      ["k_max", "quiescence"]),
     ({"p": 3}, None, ["exact", "stop-predicate", "stop-predicate"]),
