@@ -198,7 +198,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     Schema (top level): label, problem, p, fine, coarse, epsilon,
     optional k_max, optional norm ("spectral"|"infinity"), optional
-    schedules (list), optional costs {fine_cost, coarse_cost, overhead}.
+    schedules (list), optional costs {fine_cost, coarse_cost, overhead},
+    where fine_cost and coarse_cost may not both be 0.
     An unknown field at any level is a ConfigError.
 
     Three sizes and two of their products are capped so that a config
@@ -262,12 +263,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         return None if v is None else float(v)
     _reject_unknown(raw, ("label", "problem", "p", "fine", "coarse", "epsilon", "k_max",
                           "norm", "schedules", "costs"), "config")
+    fine_cost, coarse_cost = cost_field("fine_cost"), cost_field("coarse_cost")
+    if fine_cost == coarse_cost == 0.0:
+        raise ConfigError("config.costs: fine_cost and coarse_cost are both 0, so every "
+                          "activation costs 0 and the speedup is undefined")
     return ExperimentConfig(
         label=label, ivp=ivp, p=p, fine=fine, coarse=coarse,
         epsilon=float(epsilon), k_max=k_max, norm_kind=norm_kind,
-        schedules=schedules,
-        fine_cost=cost_field("fine_cost"),
-        coarse_cost=cost_field("coarse_cost"),
+        schedules=schedules, fine_cost=fine_cost, coarse_cost=coarse_cost,
         overhead=cost_field("overhead"),
     )
 

@@ -128,6 +128,8 @@ def read_summary(out: Path):
     lambda c: c["coarse"].update(theta=0.5),
     lambda c: c.update(costs={"fine_cots": 2.0}),
     lambda c: c.update(problem={"name": "heat1d", "n_interior": 0}),
+    # every activation would cost 0 solve units: the speedup is undefined
+    lambda c: c.update(costs={"fine_cost": 0, "coarse_cost": 0}),
 ])
 def test_invalid_configs_rejected(mutate):
     cfg = base_config()
@@ -172,6 +174,7 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     ([], []),  # a top level that is no object
     (base_config(fine={"rule": "trapezoidal", "steps": 2, "stepz": 3}), []),  # a typo
     (base_config(costs={"fine_cots": 2.0}), []),
+    (base_config(costs={"fine_cost": 0, "coarse_cost": 0.0}), []),  # an undefined speedup
 ])
 def test_rejected_values_exit_one(tmp_path, capsys, cfg, extra):
     rc, out = run_cli(tmp_path, cfg, extra=extra)
