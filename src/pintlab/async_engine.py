@@ -115,11 +115,10 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     quiescent_streak = (schedule.delay_bound + 3) * schedule.window(p)
 
     def drained() -> bool:
-        # Per (component, source), the freshest version the component's latest
-        # event read through a sampled slot must hold the bytes of the source's
-        # newest version (bytes, as AsyncTrace.append compares). A read of the
-        # component itself always counts as drained; one that never fired has
-        # drained nothing.
+        # Per (component, source), the freshest version that the component's
+        # latest event read through a sampled slot must have the bytes of the
+        # source's newest version. A component's read of itself counts as
+        # drained, and a component that never fired has drained nothing.
         for i, plan in plans.items():
             if not rows[i]:
                 return False
