@@ -20,7 +20,7 @@ _EXPORTS = {name: module for module, names in {
         check_finite_termination envelope_steps update_counts validate_schedule""",
     "async_engine": "AsyncMapping EngineView simulate_async",
     "async_log": "AsyncTrace UpdateRecord",
-    "async_parareal": "async_parareal_mapping async_stop_check run_async_parareal",
+    "async_parareal": "async_parareal_mapping run_async_parareal",
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError
         HorizonExhausted SingularMatrixError SingularSystemError
         UndefinedLimitError UnfittableError""",

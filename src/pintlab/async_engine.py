@@ -75,8 +75,13 @@ class EngineView(NamedTuple):
 
     k: int
     last_deltas: np.ndarray  # per component; +inf until the first update
-    drained: bool            # each edge's freshest sampled read is bitwise its source's
-                             # newest value; a component's read of itself always is
+    drain_check: Callable[[], bool]
+
+    @property
+    def drained(self) -> bool:
+        """Each edge's freshest sampled read is bitwise its source's newest value
+        (a self-read always is); checked on each read, against the trace as it stands."""
+        return self.drain_check()
 
 
 def simulate_async(mapping: AsyncMapping, init: BlockVector,
@@ -127,9 +132,8 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
                 if base is None and source != i:
                     consumed[source] = max(consumed.get(source, 0), version)
             for src, version in consumed.items():
-                newest = len(rows[src])
-                if version != newest and (trace.version_value(src, version).tobytes()
-                                          != trace.version_value(src, newest).tobytes()):
+                if (trace.version_value(src, version).tobytes()
+                        != trace.version_value(src, len(rows[src])).tobytes()):
                     return False
         return True
 
@@ -163,7 +167,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         if zero_streak >= quiescent_streak:
             trace.stop_reason = STOP_QUIESCENCE
             return trace
-        if stop is not None and stop(EngineView(k, last_deltas.copy(), drained())):
+        if stop is not None and stop(EngineView(k, last_deltas.copy(), drained)):
             trace.stop_reason = STOP_PREDICATE
             return trace
 

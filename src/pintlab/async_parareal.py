@@ -44,35 +44,25 @@ def async_parareal_mapping(coarse: AffinePropagator, fine: AffinePropagator,
                         persistent_slots={REMEMBERED_SLOT: FRESH_SLOT})
 
 
-def async_stop_check(worker_deltas, epsilon: float, drained: bool) -> bool:
-    """Thresholded stop: every worker's last change strictly below epsilon
-    and no newer version still unseen by its consumer."""
-    if not epsilon > 0.0:  # NaN compares False both ways
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    deltas = np.asarray(worker_deltas, dtype=float)
-    return bool(drained and float(np.max(deltas)) < epsilon)
-
-
 def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
                        p: int, schedule: AsyncSchedule,
-                       epsilon: float | None = None) -> AsyncTrace:
+                       epsilon: float = 0.0) -> AsyncTrace:
     """Simulate the asynchronous iteration from the coarse initialization.
 
     With a positive epsilon, stops once all per-worker last-update changes
-    are strictly below it and the read edges are drained; with epsilon None
-    or 0 the run continues to exact quiescence (a full fairness window
-    without any bitwise change), which the finite-termination property
-    guarantees at desk scale. A negative or NaN epsilon raises before the run.
+    are strictly below it and the read edges are drained; with epsilon 0
+    the run continues to exact quiescence (a full fairness window without
+    any bitwise change), which the finite-termination property guarantees
+    at desk scale. A negative or NaN epsilon raises before the run.
     """
-    if epsilon is not None and not epsilon >= 0.0:  # NaN compares False both ways
+    if not epsilon >= 0.0:  # NaN compares False both ways
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     mapping = async_parareal_mapping(coarse, fine, p)
     init = coarse_init(coarse, u0, p)
-    stop = None
-    if epsilon:
-        eps = float(epsilon)
+    eps = float(epsilon)
 
-        def stop(view: EngineView) -> bool:
-            return async_stop_check(view.last_deltas[1:], eps, view.drained)
+    def stop(view: EngineView) -> bool:
+        # the drain check walks every read plan, so it runs only below eps
+        return float(np.max(view.last_deltas[1:])) < eps and view.drained
 
-    return simulate_async(mapping, init, schedule, stop=stop)
+    return simulate_async(mapping, init, schedule, stop=stop if eps else None)

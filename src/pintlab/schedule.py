@@ -90,12 +90,14 @@ class AsyncSchedule:
                 # Random pick unless some component is close to missing its
                 # fairness deadline. The least recently fired component has
                 # the earliest deadline, so it is critical whenever any
-                # component is; last_fired values are distinct, so it is unique.
-                oldest = min(last_fired, key=last_fired.__getitem__)
+                # component is; last_fired is kept in firing order, so it is
+                # the first key.
+                oldest = next(iter(last_fired))
                 if last_fired[oldest] + window - k < p:
                     comp = oldest
                 else:
                     comp = rng.integers(1, p + 1)
+                del last_fired[comp]
                 last_fired[comp] = k
             # lists: each tuple() of a generator would park a 1-tuple in CPython's free list
             if self.policy == POLICY_ADVERSARIAL or bound == 0:

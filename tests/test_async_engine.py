@@ -18,7 +18,7 @@ from pintlab.async_audit import (
     validate_schedule,
 )
 from pintlab.async_engine import AsyncMapping, simulate_async
-from pintlab.async_log import CHUNK_ROWS, UpdateRecord
+from pintlab.async_log import CHUNK_ROWS, AsyncTrace, UpdateRecord
 from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
 from pintlab.errors import DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector, NormKind
@@ -141,10 +141,10 @@ def test_different_seeds_differ(heat_setups):
        st.integers(min_value=0, max_value=2))
 @example(64, 3, 1, 1)
 def test_deadline_pick_matches_full_scan(p, delay_bound, seed, draws):
-    # one min over last_fired picks what the per-event scan of every
-    # component's deadline picks, staleness draws interleaved: each
-    # component has `draws` sampled slots, and a persisted one that draws
-    # nothing
+    # the first key of last_fired, kept in firing order, picks what the
+    # per-event scan of every component's deadline picks, staleness draws
+    # interleaved: each component has `draws` sampled slots, and a persisted
+    # one that draws nothing
     persistent = {draws + 1: 1} if draws else {}
     read_set = {i: tuple((i - 1, slot) for slot in [*range(1, draws + 1), *persistent])
                 for i in range(1, p + 1)}
@@ -517,6 +517,22 @@ def test_engine_views_match_side_table_replay(heat_setups, kind, policy,
     for (k, drained, deltas), (want_drained, want_deltas) in zip(seen, want):
         assert drained == want_drained, k
         assert np.array_equal(deltas, want_deltas), k
+
+
+def test_drain_check_runs_only_when_read(heat_setups, monkeypatch):
+    # a predicate that never reads view.drained costs no drain walk: each
+    # event reads its two inputs and its own current value from the log,
+    # and nothing else does
+    ivp, coarse, fine = heat_setups[4]
+    mapping = async_parareal_mapping(coarse, fine, 4)
+    calls = []
+    version_value = AsyncTrace.version_value
+    monkeypatch.setattr(AsyncTrace, "version_value",
+                        lambda trace, *args: calls.append(args) or version_value(trace, *args))
+    trace = simulate_async(mapping, coarse_init(coarse, ivp.u0, 4),
+                           AsyncSchedule(seed=1, delay_bound=2), stop=lambda v: v.k >= 40)
+    assert trace.n_events == 41
+    assert len(calls) == 3 * 41
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -16,7 +16,6 @@ from pintlab.async_parareal import (
     FRESH_SLOT,
     REMEMBERED_SLOT,
     async_parareal_mapping,
-    async_stop_check,
     run_async_parareal,
 )
 from pintlab.errors import HorizonExhausted
@@ -42,7 +41,7 @@ from pintlab.schedule import (
     AsyncSchedule,
 )
 
-from helpers import ReplaySchedule, nth_iterate, trace_values
+from helpers import ReplaySchedule, nth_iterate, replay_engine_views, trace_values
 
 
 def _read_values(trace, ev):
@@ -141,16 +140,6 @@ def test_remembered_slot_replays_previous_fresh_read(heat_setups):
         prev_fresh[ev.component] = reads[FRESH_SLOT]
 
 
-def test_stop_check_edges():
-    assert async_stop_check([1e-7, 2e-7], epsilon=1e-6, drained=True)
-    assert not async_stop_check([1e-6, 2e-7], epsilon=1e-6, drained=True)  # strict
-    assert not async_stop_check([1e-9], epsilon=1e-6, drained=False)
-    with pytest.raises(ValueError):
-        async_stop_check([0.0], epsilon=0.0, drained=True)
-    with pytest.raises(ValueError):
-        async_stop_check([0.0], epsilon=-1.0, drained=True)
-
-
 def test_zero_delay_round_robin_reduces_to_sync_sweep():
     # with no staleness and cyclic order, each cycle of p events reproduces
     # one synchronous sweep bitwise, and the event count per worker matches
@@ -242,12 +231,32 @@ def test_epsilon_stop_fires_before_quiescence(heat_setups, policy, delay_bound, 
     assert async_error_envelope(trace, report, oracle).holds
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(POLICIES), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**16),
+       st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_epsilon_stop_is_the_first_qualifying_event(heat_setups, policy, delay_bound, p,
+                                                    seed, epsilon):
+    # heat1d n = 8: the run stops at the first event whose side-table view is
+    # drained with every worker's last change strictly below epsilon; at
+    # epsilon equal to that event's largest change, it runs past it
+    ivp, coarse, fine = heat_setups[8]
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p, sched, epsilon=epsilon)
+    assert trace.stop_reason == STOP_PREDICATE
+    views = replay_engine_views(trace, trace.read_set)
+    largest = [float(np.max(deltas[1:])) for _, deltas in views]
+    qualifying = [k for k, (drained, _) in enumerate(views) if drained and largest[k] < epsilon]
+    assert qualifying[0] == trace.n_events - 1
+    tight = _async_run(coarse, fine, ivp.u0, p, sched, largest[-1])
+    assert tight.n_events > trace.n_events
+
+
 @pytest.mark.parametrize("run", [
     lambda coarse, fine, u0: run_parareal(coarse, fine, u0, 3, epsilon=math.nan),
     lambda coarse, fine, u0: run_async_parareal(
         coarse, fine, u0, 3, AsyncSchedule(seed=2, delay_bound=1), epsilon=math.nan),
-    lambda coarse, fine, u0: async_stop_check([0.0], epsilon=math.nan, drained=True),
-], ids=["run_parareal", "run_async_parareal", "async_stop_check"])
+], ids=["run_parareal", "run_async_parareal"])
 def test_nan_epsilon_raises(heat_setups, run):
     # NaN fails every comparison, so a sign test alone lets it through
     ivp, coarse, fine = heat_setups[4]
