@@ -18,7 +18,7 @@ _EXPORTS = {name: module for module, names in {
         speedup_achieved speedup_bound sync_convergence_check sync_cost""",
     "async_audit": """EnvelopeCheck ScheduleValidation async_error_envelope
         check_finite_termination envelope_steps update_counts validate_schedule""",
-    "async_engine": "AsyncMapping EngineView simulate_async",
+    "async_engine": "AsyncMapping simulate_async",
     "async_log": "AsyncTrace UpdateRecord",
     "async_parareal": "async_parareal_mapping run_async_parareal",
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError

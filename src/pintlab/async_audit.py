@@ -143,7 +143,7 @@ class EnvelopeCheck(NamedTuple):
 
     sigma_final: float  # global depth after the last event; +inf once saturated
     bound_final: float  # the error bound at that depth
-    holds: bool         # every state's error <= its bound * ENVELOPE_SLACK
+    holds: bool         # every state's error is finite and <= its bound * ENVELOPE_SLACK
 
 
 def envelope_steps(trace: AsyncTrace, report: ContractionReport,
@@ -224,10 +224,10 @@ def envelope_steps(trace: AsyncTrace, report: ContractionReport,
 def async_error_envelope(trace: AsyncTrace, report: ContractionReport,
                          fixed_point: BlockVector) -> EnvelopeCheck:
     """Walk ``envelope_steps`` to the end and return its verdict: the final
-    depth and bound, and whether every error stayed within its bound."""
+    depth and bound, and whether every error stayed finite and within its bound."""
     holds = True
     for depth, bound, error in envelope_steps(trace, report, fixed_point):
-        holds = holds and error <= bound * ENVELOPE_SLACK
+        holds = holds and error <= bound * ENVELOPE_SLACK and math.isfinite(error)
     return EnvelopeCheck(depth, bound, holds)
 
 

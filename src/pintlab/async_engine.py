@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -70,30 +70,22 @@ class AsyncMapping:
                           for i, plan in self.plans.items()}
 
 
-class EngineView(NamedTuple):
-    """What a stop predicate sees after each event."""
-
-    k: int
-    last_deltas: np.ndarray  # per component; +inf until the first update
-    drain_check: Callable[[], bool]
-
-    @property
-    def drained(self) -> bool:
-        """Each edge's freshest sampled read is bitwise its source's newest value
-        (a self-read always is); checked on each read, against the trace as it stands."""
-        return self.drain_check()
-
-
-def simulate_async(mapping: AsyncMapping, init: BlockVector,
-                   schedule: AsyncSchedule,
-                   stop: Callable[[EngineView], bool] | None = None) -> AsyncTrace:
+def simulate_async(mapping: AsyncMapping, init: BlockVector, schedule: AsyncSchedule,
+                   stop: Callable[[int, np.ndarray, Callable[[], bool]], bool] | None = None
+                   ) -> AsyncTrace:
     """Run the event loop until a stop condition fires.
 
-    Halts when the caller's stop predicate returns True, or at exact
-    quiescence. Exhausting the schedule's script (max_events events) first
-    sets stop_reason to STOP_HORIZON and raises HorizonExhausted carrying
-    the partial trace. Every read is served from the trace being built, so
-    the returned log is exactly what each event consumed.
+    Halts when stop(k, last_deltas, drained) returns True after event k, or
+    at exact quiescence. last_deltas is a copy of each component's last
+    change, +inf until its first update. drained() is True when, for each
+    edge, the freshest version its reader's latest event took through a
+    sampled slot has the bytes of the source's newest value; a self-read
+    always is drained, a component that never fired has drained nothing,
+    and the check walks the read plans only when called. Exhausting the
+    schedule's script (max_events events) first sets stop_reason to
+    STOP_HORIZON and raises HorizonExhausted carrying the partial trace.
+    Every read is served from the trace being built, so the returned log is
+    exactly what each event consumed.
 
     Quiescence means no admissible pending read could change any component.
     A single fair window of bitwise-unchanged values is not enough to
@@ -119,11 +111,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
     zero_streak = 0
     quiescent_streak = (schedule.delay_bound + 3) * schedule.window(p)
 
-    def drained() -> bool:
-        # Per (component, source), the freshest version that the component's
-        # latest event read through a sampled slot must have the bytes of the
-        # source's newest version. A component's read of itself counts as
-        # drained, and a component that never fired has drained nothing.
+    def drained() -> bool:  # the rule in the docstring
         for i, plan in plans.items():
             if not rows[i]:
                 return False
@@ -167,7 +155,7 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector,
         if zero_streak >= quiescent_streak:
             trace.stop_reason = STOP_QUIESCENCE
             return trace
-        if stop is not None and stop(EngineView(k, last_deltas.copy(), drained)):
+        if stop is not None and stop(k, last_deltas.copy(), drained):
             trace.stop_reason = STOP_PREDICATE
             return trace
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .async_engine import AsyncMapping, EngineView, simulate_async
+from .async_engine import AsyncMapping, simulate_async
 from .async_log import AsyncTrace
 from .model import AffinePropagator
 from .parareal import coarse_init, parareal_update
@@ -61,8 +61,8 @@ def run_async_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0,
     init = coarse_init(coarse, u0, p)
     eps = float(epsilon)
 
-    def stop(view: EngineView) -> bool:
+    def stop(k: int, deltas: np.ndarray, drained) -> bool:
         # the drain check walks every read plan, so it runs only below eps
-        return float(np.max(view.last_deltas[1:])) < eps and view.drained
+        return float(np.max(deltas[1:])) < eps and drained()
 
     return simulate_async(mapping, init, schedule, stop=stop if eps else None)

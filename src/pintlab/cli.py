@@ -32,7 +32,7 @@ from .analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from .errors import ConfigError, HorizonExhausted, UnfittableError, echo
+from .errors import ConfigError, HorizonExhausted, SingularSystemError, UnfittableError, echo
 from .linalg import BlockVector, NormKind, max_block_norm
 from .model import (
     AffinePropagator,
@@ -352,6 +352,15 @@ def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
     return run_entry
 
 
+def _build_propagator(ivp: LinearIVP, span: float, spec: PropagatorSpec,
+                      where: str) -> AffinePropagator:
+    """The spec's propagator over span; a singular implicit step is a ConfigError."""
+    try:
+        return PROPAGATOR_RULES[spec.rule](ivp, span, spec.steps)
+    except SingularSystemError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                    write_traces: bool = False) -> tuple[dict, int]:
     """Execute every run in the config and write report.json + summary.csv.
@@ -359,19 +368,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     Returns (report, exit_code); exit code 2 flags at least one run that
     stopped without converging (iteration cap or event horizon).
     """
+    ivp = config.ivp
+    p = config.p
+    span = ivp.t_final / p
+    fine = _build_propagator(ivp, span, config.fine, "config.fine")
+    coarse = _build_propagator(ivp, span, config.coarse, "config.coarse")
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces_dir = out / "traces" if write_traces else None
     if traces_dir is not None:
         traces_dir.mkdir(exist_ok=True)
-
-    ivp = config.ivp
-    p = config.p
-    span = ivp.t_final / p
-    fine_rule = PROPAGATOR_RULES[config.fine.rule]
-    coarse_rule = PROPAGATOR_RULES[config.coarse.rule]
-    fine = fine_rule(ivp, span, config.fine.steps)
-    coarse = coarse_rule(ivp, span, config.coarse.steps)
 
     fine_cost = config.fine_cost if config.fine_cost is not None else fine.cost_units
     coarse_cost = (

@@ -336,11 +336,12 @@ def test_envelope_running_max_equals_plain_max(initial, writes):
 
 def _reduced_replay(trace, report, fixed):
     """The envelope's verdict from the version-counter replay and the
-    whole-state errors, under the library's slack."""
+    whole-state errors, under the library's slack; a non-finite error fails."""
     depths, bounds = replay_envelope(trace, report, fixed)
     errors = state_errors(trace, fixed, report.norm_kind)
     return EnvelopeCheck(float(depths[-1]), float(bounds[-1]),
-                         bool((errors <= bounds * ENVELOPE_SLACK).all()))
+                         bool((errors <= bounds * ENVELOPE_SLACK).all()
+                              and np.isfinite(errors).all()))
 
 
 @settings(deadline=None, max_examples=60)
@@ -379,6 +380,28 @@ def test_envelope_verdict_of_a_saturated_run(heat_setups):
     check = async_error_envelope(trace, report, shifted)
     assert check == EnvelopeCheck(math.inf, 0.0, False)
     assert check == _reduced_replay(trace, report, shifted)
+
+
+def test_envelope_fails_when_block_norms_overflow():
+    # a 1e200 rod overflows the spectral block norms: in 163 of the 284
+    # states the error and its bound are both +inf, and inf <= inf must not
+    # pass for a measured error
+    p = 8
+    ivp = heat1d_system(n_interior=8, length=1.0, boundary_left=23.0, boundary_right=23.0,
+                        initial_temp=1e200, t_final=1.6)
+    coarse = backward_euler_propagator(ivp, ivp.t_final / p, 1)
+    fine = trapezoidal_propagator(ivp, ivp.t_final / p, 100)
+    trace = run_async_parareal(coarse, fine, ivp.u0, p, AsyncSchedule(seed=1, delay_bound=2))
+    report = contraction_factors(coarse, fine, p)
+    oracle = sequential_fine_solve(fine, ivp.u0, p)
+    assert report.async_factor < 1.0
+    with np.errstate(over="ignore"):
+        steps = list(async_audit.envelope_steps(trace, report, oracle))
+        check = async_error_envelope(trace, report, oracle)
+        assert check == _reduced_replay(trace, report, oracle)
+    assert len(steps) == 284
+    assert sum(math.isinf(bound) and math.isinf(error) for _, bound, error in steps) == 163
+    assert check == EnvelopeCheck(math.inf, 0.0, False)
 
 
 def test_post_hoc_memory_does_not_grow_with_event_columns():

@@ -356,7 +356,7 @@ def test_zero_delay_round_robin_is_gauss_seidel():
     mapping, init = jacobi_pieces()
     sched = AsyncSchedule(seed=0, delay_bound=0, policy=POLICY_ROUND_ROBIN)
     n_sweeps = 6
-    stop = lambda view: view.k + 1 >= 2 * n_sweeps
+    stop = lambda k, deltas, drained: k + 1 >= 2 * n_sweeps
     trace = simulate_async(mapping, init, sched, stop=stop)
     x = np.zeros(2)
     states = []
@@ -374,7 +374,7 @@ def test_relaxation_demo_converges_with_threshold_stop():
     mapping, init = jacobi_pieces()
     x_star = relaxation_solution(JACOBI_A, JACOBI_B)
     sched = AsyncSchedule(seed=6, delay_bound=2)
-    stop = lambda view: view.drained and float(np.max(view.last_deltas[1:])) < 1e-12
+    stop = lambda k, deltas, drained: drained() and float(np.max(deltas[1:])) < 1e-12
     trace = simulate_async(mapping, init, sched, stop=stop)
     final = trace.state_after(len(trace.events) - 1)
     assert np.max(np.abs(final.data[1:, 0] - x_star)) < 1e-10
@@ -385,7 +385,7 @@ def test_relaxation_demo_stops_on_the_predicate():
     # component reads itself one version behind, a read that drained exempts
     mapping, init = jacobi_pieces()
     sched = AsyncSchedule(seed=6, delay_bound=2)
-    stop = lambda view: view.drained and float(np.max(view.last_deltas[1:])) < 1e-12
+    stop = lambda k, deltas, drained: drained() and float(np.max(deltas[1:])) < 1e-12
     assert simulate_async(mapping, init, sched, stop=stop).stop_reason == STOP_PREDICATE
 
 
@@ -499,8 +499,8 @@ def test_engine_views_match_side_table_replay(heat_setups, kind, policy,
         mapping, init = _two_sampled_slots_mapping(p)
     seen = []
 
-    def record(view):
-        seen.append((view.k, view.drained, view.last_deltas))
+    def record(k, deltas, drained):
+        seen.append((k, drained(), deltas))
         return False
 
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy,
@@ -520,7 +520,7 @@ def test_engine_views_match_side_table_replay(heat_setups, kind, policy,
 
 
 def test_drain_check_runs_only_when_read(heat_setups, monkeypatch):
-    # a predicate that never reads view.drained costs no drain walk: each
+    # a predicate that never calls drained costs no drain walk: each
     # event reads its two inputs and its own current value from the log,
     # and nothing else does
     ivp, coarse, fine = heat_setups[4]
@@ -530,7 +530,8 @@ def test_drain_check_runs_only_when_read(heat_setups, monkeypatch):
     monkeypatch.setattr(AsyncTrace, "version_value",
                         lambda trace, *args: calls.append(args) or version_value(trace, *args))
     trace = simulate_async(mapping, coarse_init(coarse, ivp.u0, 4),
-                           AsyncSchedule(seed=1, delay_bound=2), stop=lambda v: v.k >= 40)
+                           AsyncSchedule(seed=1, delay_bound=2),
+                           stop=lambda k, deltas, drained: k >= 40)
     assert trace.n_events == 41
     assert len(calls) == 3 * 41
 
@@ -586,7 +587,7 @@ def test_overflowing_delta_of_finite_values_is_logged():
     with np.errstate(over="ignore"):
         trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
                                AsyncSchedule(seed=0, delay_bound=0),
-                               stop=lambda view: view.k >= 1)
+                               stop=lambda k, deltas, drained: k >= 1)
     assert list(trace_deltas(trace)) == [1e308, np.inf]
 
 
@@ -719,7 +720,7 @@ def test_log_keeps_a_copy_of_each_value():
     mapping = AsyncMapping(eval_fn=count_up, read_set={1: ((1, 1),)})
     trace = simulate_async(mapping, BlockVector(np.zeros((2, 1))),
                            AsyncSchedule(seed=0, delay_bound=0),
-                           stop=lambda view: view.k >= 4)
+                           stop=lambda k, deltas, drained: k >= 4)
     assert [float(v[0]) for v in trace_values(trace)] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
@@ -773,7 +774,7 @@ def test_log_records_what_each_event_read_and_produced(policy, delay_bound, p, s
     # base sits in the read order
     mapping, init, seen = _recording_mapping(p, 3, layout)
     sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy)
-    stop = lambda view: view.k + 1 >= n_events
+    stop = lambda k, deltas, drained: k + 1 >= n_events
     trace = simulate_async(mapping, init, sched, stop=stop)
     events, values = trace.events, trace_values(trace)
     assert len(events) == len(values) == len(seen) == n_events
@@ -816,7 +817,7 @@ def test_values_agree_across_chunk_boundaries():
     p, dim, n_events = 3, 3, 4 * CHUNK_ROWS + 2
     mapping, init, seen = _recording_mapping(p, dim)
     trace = simulate_async(mapping, init, AsyncSchedule(seed=5, delay_bound=1),
-                           stop=lambda view: view.k + 1 >= n_events)
+                           stop=lambda k, deltas, drained: k + 1 >= n_events)
     blocks = list(value_blocks(trace))
     assert [len(rows) for _, rows in blocks] == [CHUNK_ROWS] * 4 + [2]
     assert [c for fired, _ in blocks for c in fired] == [c for c, _, _ in seen]

@@ -167,13 +167,6 @@ def test_zero_delay_round_robin_reduces_to_sync_sweep():
         assert np.array_equal(state.data, sweep.data), cycle
 
 
-def test_epsilon_none_means_quiescence_only(heat_setups):
-    ivp, coarse, fine = heat_setups[4]
-    trace = run_async_parareal(coarse, fine, ivp.u0, 3,
-                               AsyncSchedule(seed=2, delay_bound=1))
-    assert trace.stop_reason == "quiescence"
-
-
 def test_epsilon_zero_means_no_threshold(heat_setups, monkeypatch):
     # as in run_parareal, epsilon 0 sets no threshold: the run is the
     # default one, bit for bit

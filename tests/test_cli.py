@@ -337,6 +337,17 @@ def test_inline_problem_accepted():
     assert parsed.ivp.label == "inline"
 
 
+def test_singular_implicit_step_exits_one(tmp_path, capsys):
+    # dt = 1/8 makes the coarse backward-Euler system I - dt A exactly zero
+    cfg = base_config(problem={"A": [[8.0]], "c": [0.0], "u0": [1.0], "T": 1.0})
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.coarse: implicit step with dt=0.125 ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- run path
 
 def test_run_writes_artifacts_and_exits_zero(tmp_path):
@@ -353,6 +364,18 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path):
     traces = sorted(p.name for p in (out / "traces").iterdir())
     assert "demo-sync.json" in traces
     assert any(name.startswith("demo-round-robin") for name in traces)
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "pintlab", "run", "--config",
+                           str(write_config(tmp_path, base_config(p=4))), "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["exit_code"] == 0
 
 
 def test_runs_are_byte_deterministic(tmp_path):
@@ -673,8 +696,10 @@ def test_benchmark_tracer_names_resolve(tmp_path):
     # the two update leaves must stay on the hot paths: a sweep or a mapping
     # that stops calling the wrapped parareal_update would read 0 here, and so
     # would an async run that calls the audit, the envelope or the termination
-    # scan by a name other than pintlab.cli's module globals
+    # scan by a name other than pintlab.cli's module globals; the config's
+    # epsilon of 1e-5 makes every event call the wrapped stop predicate
     for name in ("model.fold_s", "async_engine.events", "parareal.sweeps",
                  "async_parareal.eval_s", "parareal.update_s", "async_engine.validate_s",
-                 "analysis.envelope_s", "analysis.termination_s"):
+                 "analysis.envelope_s", "analysis.termination_s",
+                 "async_parareal.stop_checks"):
         assert per_layer[name] > 0, name
