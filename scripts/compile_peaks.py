@@ -11,7 +11,9 @@ from a fresh interpreter, so no module's measurement depends on another's.
 "sync" means a run without schedules loads the module (and so does every
 async run); "async" means only a run with a schedule does. The two probe
 runs use the scalar-decay problem with p = 4, and the async one a single
-round-robin schedule.
+round-robin schedule. ``LIMITS`` holds the compile-peak limits that the
+tier-1 test enforces; each limited module's line shows its limit and the
+headroom left under it.
 
 Usage:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -44,6 +47,15 @@ from pintlab.cli import parse_config, run_experiment
 run_experiment(parse_config(json.loads(sys.argv[1])), sys.argv[2])
 print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "pintlab")))
 """
+
+# Compile-peak limits, as (comparison, KiB): a module's peak must compare
+# true against its limit. "async" covers every module only an async run loads.
+LIMITS = {
+    "pintlab.analysis": (operator.lt, 500),
+    "pintlab.cli": (operator.le, 1400),
+    "async": (operator.le, 650),
+}
+SYMBOLS = {operator.lt: "<", operator.le: "<="}
 
 CONFIG = {
     "label": "probe",
@@ -85,12 +97,17 @@ def main(argv: list[str] | None = None) -> int:
     sync = loaded_modules(CONFIG, src)
     both = loaded_modules({**CONFIG, "schedules": [SCHEDULE]}, src)
 
-    print(f"{'module':<20} {'bytes':>7} {'compile peak KiB':>17}  loaded by")
+    print(f"{'module':<20} {'bytes':>7} {'compile peak KiB':>17}  {'loaded by':<9} "
+          f"{'limit KiB':>9} {'headroom KiB':>12}")
     for path in sorted((src / "pintlab").glob("*.py")):
         name = "pintlab" if path.stem == "__init__" else f"pintlab.{path.stem}"
-        peak = compile_peak(path, src)
+        peak = compile_peak(path, src) / 1024
         runs = "sync" if name in sync else "async" if name in both else "neither"
-        print(f"{path.name:<20} {path.stat().st_size:>7} {peak / 1024:>17.1f}  {runs}")
+        line = f"{path.name:<20} {path.stat().st_size:>7} {peak:>17.1f}  {runs:<9}"
+        compare, limit = LIMITS.get(name) or LIMITS.get(runs) or (None, None)
+        if compare is not None:
+            line += f" {SYMBOLS[compare] + ' ' + str(limit):>9} {limit - peak:>12.1f}"
+        print(line.rstrip())
     return 0
 
 

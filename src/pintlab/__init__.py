@@ -22,7 +22,7 @@ _EXPORTS = {name: module for module, names in {
     "async_log": "AsyncTrace UpdateRecord",
     "async_parareal": "async_parareal_mapping run_async_parareal",
     "errors": """ConfigError DegenerateProblemError DimensionError EnvelopeUndefinedError
-        HorizonExhausted SingularMatrixError SingularSystemError
+        HorizonExhausted SingularMatrixError SingularSystemError SweepOverflowError
         UndefinedLimitError UnfittableError""",
     "linalg": "BlockVector NormKind max_block_norm operator_norm",
     "model": """AffinePropagator LinearIVP PROPAGATOR_RULES backward_euler_propagator

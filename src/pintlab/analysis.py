@@ -14,10 +14,11 @@ worker activation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .errors import UndefinedLimitError, UnfittableError
+from .errors import ConfigError, UndefinedLimitError, UnfittableError
 from .linalg import NormKind, operator_norm
 from .model import AffinePropagator
 
@@ -53,7 +54,13 @@ def factors_from_norms(coarse_norm: float, defect_norm: float, p: int,
     if coarse_norm == 1.0:
         sync_factor = p * defect_norm
     else:
-        sync_factor = (1.0 - coarse_norm ** p) / (1.0 - coarse_norm) * defect_norm
+        try:
+            sync_factor = (1.0 - coarse_norm ** p) / (1.0 - coarse_norm) * defect_norm
+        except OverflowError:  # a float power raises where a product gives inf
+            sync_factor = math.inf
+    if not math.isfinite(sync_factor):
+        raise ConfigError(f"config.p: coarse norm {coarse_norm:.6g} to the power p={p} "
+                          f"overflows the sync factor")
     return ContractionReport(
         coarse_norm=float(coarse_norm),
         defect_norm=float(defect_norm),

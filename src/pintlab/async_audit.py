@@ -36,15 +36,15 @@ def from_records(records: Iterable[UpdateRecord], values: Iterable,
     checks of events recorded elsewhere; every record comes back unchanged
     from ``events``. A record is any (component, reads, delta) triple.
 
-    Components and read sources must lie in 0..n_updatable, every record
-    of a component must read the (source, slot) pairs of its first, and
-    the persisted slots must pass read_plans.
+    Components must lie in 0..n_updatable, every record of a component
+    must read the (source, slot) pairs of its first, and the read set and
+    persisted slots must pass read_plans, as a mapping's must.
     """
     trace = AsyncTrace(initial, schedule, {}, dict(persistent_slots or {}), stop_reason)
     for k, (record, value) in enumerate(zip(records, values, strict=True)):
         comp, reads, delta = record
         pattern = tuple([(s, slot) for s, slot, _ in reads])
-        if not all(0 <= c < initial.n_blocks for c in [comp, *(s for s, _ in pattern)]):
+        if not 0 <= comp < initial.n_blocks:
             raise DimensionError(f"{record}: components lie in 0..{trace.n_updatable}")
         if trace.read_set.setdefault(comp, pattern) != pattern:
             raise ValueError(f"event {k}: component {comp} reads {pattern}, but its "
@@ -54,7 +54,7 @@ def from_records(records: Iterable[UpdateRecord], values: Iterable,
             raise DimensionError(
                 f"value of shape {value.shape} for blocks of dim {initial.block_dim}")
         trace.append(comp, [version for *_, version in reads], delta, value)
-    read_plans(trace.read_set, trace.persistent_slots)
+    read_plans(trace.read_set, trace.persistent_slots, initial.n_blocks)
     return trace
 
 
@@ -92,7 +92,7 @@ def validate_schedule(trace: AsyncTrace) -> ScheduleValidation:
     bound = trace.schedule.delay_bound
     win = trace.schedule.window(trace.n_updatable)
     p = trace.n_updatable
-    plans = read_plans(trace.read_set, trace.persistent_slots)
+    plans = read_plans(trace.read_set, trace.persistent_slots, p + 1)
 
     staleness: list[tuple[int, int, int, int]] = []
     provenance: list[tuple[int, int, int]] = []

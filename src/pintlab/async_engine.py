@@ -28,7 +28,7 @@ import numpy as np
 from .async_log import AsyncTrace, read_plans
 from .errors import DimensionError, HorizonExhausted
 from .linalg import BlockVector
-from .schedule import INDEX_MAX, STOP_HORIZON, STOP_PREDICATE, STOP_QUIESCENCE, AsyncSchedule
+from .schedule import STOP_HORIZON, STOP_PREDICATE, STOP_QUIESCENCE, AsyncSchedule
 
 
 @dataclass
@@ -56,16 +56,7 @@ class AsyncMapping:
         p = self.n_updatable
         if p < 1 or sorted(self.read_set) != list(range(1, p + 1)):
             raise ValueError(f"read_set keys must be 1..n, n >= 1; got {sorted(self.read_set)}")
-        for i, reads in self.read_set.items():
-            for source, slot in reads:
-                if not 0 <= source <= p:
-                    raise DimensionError(f"component {i} reads unknown source {source}")
-                if not 1 <= slot <= INDEX_MAX:
-                    raise DimensionError(f"component {i} uses slot {slot} outside 1..{INDEX_MAX}")
-        for slot, base in self.persistent_slots.items():
-            if base in self.persistent_slots:
-                raise ValueError(f"persistent slot {slot} chained onto persistent slot {base}")
-        self.plans = read_plans(self.read_set, self.persistent_slots)
+        self.plans = read_plans(self.read_set, self.persistent_slots, p + 1)
         self.n_sampled = {i: sum(base is None for _, base in plan)
                           for i, plan in self.plans.items()}
 

@@ -17,27 +17,36 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import DimensionError
 from .linalg import BlockVector
-from .schedule import AsyncSchedule
+from .schedule import INDEX_MAX, AsyncSchedule
 
 CHUNK_ROWS = 256  # rows per chunk of the value column
 BATCH_ROWS = 64   # rows per call of walk's per_rows
 
 
-def read_plans(read_set: dict[int, tuple[tuple[int, int], ...]],
-               persistent_slots: dict[int, int]) -> dict[int, tuple[tuple[int, int | None], ...]]:
+def read_plans(read_set: dict[int, tuple[tuple[int, int], ...]], persistent_slots: dict[int, int],
+               n_blocks: int) -> dict[int, tuple[tuple[int, int | None], ...]]:
     """Per component, its reads in read_set order as (source, base).
 
     base is None for a sampled slot, which takes a lag from the script. A
     persisted slot replays the version read at position base of read_set[i]
     at the component's previous event (0 before its first); its base slot
-    must be read from the same source, or ValueError.
+    must be a sampled slot read from the same source, or ValueError. Sources
+    lie in 0..n_blocks - 1 and slots in 1..INDEX_MAX, or DimensionError.
     """
+    for slot, base in persistent_slots.items():
+        if base in persistent_slots:
+            raise ValueError(f"persistent slot {slot} chained onto persistent slot {base}")
     plans = {}
     for i, reads in read_set.items():
         position = {slot: j for j, (_, slot) in enumerate(reads)}
         plan = []
         for source, slot in reads:
+            if not 0 <= source < n_blocks:
+                raise DimensionError(f"component {i} reads unknown source {source}")
+            if not 1 <= slot <= INDEX_MAX:
+                raise DimensionError(f"component {i} uses slot {slot} outside 1..{INDEX_MAX}")
             base = None
             if slot in persistent_slots:
                 base = position.get(persistent_slots[slot])

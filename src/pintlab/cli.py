@@ -374,6 +374,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     fine = _build_propagator(ivp, span, config.fine, "config.fine")
     coarse = _build_propagator(ivp, span, config.coarse, "config.coarse")
 
+    report_con = contraction_factors(coarse, fine, p, kind=config.norm_kind)
+    sync_ok = sync_convergence_check(report_con)
+    async_ok = async_convergence_check(report_con)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces_dir = out / "traces" if write_traces else None
@@ -387,10 +391,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     overhead = config.overhead if config.overhead is not None else coarse_cost
     costs = CostParams(p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
                        overhead=overhead)
-
-    report_con = contraction_factors(coarse, fine, p, kind=config.norm_kind)
-    sync_ok = sync_convergence_check(report_con)
-    async_ok = async_convergence_check(report_con)
 
     oracle = sequential_fine_solve(fine, ivp.u0, p)
 

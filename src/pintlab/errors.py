@@ -70,3 +70,14 @@ class UndefinedLimitError(ValueError):
 
 class ConfigError(ValueError):
     """Experiment configuration is malformed; message names the field."""
+
+
+class SweepOverflowError(ConfigError):
+    """A synchronous sweep's iterate, or its change, left the float range.
+
+    ``sweep`` holds the sweep index k >= 1.
+    """
+
+    def __init__(self, message: str, sweep: int):
+        super().__init__(message)
+        self.sweep = sweep

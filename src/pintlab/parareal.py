@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SweepOverflowError
 from .linalg import BlockVector, blocks_match
 from .model import AffinePropagator
 
@@ -130,6 +131,7 @@ class SyncTrace:
         }, sort_keys=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises SweepOverflowError
 def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
                  epsilon: float, k_max: int | None = None, *,
                  reference: BlockVector | None = None) -> SyncTrace:
@@ -152,7 +154,8 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
     delta and that test take SWEEP_CHUNK rows at a time, so no temporary the
     size of an iterate sits beside the memos (about four iterates at d = 16).
     epsilon and k_max only choose when to stop: the iterate after sweep j is
-    the same, bitwise, in every run that gets that far.
+    the same, bitwise, in every run that gets that far. A sweep whose delta
+    is not finite raises SweepOverflowError, which carries its index.
     """
     if not epsilon >= 0.0:  # NaN compares False both ways
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -176,7 +179,8 @@ def run_parareal(coarse: AffinePropagator, fine: AffinePropagator, u0, p: int,
         delta = float(np.max([np.max(np.abs(cur[rows] - old[rows]), initial=0.0)
                               for rows in _row_chunks(k, p + 1)]))
         if not math.isfinite(delta):  # an iterate stays finite, like every BlockVector
-            raise ValueError("block entries must be finite")
+            raise SweepOverflowError(f"sweep {k} of the synchronous run overflows: its "
+                                     f"iterate and its change must be finite", k)
         deltas.append(delta)
         lam, new = new, lam
         if (match is None and reference is not None

@@ -32,6 +32,7 @@ from pintlab.async_audit import (
 from pintlab.async_log import BATCH_ROWS, CHUNK_ROWS, UpdateRecord
 from pintlab.async_parareal import run_async_parareal
 from pintlab.errors import (
+    ConfigError,
     DimensionError,
     EnvelopeUndefinedError,
     UndefinedLimitError,
@@ -99,6 +100,16 @@ def test_theta_below_coarse_norm_rejected():
         factors_from_norms(-0.1, 0.0212, p=4)
     with pytest.raises(ValueError):
         factors_from_norms(0.8, 0.0212, p=0)
+
+
+def test_overflowing_sync_factor_rejected():
+    # a float power raises OverflowError where a product gives inf; both
+    # refuse the p, so no report carries an infinite factor
+    with pytest.raises(ConfigError, match=r"^config\.p: coarse norm 10 to the power p=400 "):
+        factors_from_norms(10.000000000000002, 1.0, p=400)
+    with pytest.raises(ConfigError, match=r"^config\.p: coarse norm 10 to the power p=300 "):
+        factors_from_norms(10.0, 1e300, p=300)
+    assert math.isfinite(factors_from_norms(10.0, 1.0, p=300).sync_factor)
 
 
 def test_compare_factors_preconditions():

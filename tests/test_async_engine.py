@@ -617,10 +617,62 @@ def test_records_keep_their_components_read_pattern():
     assert [list(v) for v in trace.read_versions] == [[], [], [0, 0, 1, 0]]
     assert trace.events[2].reads == ((1, 1, 1), (1, 2, 0))
     # a persisted slot whose base slot is not read from its source is refused
-    # when packed, as the mapping would refuse it
+    # when packed: read_plans holds the one rule that packing and a mapping share
     with pytest.raises(ValueError, match="persistent slot 2 must share its source "
                                          "with base slot 1"):
         _handmade_trace([_ev(1, reads=[(0, 2, 0)])], 1, sched, persistent={2: 1})
+
+
+READ_SLOTS = [0, 1, 2, 3, 2**31]
+
+
+@st.composite
+def read_rules(draw):
+    """A (read_set, persistent_slots) pair with keys 1..p: sources in
+    -1..p + 1, slots from READ_SLOTS, and persisted reads that follow their
+    base slot's source, read a foreign one, or sit in a chained map."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    source, slot = st.integers(min_value=-1, max_value=p + 1), st.sampled_from(READ_SLOTS)
+    persistent = draw(st.one_of(st.sampled_from([{}, {2: 1}, {3: 1, 2: 1}, {3: 2, 2: 1}]),
+                                st.dictionaries(slot, slot, max_size=3)))
+    read_set = {}
+    for i in range(1, p + 1):
+        reads = draw(st.lists(st.tuples(source, slot), max_size=3))
+        for held, base in persistent.items():
+            if draw(st.booleans()):
+                same = [s for s, read in reads if read == base]
+                reads.append((same[0] if same and draw(st.booleans()) else draw(source), held))
+        read_set[i] = tuple(reads)
+    return read_set, persistent
+
+
+def _refusal(build):
+    """The type of the ValueError that build() raises, or None."""
+    try:
+        build()
+    except ValueError as error:
+        return type(error)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(read_rules())
+@example(({1: ((0, 1), (0, 2), (0, 3))}, {3: 2, 2: 1}))
+@example(({1: ((0, 0),)}, {}))
+@example(({1: ((0, 2**31),)}, {}))
+@example(({1: ((0, 1), (0, 2)), 2: ((1, 1), (1, 2))}, {2: 1}))
+def test_packing_refuses_what_a_mapping_refuses(rule):
+    # from_records and AsyncMapping check a read set through the same
+    # read_plans, so one record per component reading its pattern packs
+    # exactly when the mapping builds, and a refusal has the same type
+    read_set, persistent = rule
+    records = [_ev(i, reads=[(source, slot, 0) for source, slot in reads])
+               for i, reads in read_set.items()]
+    mapping = _refusal(lambda: AsyncMapping(eval_fn=lambda i, values: np.zeros(1),
+                                            read_set=read_set, persistent_slots=persistent))
+    packed = _refusal(lambda: _handmade_trace(records, len(read_set),
+                                              AsyncSchedule(seed=0, delay_bound=0), persistent))
+    assert mapping == packed
 
 
 @settings(deadline=None, max_examples=60)

@@ -4,13 +4,14 @@ Richardson form."""
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pintlab.errors import DimensionError
+from pintlab.errors import DimensionError, SweepOverflowError
 from pintlab.linalg import BlockVector, NormKind, max_block_norm
 from pintlab.model import (
     AffinePropagator,
@@ -346,6 +347,16 @@ def _scalar_map(factor):
 def test_malformed_runs_rejected(run, error, message):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
         run()
+
+
+def test_overflowing_sweep_carries_its_index():
+    # sweep 1 sends 10 past the float range; the error names that sweep and
+    # numpy's overflow warnings stay quiet (they would fail as errors here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SweepOverflowError, match="^sweep 1 of the synchronous run ") as info:
+            run_parareal(_scalar_map(1.0), _scalar_map(1e308), [10.0], 2, 0.0)
+    assert info.value.sweep == 1
 
 
 def test_sync_trace_json():
