@@ -25,9 +25,9 @@ _EXPORTS = {name: module for module, names in {
         HorizonExhausted SingularMatrixError SingularSystemError SweepOverflowError
         UndefinedLimitError UnfittableError""",
     "linalg": "BlockVector NormKind max_block_norm operator_norm",
-    "model": """AffinePropagator LinearIVP PROPAGATOR_RULES backward_euler_propagator
-        compose fine_from_onestep heat1d_system scalar_decay_system
-        trapezoidal_propagator""",
+    "model": """AffinePropagator LinearIVP PROBLEMS PROPAGATOR_RULES
+        backward_euler_propagator compose fine_from_onestep heat1d_system
+        scalar_decay_system trapezoidal_propagator""",
     "parareal": """SyncTrace coarse_init parareal_update run_parareal
         sequential_fine_solve""",
     "schedule": "AsyncSchedule",

@@ -93,10 +93,11 @@ def sync_convergence_check(report: ContractionReport) -> CheckResult:
     below 1 + coarse_norm^p * defect_norm; the margin is the smaller slack.
     """
     slack_coarse = 1.0 - report.coarse_norm
-    slack_combined = (
-        1.0 + report.coarse_norm ** report.p * report.defect_norm
-        - report.async_factor
-    )
+    try:
+        power = report.coarse_norm ** report.p
+    except OverflowError:  # as in factors_from_norms: the power is +inf
+        power = math.inf
+    slack_combined = 1.0 + power * report.defect_norm - report.async_factor
     margin = min(slack_coarse, slack_combined)
     return CheckResult(slack_coarse > 0.0 and slack_combined > 0.0, margin)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -20,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .analysis import (
-    ContractionReport,
     CostParams,
     async_convergence_check,
     async_cost,
@@ -33,14 +33,8 @@ from .analysis import (
     sync_cost,
 )
 from .errors import ConfigError, HorizonExhausted, SingularSystemError, UnfittableError, echo
-from .linalg import BlockVector, NormKind, max_block_norm
-from .model import (
-    AffinePropagator,
-    LinearIVP,
-    PROPAGATOR_RULES,
-    heat1d_system,
-    scalar_decay_system,
-)
+from .linalg import NormKind, max_block_norm
+from .model import PROBLEMS, PROPAGATOR_RULES, AffinePropagator, LinearIVP
 from .parareal import STOP_KMAX, run_parareal, sequential_fine_solve
 from .schedule import STOP_HORIZON, AsyncSchedule
 
@@ -52,7 +46,7 @@ MAX_FOLD = 2**38   # largest "steps" x d**3 of a propagator; see parse_config
 MAX_STATE = 2**20  # largest (p + 1) x d, the floats of one iterate; see parse_config
 STOPPED = (STOP_HORIZON, STOP_KMAX)  # stop reasons of a run that did not converge
 SCHEDULE_TAG = "{policy}/s{seed}/D{delay_bound}"
-# run_async_parareal, then async_audit's: bound on the first schedule
+# run_async_parareal, then async_audit's: bound before the first schedule runs
 ENGINE_NAMES = ("run_async_parareal", "update_counts", "validate_schedule",
                 "async_error_envelope", "check_finite_termination")
 
@@ -69,9 +63,6 @@ class PropagatorSpec:
 
     rule: str
     steps: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -94,8 +85,8 @@ class ExperimentConfig:
             "label": self.label,
             "problem": self.ivp.to_dict(),
             "p": self.p,
-            "fine": self.fine.to_dict(),
-            "coarse": self.coarse.to_dict(),
+            "fine": asdict(self.fine),
+            "coarse": asdict(self.coarse),
             "epsilon": self.epsilon,
             "k_max": self.k_max,
             "norm": self.norm_kind.value,
@@ -110,7 +101,8 @@ class ExperimentConfig:
 
 def _expect(raw: dict, key: str, kinds, where: str, required: bool = True,
             default=None):
-    if key not in raw:
+    # an optional field that defaults to None reads null as absent, as to_dict writes it
+    if key not in raw or (raw[key] is None and not required and default is None):
         if required:
             raise ConfigError(f"{where}: missing required field '{key}'")
         return default
@@ -136,18 +128,10 @@ def _reject_unknown(raw: dict, known, where: str) -> None:
 def _parse_problem(raw: dict, where: str) -> LinearIVP:
     if "name" in raw:
         name = _expect(raw, "name", str, where)
-        builders = {
-            "heat1d": (heat1d_system, {
-                "n_interior": 8, "length": 1.0, "boundary_left": 23.0,
-                "boundary_right": 23.0, "initial_temp": 30.0, "t_final": 0.2,
-            }),
-            "scalar-decay": (scalar_decay_system, {
-                "rate": 1.0, "initial": 1.0, "t_final": 1.0,
-            }),
-        }
-        if name not in builders:
+        if name not in PROBLEMS:
             raise ConfigError(f"{where}.name: unknown built-in problem {echo(name)}")
-        builder, defaults = builders[name]
+        builder = PROBLEMS[name]
+        defaults = {k: v.default for k, v in inspect.signature(builder).parameters.items()}
         unknown = sorted(set(raw) - {"name"} - set(defaults))
         if unknown:
             raise ConfigError(
@@ -199,7 +183,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     Schema (top level): label, problem, p, fine, coarse, epsilon,
     optional k_max, optional norm ("spectral"|"infinity"), optional
     schedules (list), optional costs {fine_cost, coarse_cost, overhead},
-    where fine_cost and coarse_cost may not both be 0.
+    where fine_cost and coarse_cost may not both be 0. A null k_max or cost
+    is absent, so a report's "config" re-runs to the same report.
     An unknown field at any level is a ConfigError.
 
     Three sizes and two of their products are capped so that a config
@@ -306,52 +291,6 @@ def __getattr__(name: str):  # PEP 562: the engine's names resolve before its fi
     return globals()[name]
 
 
-def _run_schedule(config: ExperimentConfig, sched: AsyncSchedule,
-                  coarse: AffinePropagator, fine: AffinePropagator,
-                  oracle: BlockVector, report_con: ContractionReport, envelope: bool,
-                  costs: CostParams, k: int,
-                  traces_dir: Path | None) -> dict:
-    """Run one asynchronous schedule and return its report entry.
-
-    The JSONL trace is streamed to traces_dir line by line when one is
-    given. The trace lives only in this frame, so it is freed before the
-    next schedule runs.
-    """
-    _bind_async_engine()
-    try:
-        trace = run_async_parareal(coarse, fine, config.ivp.u0, config.p, sched,
-                                   epsilon=config.epsilon)
-    except HorizonExhausted as exc:
-        trace = exc.trace
-    counts, kappa = update_counts(trace)
-    final = trace.state_after(trace.n_events - 1)
-    validation = validate_schedule(trace)
-    run_entry = {
-        "mode": "async", "schedule": sched.to_dict(),
-        "tag": SCHEDULE_TAG.format(**sched.to_dict()),
-        "events": trace.n_events, "kappa": kappa,
-        "per_component_counts": counts.tolist(),
-        "stop_reason": trace.stop_reason,
-        "model_cost": async_cost(costs, kappa),
-        "error_vs_oracle": max_block_norm(final - oracle, NormKind.INFINITY),
-        "schedule_valid": validation.ok,
-        "finite_termination_index": check_finite_termination(trace, oracle),
-    }
-    if envelope:
-        check = async_error_envelope(trace, report_con, oracle)
-        run_entry["sigma_final"] = None if math.isinf(check.sigma_final) else check.sigma_final
-        run_entry["bound_final"] = check.bound_final
-        run_entry["envelope_ok"] = check.holds
-    if config.p >= 2 and trace.stop_reason != STOP_HORIZON and k <= kappa:
-        run_entry["speedup_bound"] = speedup_bound(costs)
-        run_entry["speedup_achieved"] = speedup_achieved(costs, k, kappa)
-    if traces_dir is not None:
-        name = f"{config.label}-{sched.policy}-s{sched.seed}-D{sched.delay_bound}.jsonl"
-        with open(traces_dir / name, "w", encoding="utf-8") as fh:
-            fh.writelines(trace.jsonl_lines())
-    return run_entry
-
-
 def _build_propagator(ivp: LinearIVP, span: float, spec: PropagatorSpec,
                       where: str) -> AffinePropagator:
     """The spec's propagator over span; a singular implicit step is a ConfigError."""
@@ -366,7 +305,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     """Execute every run in the config and write report.json + summary.csv.
 
     Returns (report, exit_code); exit code 2 flags at least one run that
-    stopped without converging (iteration cap or event horizon).
+    stopped without converging (iteration cap or event horizon). The output
+    tree is made only once the synchronous run has passed, so a config that
+    fails writes nothing. Each async trace is streamed to its JSONL file line
+    by line and freed before the next schedule runs.
     """
     ivp = config.ivp
     p = config.p
@@ -377,12 +319,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     report_con = contraction_factors(coarse, fine, p, kind=config.norm_kind)
     sync_ok = sync_convergence_check(report_con)
     async_ok = async_convergence_check(report_con)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    traces_dir = out / "traces" if write_traces else None
-    if traces_dir is not None:
-        traces_dir.mkdir(exist_ok=True)
 
     fine_cost = config.fine_cost if config.fine_cost is not None else fine.cost_units
     coarse_cost = (
@@ -412,6 +348,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     sync_trace = run_parareal(coarse, fine, ivp.u0, p, epsilon=config.epsilon,
                               k_max=config.k_max, reference=oracle)
     k = sync_trace.k_final
+
+    out = Path(out_dir)
+    traces_dir = out / "traces" if write_traces else None
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if traces_dir is not None:
+            traces_dir.mkdir(exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     sync_model_cost = sync_cost(costs, k)
     try:
         fitted = fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost)
@@ -431,13 +376,41 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             sync_trace.to_json(), encoding="utf-8"
         )
 
+    if config.schedules:
+        _bind_async_engine()
     for sched in config.schedules:
-        run_entry = _run_schedule(
-            config, sched, coarse, fine, oracle, report_con, async_ok.holds,
-            costs, k, traces_dir)
+        try:
+            trace = run_async_parareal(coarse, fine, ivp.u0, p, sched, epsilon=config.epsilon)
+        except HorizonExhausted as exc:
+            trace = exc.trace
+        counts, kappa = update_counts(trace)
+        final = trace.state_after(trace.n_events - 1)
+        tag = SCHEDULE_TAG.format(**sched.to_dict())
+        run_entry = {
+            "mode": "async", "schedule": sched.to_dict(), "tag": tag,
+            "events": trace.n_events, "kappa": kappa,
+            "per_component_counts": counts.tolist(),
+            "stop_reason": trace.stop_reason,
+            "model_cost": async_cost(costs, kappa),
+            "error_vs_oracle": max_block_norm(final - oracle, NormKind.INFINITY),
+            "schedule_valid": validate_schedule(trace).ok,
+            "finite_termination_index": check_finite_termination(trace, oracle),
+        }
+        if async_ok.holds:
+            check = async_error_envelope(trace, report_con, oracle)
+            run_entry["sigma_final"] = None if math.isinf(check.sigma_final) else check.sigma_final
+            run_entry["bound_final"] = check.bound_final
+            run_entry["envelope_ok"] = check.holds
+        if p >= 2 and trace.stop_reason != STOP_HORIZON and k <= kappa:
+            run_entry["speedup_bound"] = speedup_bound(costs)
+            run_entry["speedup_achieved"] = speedup_achieved(costs, k, kappa)
+        if traces_dir is not None:
+            with open(traces_dir / f"{config.label}-{tag.replace('/', '-')}.jsonl", "w",
+                      encoding="utf-8") as fh:
+                fh.writelines(trace.jsonl_lines())
         runs.append(run_entry)
-        rows.append({**shared, **run_entry, **run_entry["schedule"],
-                     "iterations": run_entry["kappa"]})
+        rows.append({**shared, **run_entry, **run_entry["schedule"], "iterations": kappa})
+        del trace  # freed before the next schedule runs
     exit_code = 2 if any(run["stop_reason"] in STOPPED for run in runs) else 0
 
     report = {

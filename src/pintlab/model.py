@@ -164,15 +164,9 @@ def trapezoidal_propagator(ivp: LinearIVP, span: float, steps: int) -> AffinePro
     return _theta_propagator(ivp, span, steps, 0.5)
 
 
-PROPAGATOR_RULES = {
-    "backward-euler": backward_euler_propagator,
-    "trapezoidal": trapezoidal_propagator,
-}
-
-
-def heat1d_system(n_interior: int, length: float, boundary_left: float,
-                  boundary_right: float, initial_temp: float,
-                  t_final: float) -> LinearIVP:
+def heat1d_system(n_interior: int = 8, length: float = 1.0, boundary_left: float = 23.0,
+                  boundary_right: float = 23.0, initial_temp: float = 30.0,
+                  t_final: float = 0.2) -> LinearIVP:
     """Method-of-lines 1-D heat equation with Dirichlet boundary temperatures.
 
     Second-order central differences on n_interior equispaced nodes give
@@ -205,3 +199,15 @@ def scalar_decay_system(rate: float = 1.0, initial: float = 1.0,
     if not rate > 0.0:
         raise ValueError(f"decay rate must be positive, got {echo(rate)}")
     return LinearIVP([[-rate]], [0.0], [initial], t_final, label="scalar-decay")
+
+
+PROPAGATOR_RULES = {
+    "backward-euler": backward_euler_propagator,
+    "trapezoidal": trapezoidal_propagator,
+}
+# config "problem" names -> builders; a builder's keyword defaults are the
+# config's defaults, and an int default takes ints only
+PROBLEMS = {
+    "heat1d": heat1d_system,
+    "scalar-decay": scalar_decay_system,
+}

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pintlab.analysis import (
     CheckResult,
+    ContractionReport,
     CostParams,
     async_convergence_check,
     async_cost,
@@ -123,6 +124,13 @@ def test_divergent_coarse_fails_both_checks():
     r = factors_from_norms(1.1, 0.05, p=4)
     assert not sync_convergence_check(r).holds
     assert not async_convergence_check(r).holds
+
+
+def test_sync_check_takes_an_overflowing_coarse_power_as_inf():
+    # a hand-built report can carry a coarse norm whose p-th power overflows,
+    # which factors_from_norms refuses; the check reads that power as +inf
+    r = ContractionReport(10.0, 1.0, 1.0, 11.0, 400, NormKind.SPECTRAL)
+    assert sync_convergence_check(r) == (False, 1.0 - 10.0)
 
 
 @settings(deadline=None, max_examples=300)

@@ -8,10 +8,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pintlab.cli
 from pintlab.async_parareal import run_async_parareal, simulate_async
 from pintlab.cli import (
     FLOAT_END,
@@ -357,7 +362,7 @@ def test_overflowing_sync_sweep_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: sweep 2 of the synchronous run overflows")
     assert err.count("\n") == 1
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("problem, p, norm", [
@@ -373,6 +378,18 @@ def test_overflowing_coarse_power_exits_one(tmp_path, capsys, problem, p, norm):
     assert err.startswith(f"config error: config.p: coarse norm {norm} to the power p={p} ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out_name", ["file", "file/sub"])
+def test_unusable_output_directory_exits_one(tmp_path, capsys, out_name):
+    # --out names an existing file, or a path below one
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    rc, out = run_cli(tmp_path, base_config(), out_name=out_name)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory: ")
+    assert str(out if out_name == "file" else out.parent) in err
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- run path
@@ -544,6 +561,71 @@ def test_seed_override_renumbers_schedules(tmp_path):
                     "max_events": 20_000},
                    {"seed": 41, "delay_bound": 2, "policy": "random-fair",
                     "max_events": 5000}]
+
+
+def test_each_trace_is_freed_before_the_next_schedule_runs(tmp_path, monkeypatch):
+    # wrapped as the benchmark tracer wraps it: a module global of pintlab.cli
+    # that the engine binding keeps; the first schedule stops at its horizon,
+    # so the trace of a HorizonExhausted is checked too
+    run = pintlab.cli.run_async_parareal
+    refs = []
+
+    def run_and_watch(*args, **kwargs):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        try:
+            trace = run(*args, **kwargs)
+        except HorizonExhausted as exc:
+            refs.append(weakref.ref(exc.trace))
+            raise
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(pintlab.cli, "run_async_parareal", run_and_watch)
+    schedules = [{"seed": 3, "delay_bound": 1, "policy": "random-fair", "max_events": 5},
+                 *base_config()["schedules"]]
+    rc, _ = run_cli(tmp_path, base_config(schedules=schedules), extra=["--traces"])
+    assert rc == 2
+    assert len(refs) == 3
+
+
+CONFIG_PROBLEMS = st.one_of(
+    st.builds(lambda n, t: {"name": "heat1d", "n_interior": n, "t_final": t},
+              st.integers(1, 4), st.sampled_from([0.1, 0.2])),
+    st.builds(lambda rate: {"name": "scalar-decay", "rate": rate, "t_final": 4.0},
+              st.sampled_from([0.5, 1.0, 1.5])),
+    st.just({"A": [[-1.0, 0.5], [0.0, -2.0]], "c": [0.1, 0.0], "u0": [1.0, 2.0], "T": 2.0}),
+)
+CONFIG_COSTS = st.fixed_dictionaries({}, optional={"fine_cost": st.sampled_from([0.5, 3]),
+                                                   "coarse_cost": st.sampled_from([1, 2.5]),
+                                                   "overhead": st.sampled_from([0, 0.25])})
+CONFIG_SCHEDULES = st.lists(
+    st.builds(lambda seed, d, policy: {"seed": seed, "delay_bound": d, "policy": policy,
+                                       "max_events": 400},
+              st.integers(0, 9), st.integers(0, 2),
+              st.sampled_from(["round-robin", "random-fair"])),
+    max_size=2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(problem=CONFIG_PROBLEMS, p=st.integers(1, 6),
+       norm=st.sampled_from(["spectral", "infinity"]), k_max=st.sampled_from([None, 2, 10]),
+       costs=CONFIG_COSTS, schedules=CONFIG_SCHEDULES)
+def test_report_config_reruns_to_the_same_bytes(problem, p, norm, k_max, costs, schedules):
+    # the report's "config" echo writes an absent k_max or cost as null, and
+    # a run of that echo writes the same report.json and summary.csv
+    cfg = base_config(problem=problem, p=p, norm=norm, costs=costs, schedules=schedules,
+                      fine={"rule": "trapezoidal", "steps": 4})
+    if k_max is not None:
+        cfg["k_max"] = k_max
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, first = run_cli(Path(tmp), cfg, out_name="first")
+        echo = json.loads((first / "report.json").read_text(encoding="utf-8"))["config"]
+        assert echo["k_max"] == k_max
+        assert {key for key, v in echo["costs"].items() if v is None} == (
+            {"fine_cost", "coarse_cost", "overhead"} - set(costs))
+        assert rc == run_cli(Path(tmp), echo, out_name="again")[0]
+        for name in ("report.json", "summary.csv"):
+            assert (first / name).read_bytes() == (Path(tmp) / "again" / name).read_bytes()
 
 
 def test_load_config_round_trip(tmp_path):
