@@ -51,36 +51,6 @@ class LinearIVP:
     def dim(self) -> int:
         return self.a_mat.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "A": self.a_mat.tolist(),
-            "c": self.forcing.tolist(),
-            "u0": self.u0.tolist(),
-            "T": self.t_final,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LinearIVP":
-        """Decode ``to_dict`` output: A, c, u0 and T hold JSON numbers (never
-        strings or bools) and the label is a string."""
-        for key, depth in (("A", 2), ("c", 1), ("u0", 1), ("T", 0)):
-            _require_numbers(doc[key], depth, key)
-        label = doc.get("label", "ivp")
-        if not isinstance(label, str):
-            raise TypeError(f"label: expected a string, got {echo(label)}")
-        return cls(doc["A"], doc["c"], doc["u0"], doc["T"], label)
-
-
-def _require_numbers(value, depth: int, where: str) -> None:
-    """Require ``depth`` levels of lists around JSON numbers."""
-    kinds = list if depth else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{where}: expected {'a list' if depth else 'a number'}, "
-                        f"got {echo(value)}")
-    for j, item in enumerate(value if depth else ()):
-        _require_numbers(item, depth - 1, f"{where}[{j}]")
-
 
 @dataclass(frozen=True, eq=False)
 class AffinePropagator:

@@ -6,7 +6,7 @@ load only when a schedule runs.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import echo
@@ -108,10 +108,3 @@ class AsyncSchedule:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AsyncSchedule":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown schedule fields: {echo(unknown)}")
-        return cls(**doc)

@@ -20,7 +20,8 @@ from pintlab.async_audit import (
 from pintlab.async_engine import AsyncMapping, simulate_async
 from pintlab.async_log import CHUNK_ROWS, AsyncTrace, UpdateRecord
 from pintlab.async_parareal import async_parareal_mapping, run_async_parareal
-from pintlab.errors import DimensionError, HorizonExhausted
+from pintlab.config import _parse_schedule
+from pintlab.errors import ConfigError, DimensionError, HorizonExhausted
 from pintlab.linalg import BlockVector, NormKind
 from pintlab.model import backward_euler_propagator, heat1d_system, trapezoidal_propagator
 from pintlab.parareal import coarse_init
@@ -64,7 +65,7 @@ def jacobi_pieces():
 def test_schedule_validation_and_round_trip():
     sched = AsyncSchedule(seed=5, delay_bound=2, policy=POLICY_ROUND_ROBIN)
     assert sched.window(4) == 12
-    assert AsyncSchedule.from_dict(sched.to_dict()) == sched
+    assert _parse_schedule(sched.to_dict(), "s") == sched
     with pytest.raises(ValueError):
         AsyncSchedule(seed=1, delay_bound=-1)
     with pytest.raises(ValueError):
@@ -72,18 +73,18 @@ def test_schedule_validation_and_round_trip():
     with pytest.raises(ValueError):
         AsyncSchedule(seed=1, delay_bound=0, max_events=0)
     # non-int fields are rejected, not truncated
-    with pytest.raises(TypeError):
-        AsyncSchedule.from_dict({"seed": 1.9, "delay_bound": 2.7, "max_events": 99.9})
+    with pytest.raises(ConfigError):
+        _parse_schedule({"seed": 1.9, "delay_bound": 2.7, "max_events": 99.9}, "s")
     for doc in ({"seed": 1.9, "delay_bound": 2}, {"seed": 1, "delay_bound": 2.7},
                 {"seed": 1, "delay_bound": 2, "max_events": 99.9},
                 {"seed": True, "delay_bound": 2}, {"seed": 1, "delay_bound": "2"},
                 {"delay_bound": 2}):
-        with pytest.raises(TypeError):
-            AsyncSchedule.from_dict(doc)
+        with pytest.raises(ConfigError):
+            _parse_schedule(doc, "s")
     with pytest.raises(TypeError):
         AsyncSchedule(seed=1, delay_bound=False)
-    with pytest.raises(ValueError):
-        AsyncSchedule.from_dict({"seed": 1, "delay_bound": 2, "polcy": POLICY_ROUND_ROBIN})
+    with pytest.raises(ConfigError):
+        _parse_schedule({"seed": 1, "delay_bound": 2, "polcy": POLICY_ROUND_ROBIN}, "s")
     # SeedSequence takes no negative seed
     with pytest.raises(ValueError, match="seed"):
         AsyncSchedule(seed=-1, delay_bound=0)

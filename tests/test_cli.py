@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 
 import pintlab.cli
 from pintlab.async_parareal import run_async_parareal, simulate_async
-from pintlab.cli import (
+from pintlab.cli import SUMMARY_COLUMNS, main
+from pintlab.config import (
     FLOAT_END,
     MAX_FOLD,
     MAX_N,
     MAX_P,
     MAX_STATE,
     MAX_STEPS,
-    SUMMARY_COLUMNS,
     load_config,
-    main,
     parse_config,
 )
 from pintlab.errors import ConfigError, HorizonExhausted
@@ -708,7 +707,8 @@ def test_package_import_loads_no_submodule():
 import pintlab
 assert [name for name in sys.modules if name.startswith("pintlab.")] == []
 from pintlab import AsyncSchedule, run_parareal
-AsyncSchedule.from_dict({"seed": 1, "delay_bound": 2})
+from pintlab.config import _parse_schedule
+assert _parse_schedule({"seed": 1, "delay_bound": 2}, "s") == AsyncSchedule(1, 2)
 """
     assert run_probe(code) == []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pintlab.config import ExperimentConfig, PropagatorSpec, parse_config
 from pintlab.errors import (
     DegenerateProblemError,
     DimensionError,
@@ -151,7 +152,9 @@ def test_ivp_validation_and_round_trip():
         with pytest.raises(ValueError):
             LinearIVP(np.eye(2), np.zeros(2), np.zeros(2), bad)
     ivp = heat1d_system(4, 2.0, 1.0, 3.0, 2.0, 0.5)
-    back = LinearIVP.from_dict(ivp.to_dict())
+    spec = PropagatorSpec("trapezoidal", 1)
+    config = ExperimentConfig("echo", ivp, 1, spec, spec, 0.0, None, NormKind.SPECTRAL)
+    back = parse_config(config.to_dict()).ivp
     assert np.array_equal(back.a_mat, ivp.a_mat)
     assert np.array_equal(back.forcing, ivp.forcing)
     assert np.array_equal(back.u0, ivp.u0)
