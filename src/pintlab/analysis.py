@@ -192,7 +192,7 @@ def speedup_achieved(params: CostParams, k: int, kappa: int) -> float:
             "cannot use fewer activations than the synchronous sweep count"
         )
     achieved = sync_cost(params, k) / async_cost(params, kappa)
-    if achieved > bound * (1.0 + 1e-12):
+    if not achieved <= bound * (1.0 + 1e-12):  # NaN fails too
         raise AssertionError(f"achieved ratio {achieved} exceeds the model bound {bound}")
     return achieved
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .async_log import AsyncTrace, read_plans
-from .errors import DimensionError, HorizonExhausted
+from .errors import DimensionError, EventOverflowError, HorizonExhausted
 from .linalg import BlockVector
 from .schedule import STOP_HORIZON, STOP_PREDICATE, STOP_QUIESCENCE, AsyncSchedule
 
@@ -61,6 +61,7 @@ class AsyncMapping:
                           for i, plan in self.plans.items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises EventOverflowError
 def simulate_async(mapping: AsyncMapping, init: BlockVector, schedule: AsyncSchedule,
                    stop: Callable[[int, np.ndarray, Callable[[], bool]], bool] | None = None
                    ) -> AsyncTrace:
@@ -76,7 +77,8 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector, schedule: AsyncSche
     schedule's script (max_events events) first sets stop_reason to
     STOP_HORIZON and raises HorizonExhausted carrying the partial trace.
     Every read is served from the trace being built, so the returned log is
-    exactly what each event consumed.
+    exactly what each event consumed. A value that is not finite raises
+    EventOverflowError, which carries the component and the event index.
 
     Quiescence means no admissible pending read could change any component.
     A single fair window of bitwise-unchanged values is not enough to
@@ -138,7 +140,8 @@ def simulate_async(mapping: AsyncMapping, init: BlockVector, schedule: AsyncSche
         delta = float(np.max(np.abs(new_value - current))) if new_value.size else 0.0
         # a NaN or inf in new_value makes delta non-finite: only then look closer
         if not math.isfinite(delta) and not np.isfinite(new_value).all():
-            raise ValueError(f"component {comp} produced a non-finite value at event {k}")
+            raise EventOverflowError(f"component {comp} produced a non-finite value at "
+                                     f"event {k}", comp, k)
         last_deltas[comp] = delta
         trace.append(comp, versions, delta, new_value)
 

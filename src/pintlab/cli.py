@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -33,7 +34,8 @@ from .analysis import (
     sync_convergence_check,
     sync_cost,
 )
-from .errors import ConfigError, HorizonExhausted, SingularSystemError, UnfittableError
+from .errors import (ConfigError, EventOverflowError, HorizonExhausted, SingularSystemError,
+                     UnfittableError, echo)
 from .linalg import NormKind, max_block_norm
 from .model import PROPAGATOR_RULES, AffinePropagator, LinearIVP
 from .parareal import STOP_KMAX, run_parareal, sequential_fine_solve
@@ -41,6 +43,7 @@ from .schedule import STOP_HORIZON
 
 STOPPED = (STOP_HORIZON, STOP_KMAX)  # stop reasons of a run that did not converge
 SCHEDULE_TAG = "{policy}/s{seed}/D{delay_bound}"
+NAME_MAX = 255  # bytes in a file name on common file systems
 # run_async_parareal, then async_audit's: bound before the first schedule runs
 ENGINE_NAMES = ("run_async_parareal", "update_counts", "validate_schedule",
                 "async_error_envelope", "check_finite_termination")
@@ -71,6 +74,13 @@ def __getattr__(name: str):  # PEP 562: the engine's names resolve before its fi
     return globals()[name]
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
 def _build_propagator(ivp: LinearIVP, span: float, spec: PropagatorSpec,
                       where: str) -> AffinePropagator:
     """The spec's propagator over span; a singular implicit step is a ConfigError."""
@@ -86,10 +96,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
 
     Returns (report, exit_code); exit code 2 flags at least one run that
     stopped without converging (iteration cap or event horizon). The output
-    tree is made only once the synchronous run has passed, so a config that
-    fails writes nothing. Each async trace is streamed to its JSONL file line
-    by line and freed before the next schedule runs.
+    tree is made only once every run has passed, or with write_traces once
+    the synchronous run has, so a config that fails writes no report. Each
+    async trace is streamed to its JSONL file line by line and freed before
+    the next schedule runs.
     """
+    tags = [SCHEDULE_TAG.format(**s.to_dict()) for s in config.schedules]
+    names = [f"{config.label}-sync.json",  # trace files, each checked before any is written
+             *(f"{config.label}-{tag.replace('/', '-')}.jsonl" for tag in tags)]
+    for i, name in enumerate(names if write_traces else ()):
+        if len(os.fsencode(name)) > NAME_MAX:
+            where = f"config.schedules[{i - 1}]" if i else "config.label"
+            raise ConfigError(f"{where}: trace file name {echo(name)} is longer than "
+                              f"{NAME_MAX} bytes")
     ivp = config.ivp
     p = config.p
     span = ivp.t_final / p
@@ -100,13 +119,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     sync_ok = sync_convergence_check(report_con)
     async_ok = async_convergence_check(report_con)
 
-    fine_cost = config.fine_cost if config.fine_cost is not None else fine.cost_units
-    coarse_cost = (
-        config.coarse_cost if config.coarse_cost is not None else coarse.cost_units
-    )
-    overhead = config.overhead if config.overhead is not None else coarse_cost
-    costs = CostParams(p=p, fine_cost=fine_cost, coarse_cost=coarse_cost,
-                       overhead=overhead)
+    cost_fields = config.costs()
+    costs = CostParams(p=p, **cost_fields)
 
     oracle = sequential_fine_solve(fine, ivp.u0, p)
 
@@ -131,15 +145,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
 
     out = Path(out_dir)
     traces_dir = out / "traces" if write_traces else None
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        if traces_dir is not None:
-            traces_dir.mkdir(exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    if traces_dir is not None:  # traces are written as the runs go
+        _make_dir(traces_dir)
     sync_model_cost = sync_cost(costs, k)
     try:
-        fitted = fit_overhead(sync_model_cost, p, k, fine_cost, coarse_cost)
+        fitted = fit_overhead(sync_model_cost, p, k, costs.fine_cost, costs.coarse_cost)
     except UnfittableError:
         fitted = None
     sync_run = {
@@ -152,20 +162,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     runs.append(sync_run)
     rows.append({**shared, **sync_run, "fitted_overhead": fitted})
     if traces_dir is not None:
-        (traces_dir / f"{config.label}-sync.json").write_text(
-            sync_trace.to_json(), encoding="utf-8"
-        )
+        (traces_dir / names[0]).write_text(sync_trace.to_json(), encoding="utf-8")
 
     if config.schedules:
         _bind_async_engine()
-    for sched in config.schedules:
+    for sched, tag, name in zip(config.schedules, tags, names[1:]):
         try:
             trace = run_async_parareal(coarse, fine, ivp.u0, p, sched, epsilon=config.epsilon)
         except HorizonExhausted as exc:
             trace = exc.trace
+        except EventOverflowError as exc:  # name the schedule, keep the payload
+            raise EventOverflowError(f"{tag}: {exc}", exc.component, exc.event) from exc
         counts, kappa = update_counts(trace)
         final = trace.state_after(trace.n_events - 1)
-        tag = SCHEDULE_TAG.format(**sched.to_dict())
         run_entry = {
             "mode": "async", "schedule": sched.to_dict(), "tag": tag,
             "events": trace.n_events, "kappa": kappa,
@@ -185,8 +194,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
             run_entry["speedup_bound"] = speedup_bound(costs)
             run_entry["speedup_achieved"] = speedup_achieved(costs, k, kappa)
         if traces_dir is not None:
-            with open(traces_dir / f"{config.label}-{tag.replace('/', '-')}.jsonl", "w",
-                      encoding="utf-8") as fh:
+            with open(traces_dir / name, "w", encoding="utf-8") as fh:
                 fh.writelines(trace.jsonl_lines())
         runs.append(run_entry)
         rows.append({**shared, **run_entry, **run_entry["schedule"], "iterations": kappa})
@@ -197,8 +205,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "config": config.to_dict(),
         "decomposition": {"p": p, "coarse_dt": span,
                           "fine_dt": span / config.fine.steps},
-        "costs": {"fine_cost": fine_cost, "coarse_cost": coarse_cost,
-                  "overhead": overhead},
+        "costs": cost_fields,
         "contraction": report_con.to_dict(),
         "sync_convergent": {"holds": sync_ok.holds, "margin": sync_ok.margin},
         "async_convergent": {"holds": async_ok.holds, "margin": async_ok.margin},
@@ -206,6 +213,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "runs": runs,
         "exit_code": exit_code,
     }
+    _make_dir(out)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .errors import ConfigError, echo
 from .linalg import NormKind
-from .model import PROBLEMS, PROPAGATOR_RULES, LinearIVP
+from .model import PROBLEMS, PROPAGATOR_RULES, UNIT_STEP_COST, LinearIVP
 from .schedule import AsyncSchedule
 
 FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
@@ -44,6 +44,16 @@ class ExperimentConfig:
     fine_cost: float | None = None      # None: use the propagator's own units
     coarse_cost: float | None = None
     overhead: float | None = None
+
+    def costs(self) -> dict:
+        """The cost model's fine_cost, coarse_cost and overhead: an absent cost
+        is its propagator's units, one per implicit step, and an absent
+        overhead is the coarse cost."""
+        fine = self.fine.steps * UNIT_STEP_COST if self.fine_cost is None else self.fine_cost
+        coarse = (self.coarse.steps * UNIT_STEP_COST if self.coarse_cost is None
+                  else self.coarse_cost)
+        return {"fine_cost": fine, "coarse_cost": coarse,
+                "overhead": coarse if self.overhead is None else self.overhead}
 
     def to_dict(self) -> dict:
         """What parse_config reads back to this config; the problem is inline."""
@@ -155,15 +165,31 @@ def _parse_schedule(raw, where: str) -> AsyncSchedule:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _check_costs(config: ExperimentConfig) -> None:
+    """Reject costs that would put Infinity or NaN into a report: each cost
+    the model reports stays finite at its largest, k = p sweeps or kappa =
+    max_events activations of the busiest worker."""
+    f, c, o = config.costs().values()
+    p = config.p
+    worst = [p * f, p * c + p * (f + c + p * o)]  # sequential_cost, sync_cost
+    if config.schedules:  # async_cost, speedup_bound (speedup_achieved is below it)
+        kappa = max(s.max_events for s in config.schedules)
+        worst += [p * c + kappa * (f + c), (p - 2) * o / (f + c)]
+    if not all(map(math.isfinite, worst)):
+        raise ConfigError(f"config.costs: the cost model leaves the float range at p={p}"
+                          + (f" and max_events={kappa}" if config.schedules else ""))
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a decoded JSON object into an ExperimentConfig.
 
     Schema (top level): label, problem, p, fine, coarse, epsilon,
     optional k_max, optional norm ("spectral"|"infinity"), optional
     schedules (list), optional costs {fine_cost, coarse_cost, overhead},
-    where fine_cost and coarse_cost may not both be 0. A null k_max or cost
-    is absent, so a report's "config" re-runs to the same report.
-    An unknown field at any level is a ConfigError.
+    where fine_cost and coarse_cost may not both be 0 and no cost of the
+    model may leave the float range. A null k_max or cost is absent, so a
+    report's "config" re-runs to the same report. An unknown field at any
+    level is a ConfigError.
 
     Three sizes and two of their products are capped so that a config
     cannot ask for a fold that runs for years or for arrays that do not fit
@@ -230,12 +256,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if fine_cost == coarse_cost == 0.0:
         raise ConfigError("config.costs: fine_cost and coarse_cost are both 0, so every "
                           "activation costs 0 and the speedup is undefined")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         label=label, ivp=ivp, p=p, fine=fine, coarse=coarse,
         epsilon=float(epsilon), k_max=k_max, norm_kind=norm_kind,
         schedules=schedules, fine_cost=fine_cost, coarse_cost=coarse_cost,
         overhead=cost_field("overhead"),
     )
+    _check_costs(config)
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

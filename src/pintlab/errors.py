@@ -81,3 +81,15 @@ class SweepOverflowError(ConfigError):
     def __init__(self, message: str, sweep: int):
         super().__init__(message)
         self.sweep = sweep
+
+
+class EventOverflowError(ConfigError):
+    """An asynchronous event produced a value outside the float range.
+
+    ``component`` holds the component that fired and ``event`` the event index.
+    """
+
+    def __init__(self, message: str, component: int, event: int):
+        super().__init__(message)
+        self.component = component
+        self.event = event

@@ -29,7 +29,7 @@ from pintlab.config import (
     load_config,
     parse_config,
 )
-from pintlab.errors import ConfigError, HorizonExhausted
+from pintlab.errors import ConfigError, EventOverflowError, HorizonExhausted
 from pintlab.model import PROPAGATOR_RULES
 
 
@@ -131,6 +131,8 @@ def read_summary(out: Path):
     lambda c: c["fine"].update(stepz=3),
     lambda c: c["coarse"].update(theta=0.5),
     lambda c: c.update(costs={"fine_cots": 2.0}),
+    lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [1.0], "T": 1.0,
+                                "lable": "x"}),
     lambda c: c.update(problem={"name": "heat1d", "n_interior": 0}),
     # every activation would cost 0 solve units: the speedup is undefined
     lambda c: c.update(costs={"fine_cost": 0, "coarse_cost": 0}),
@@ -362,6 +364,95 @@ def test_overflowing_sync_sweep_exits_one(tmp_path, capsys):
     assert err.startswith("config error: sweep 2 of the synchronous run overflows")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_inline_problem_with_unknown_field_exits_one(tmp_path, capsys):
+    # a misspelt key of an inline system is rejected, as at every other level
+    cfg = base_config(problem={"A": [[-1.0]], "c": [0.0], "u0": [1.0], "T": 1.0,
+                               "lable": "x"})
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: config.problem: unknown fields: ['lable']\n"
+    assert not out.exists()
+
+
+# an oscillator whose value leaves the float range at an event of the one
+# adversarial-stale schedule, after the one synchronous sweep of k_max 1
+OVERFLOWING_ASYNC = base_config(
+    label="ovf", problem={"A": [[-0.05, 10.0], [-10.0, -0.05]], "c": [0, 0],
+                          "u0": [5e307, 0], "T": 8},
+    p=16, fine={"rule": "trapezoidal", "steps": 200}, k_max=1, epsilon=0.0,
+    schedules=[{"seed": 1, "delay_bound": 2, "policy": "adversarial-stale"}])
+
+
+def test_overflowing_async_event_exits_one(tmp_path, capsys):
+    rc, out = run_cli(tmp_path, OVERFLOWING_ASYNC)
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: adversarial-stale/s1/D2: component 11 "
+                                       "produced a non-finite value at event 613\n")
+    assert not out.exists()  # an untraced run makes its output tree last
+    # a traced run keeps the traces written before the failing schedule
+    rc, out = run_cli(tmp_path, OVERFLOWING_ASYNC, extra=["--traces"], out_name="traced")
+    assert rc == 1
+    assert [path.name for path in out.rglob("*")] == ["traces", "ovf-sync.json"]
+    with pytest.raises(EventOverflowError) as info:
+        pintlab.cli.run_experiment(parse_config(OVERFLOWING_ASYNC), tmp_path / "lib")
+    assert (info.value.component, info.value.event) == (11, 613)
+
+
+@pytest.mark.parametrize("overrides, extra, field", [
+    ({"label": "x" * 300}, [], "config.label"),
+    ({"label": "s", "schedules": [{"seed": 10**260, "delay_bound": 1}]}, [],
+     "config.schedules[0]"),
+    ({"label": "s"}, ["--seed-override", str(10**260)], "config.schedules[0]"),
+])
+def test_overlong_trace_name_exits_one(tmp_path, capsys, overrides, extra, field):
+    # each trace file name must fit the 255 bytes of a file name; a traced
+    # run checks them all, with the seeds of --seed-override, before it writes
+    rc, out = run_cli(tmp_path, base_config(**overrides), extra=["--traces", *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: trace file name ")
+    assert err.endswith(" is longer than 255 bytes\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("costs", [
+    {"fine_cost": 1, "coarse_cost": 1, "overhead": 1e308},
+    {"fine_cost": 1e308, "coarse_cost": 1e308},
+])
+def test_costs_that_overflow_the_model_exit_one(tmp_path, capsys, costs):
+    # the report would hold Infinity or NaN for a model cost or a speedup
+    cfg = base_config(p=8, costs=costs, schedules=[{"seed": 1, "delay_bound": 1}])
+    rc, out = run_cli(tmp_path, cfg)
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: config.costs: the cost model leaves "
+                                       "the float range at p=8 and max_events=20000\n")
+    assert not out.exists()
+
+
+def _no_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+@settings(deadline=None, max_examples=60)
+@given(p=st.integers(1, 8),
+       costs=st.fixed_dictionaries({}, optional={
+           key: st.floats(0.0, sys.float_info.max)
+           for key in ("fine_cost", "coarse_cost", "overhead")}),
+       max_events=st.sampled_from([3, 400, 2**31 - 1]))
+def test_accepted_costs_keep_the_report_finite(p, costs, max_events):
+    # every config that parses writes a report.json of finite numbers only
+    cfg = base_config(p=p, costs=costs, fine={"rule": "trapezoidal", "steps": 4},
+                      schedules=[{"seed": 1, "delay_bound": 1, "max_events": max_events}])
+    try:
+        config = parse_config(cfg)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        pintlab.cli.run_experiment(config, tmp)
+        json.loads(Path(tmp, "report.json").read_text(encoding="utf-8"),
+                   parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize("problem, p, norm", [
@@ -698,6 +789,23 @@ assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2], *sys.argv[3:]
 
 def test_cli_import_leaves_scipy_unloaded():
     assert run_probe("import pintlab.cli") == []
+
+
+def test_config_compiles_before_numpy_loads():
+    # cli imports config ahead of numpy: config.py compiled once numpy had
+    # loaded raised sync-p512's peak_rss_mb by 0.10-0.14 MiB
+    code = """
+import importlib.abc
+numpy_loaded = []
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "pintlab.config" and not numpy_loaded:
+            numpy_loaded.append("numpy" in sys.modules)
+sys.meta_path.insert(0, Probe())
+import pintlab.cli
+assert numpy_loaded == [False], numpy_loaded
+"""
+    assert run_probe(code) == []
 
 
 def test_package_import_loads_no_submodule():
