@@ -10,9 +10,9 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, echo
-from .linalg import NormKind
-from .model import PROBLEMS, PROPAGATOR_RULES, UNIT_STEP_COST, LinearIVP
 from .schedule import AsyncSchedule
+from .model import PROBLEMS, PROPAGATOR_RULES, UNIT_STEP_COST, LinearIVP
+from .linalg import NormKind
 
 FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
 MAX_STEPS = 10**6  # largest fine/coarse "steps"; see parse_config
