@@ -213,3 +213,21 @@ def fit_overhead(total_cost: float, p: int, k: int, fine_cost: float,
         )
     raw = (total_cost - p * coarse_cost - k * (fine_cost + coarse_cost)) / denom
     return max(raw, 0.0)
+
+
+def largest_costs(params: CostParams, k_cap: int, kappa_cap: int | None) -> list[float]:
+    """Each cost a run reports, at its largest over 1..k_cap sweeps and, unless
+    kappa_cap is None (no async run), up to kappa_cap activations.
+
+    sync_cost grows with k up to p - 1, since sweep k + 1 adds fine + coarse +
+    (p - 2 - k) * overhead, so its largest is at k_cap - 1 or k_cap. The
+    achieved speedup is at most ``speedup_bound``, and the fitted overhead at
+    most the overhead.
+    """
+    costs = [sequential_cost(params), sync_cost(params, max(1, k_cap - 1)),
+             sync_cost(params, k_cap)]
+    if kappa_cap is not None:
+        costs.append(async_cost(params, kappa_cap))
+        if params.p >= 2:
+            costs.append(speedup_bound(params))
+    return costs

@@ -119,7 +119,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     sync_ok = sync_convergence_check(report_con)
     async_ok = async_convergence_check(report_con)
 
-    cost_fields = config.costs()
+    cost_fields = config.costs(fine.cost_units, coarse.cost_units)
     costs = CostParams(p=p, **cost_fields)
 
     oracle = sequential_fine_solve(fine, ivp.u0, p)

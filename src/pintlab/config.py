@@ -13,6 +13,7 @@ from .errors import ConfigError, echo
 from .schedule import AsyncSchedule
 from .model import PROBLEMS, PROPAGATOR_RULES, UNIT_STEP_COST, LinearIVP
 from .linalg import NormKind
+from .analysis import CostParams, largest_costs  # the cost model, to check the costs
 
 FLOAT_END = 2**1024 - 2**970  # float() of an int this large or larger overflows
 MAX_STEPS = 10**6  # largest fine/coarse "steps"; see parse_config
@@ -45,13 +46,11 @@ class ExperimentConfig:
     coarse_cost: float | None = None
     overhead: float | None = None
 
-    def costs(self) -> dict:
+    def costs(self, fine_units: float, coarse_units: float) -> dict:
         """The cost model's fine_cost, coarse_cost and overhead: an absent cost
-        is its propagator's units, one per implicit step, and an absent
-        overhead is the coarse cost."""
-        fine = self.fine.steps * UNIT_STEP_COST if self.fine_cost is None else self.fine_cost
-        coarse = (self.coarse.steps * UNIT_STEP_COST if self.coarse_cost is None
-                  else self.coarse_cost)
+        is its propagator's cost_units, and an absent overhead the coarse cost."""
+        fine = fine_units if self.fine_cost is None else self.fine_cost
+        coarse = coarse_units if self.coarse_cost is None else self.coarse_cost
         return {"fine_cost": fine, "coarse_cost": coarse,
                 "overhead": coarse if self.overhead is None else self.overhead}
 
@@ -167,17 +166,18 @@ def _parse_schedule(raw, where: str) -> AsyncSchedule:
 
 def _check_costs(config: ExperimentConfig) -> None:
     """Reject costs that would put Infinity or NaN into a report: each cost
-    the model reports stays finite at its largest, k = p sweeps or kappa =
-    max_events activations of the busiest worker."""
-    f, c, o = config.costs().values()
+    the model reports stays finite at the most sweeps the sync run can take
+    and the most activations any schedule can give one worker. A propagator
+    of ``steps`` steps has cost_units steps * UNIT_STEP_COST."""
     p = config.p
-    worst = [p * f, p * c + p * (f + c + p * o)]  # sequential_cost, sync_cost
-    if config.schedules:  # async_cost, speedup_bound (speedup_achieved is below it)
-        kappa = max(s.max_events for s in config.schedules)
-        worst += [p * c + kappa * (f + c), (p - 2) * o / (f + c)]
-    if not all(map(math.isfinite, worst)):
-        raise ConfigError(f"config.costs: the cost model leaves the float range at p={p}"
-                          + (f" and max_events={kappa}" if config.schedules else ""))
+    params = CostParams(p, **config.costs(config.fine.steps * UNIT_STEP_COST,
+                                          config.coarse.steps * UNIT_STEP_COST))
+    k_cap = p if config.k_max is None else min(config.k_max, p)
+    kappa_cap = max((s.busiest_bound(p) for s in config.schedules), default=None)
+    if not all(map(math.isfinite, largest_costs(params, k_cap, kappa_cap))):
+        raise ConfigError(f"config.costs: the cost model leaves the float range at p={p}, "
+                          f"{k_cap} sweeps" + ("" if kappa_cap is None else
+                                               f" and {kappa_cap} activations of one worker"))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -216,9 +216,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     label = _expect(raw, "label", str, "config", required=False, default="experiment")
-    if label in ("", ".", "..") or "/" in label or "\0" in label:  # names trace files
-        raise ConfigError(f"config.label: need a file name without '/' or NUL, not '', '.' "
-                          f"or '..', got {echo(label)}")
+    # names trace files; "replace" turns a lone surrogate, which UTF-8 cannot hold, into "?"
+    if (label in ("", ".", "..") or "/" in label or "\0" in label
+            or label.encode("utf-8", "replace").decode("utf-8") != label):
+        raise ConfigError(f"config.label: need a UTF-8 file name without '/' or NUL, not '', "
+                          f"'.' or '..', got {echo(label)}")
     ivp = _parse_problem(_expect(raw, "problem", dict, "config"), "config.problem")
     p = _expect(raw, "p", int, "config")
     cap = min(MAX_P, MAX_STATE // ivp.dim - 1)

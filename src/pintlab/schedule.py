@@ -64,6 +64,15 @@ class AsyncSchedule:
     def window(self, n_updatable: int) -> int:
         return n_updatable * (self.delay_bound + 1)
 
+    def busiest_bound(self, n_updatable: int) -> int:
+        """The most events one component can take: one in n_updatable under
+        round-robin and adversarial-stale, and under random-fair what is left
+        once every other component has fired once per full window."""
+        if self.policy == POLICY_RANDOM_FAIR:
+            full_windows = self.max_events // self.window(n_updatable)
+            return self.max_events - (n_updatable - 1) * full_windows
+        return -(-self.max_events // n_updatable)
+
     def script(self, mapping: "AsyncMapping") -> Iterator[tuple[int, list[int]]]:
         """Yield this schedule's events over ``mapping``, at most max_events.
 

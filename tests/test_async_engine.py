@@ -3,6 +3,7 @@ event log, and the linear-relaxation demo."""
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ def test_generator_matches_numpy_draw_for_draw(seed, draws):
     ours, numpy_rng = PCG64(seed), np.random.default_rng(seed)
     for lo, span in draws:
         assert ours.integers(lo, lo + span) == numpy_rng.integers(lo, lo + span)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=2**16), st.sampled_from(POLICIES),
+       st.integers(min_value=1, max_value=200))
+def test_busiest_bound_caps_every_components_events(p, delay_bound, seed, policy, max_events):
+    # no component takes more events than busiest_bound, which the cyclic
+    # policies reach
+    mapping = AsyncMapping(eval_fn=lambda i, reads: np.zeros(1),
+                           read_set={i: () for i in range(1, p + 1)})
+    sched = AsyncSchedule(seed=seed, delay_bound=delay_bound, policy=policy,
+                          max_events=max_events)
+    busiest = max(Counter(comp for comp, _ in sched.script(mapping)).values())
+    assert busiest <= sched.busiest_bound(p)
+    if policy != POLICY_RANDOM_FAIR:
+        assert busiest == sched.busiest_bound(p)
 
 
 # ----------------------------------------------------------- schedule audit

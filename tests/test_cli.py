@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,10 +14,11 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pintlab.cli
+from pintlab.analysis import CostParams, async_cost, sequential_cost, speedup_bound, sync_cost
 from pintlab.async_parareal import run_async_parareal, simulate_async
 from pintlab.cli import SUMMARY_COLUMNS, main
 from pintlab.config import (
@@ -134,6 +136,8 @@ def read_summary(out: Path):
     lambda c: c.update(problem={"A": [[-1.0]], "c": [0.0], "u0": [1.0], "T": 1.0,
                                 "lable": "x"}),
     lambda c: c.update(problem={"name": "heat1d", "n_interior": 0}),
+    # a lone surrogate has no UTF-8 form, so it cannot name a trace file
+    lambda c: c.update(label="a\ud800"),
     # every activation would cost 0 solve units: the speedup is undefined
     lambda c: c.update(costs={"fine_cost": 0, "coarse_cost": 0}),
 ])
@@ -426,8 +430,10 @@ def test_costs_that_overflow_the_model_exit_one(tmp_path, capsys, costs):
     cfg = base_config(p=8, costs=costs, schedules=[{"seed": 1, "delay_bound": 1}])
     rc, out = run_cli(tmp_path, cfg)
     assert rc == 1
+    # random-fair, window 16: 7 others fire at least 1250 times in 20000 events
     assert capsys.readouterr().err == ("config error: config.costs: the cost model leaves "
-                                       "the float range at p=8 and max_events=20000\n")
+                                       "the float range at p=8, 8 sweeps and 11250 "
+                                       "activations of one worker\n")
     assert not out.exists()
 
 
@@ -435,19 +441,44 @@ def _no_constant(name):
     raise ValueError(f"report.json holds {name}")
 
 
+def _some_cost_overflows(config, k_cap, kappa_cap):
+    """Whether a cost the run reports leaves the float range at some k in
+    1..k_cap sweeps or at kappa_cap activations, by brute force."""
+    span = config.ivp.t_final / config.p
+    fine, coarse = (PROPAGATOR_RULES[spec.rule](config.ivp, span, spec.steps)
+                    for spec in (config.fine, config.coarse))
+    params = CostParams(config.p, **config.costs(fine.cost_units, coarse.cost_units))
+    costs = [sequential_cost(params), *(sync_cost(params, k) for k in range(1, k_cap + 1)),
+             async_cost(params, kappa_cap)]
+    if config.p >= 2:
+        costs.append(speedup_bound(params))
+    return not all(map(math.isfinite, costs))
+
+
 @settings(deadline=None, max_examples=60)
-@given(p=st.integers(1, 8),
+@given(p=st.integers(1, 8), k_max=st.sampled_from([None, 1, 3]),
        costs=st.fixed_dictionaries({}, optional={
            key: st.floats(0.0, sys.float_info.max)
            for key in ("fine_cost", "coarse_cost", "overhead")}),
-       max_events=st.sampled_from([3, 400, 2**31 - 1]))
-def test_accepted_costs_keep_the_report_finite(p, costs, max_events):
-    # every config that parses writes a report.json of finite numbers only
-    cfg = base_config(p=p, costs=costs, fine={"rule": "trapezoidal", "steps": 4},
-                      schedules=[{"seed": 1, "delay_bound": 1, "max_events": max_events}])
+       max_events=st.sampled_from([3, 400, 2**31 - 1]),
+       policy=st.sampled_from(["round-robin", "random-fair"]))
+@example(p=8, k_max=None, costs={"fine_cost": 1, "coarse_cost": 1, "overhead": 5e306},
+         max_events=20000, policy="random-fair")
+def test_accepted_costs_keep_the_report_finite(p, k_max, costs, max_events, policy):
+    # every config that parses writes a report.json of finite numbers only,
+    # and a config rejected for its costs does overflow a cost of the model
+    cfg = base_config(p=p, k_max=k_max, costs=costs, fine={"rule": "trapezoidal", "steps": 4},
+                      schedules=[{"seed": 1, "delay_bound": 1, "max_events": max_events,
+                                  "policy": policy}])
     try:
         config = parse_config(cfg)
-    except ConfigError:
+    except ConfigError as exc:
+        if "leaves the float range" in str(exc):
+            config = parse_config({**cfg, "costs": {}})
+            config.fine_cost, config.coarse_cost, config.overhead = (
+                costs.get(key) for key in ("fine_cost", "coarse_cost", "overhead"))
+            kappa_cap = config.schedules[0].busiest_bound(p)
+            assert _some_cost_overflows(config, min(p, k_max or p), kappa_cap), exc
         return
     with tempfile.TemporaryDirectory() as tmp:
         pintlab.cli.run_experiment(config, tmp)
